@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg
 
-from .dense import cholesky, svd_trunc
+from .dense import cholesky, qr_unless_wide, svd_trunc_left
 from .errors import DimensionMismatch, GramNotSPD, OutOfRange, SizeOverflow
 
 __all__ = [
@@ -265,13 +265,17 @@ def truncate(W, eps, r_max=None):
     """Rank reduction by two-sided core compression.
 
     QR-factors both bases, folds the R factors into the cores C(j) =
-    Ru Sigma(j) Rv^H, then cuts each mode independently: the hat rank by an
-    SVD of the horizontal stack [C(0), ..., C(ell-1)], the tilde rank by an
-    SVD of the stack of conjugate-transposed slices — both taken from the
-    same folded cores, each with relative tail tolerance eps/sqrt(2) and
-    hard cap r_max. The output has orthonormal bases and the compressed
-    cores U1^H C(j) U2; its columns match W's to a combined relative error
-    close to eps (the per-mode cuts interact, see the truncation tests).
+    Ru Sigma(j) Rv^H, then cuts each mode independently: the hat rank by
+    the left singular vectors of the horizontal stack [C(0), ..., C(ell-1)],
+    the tilde rank by those of the stack of conjugate-transposed slices —
+    both taken from the same folded cores, each with relative tail
+    tolerance eps/sqrt(2) and hard cap r_max. Each wide unfolding is
+    reduced to its square triangular factor before the SVD
+    (``svd_trunc_left``), and a basis with at least as many columns as rows
+    skips its QR and is folded in whole (``qr_unless_wide``). The output
+    has orthonormal bases and the compressed cores U1^H C(j) U2; its
+    columns match W's to a combined relative error close to eps (the
+    per-mode cuts interact, see the truncation tests).
     """
     if eps < 0:
         raise OutOfRange("truncate: eps must be >= 0")
@@ -280,23 +284,23 @@ def truncate(W, eps, r_max=None):
     if W.ell == 0 or W.r_hat == 0 or W.r_til == 0:
         dtype = complex if W.is_complex else float
         return BlockLowRank.empty(W.n_hat, W.n_til, W.ell, dtype=dtype)
-    Qu, Ru = np.linalg.qr(W.U, mode="reduced")
-    Qv, Rv = np.linalg.qr(W.V, mode="reduced")
+    lift_u, Ru = qr_unless_wide(W.U)
+    lift_v, Rv = qr_unless_wide(W.V)
     core = np.einsum("ab,jbc,dc->jad", Ru, W.sigma, np.conj(Rv), optimize=True)
     ell, rh, rt = core.shape
     tol = eps / np.sqrt(2.0)
     # mode 1: rows indexed by the hat rank
     unf1 = np.swapaxes(core, 0, 1).reshape(rh, ell * rt)
-    U1, s1, _ = svd_trunc(unf1, tol, r_max)
+    U1, s1 = svd_trunc_left(unf1, tol, r_max)
     # mode 2: rows indexed by the tilde rank, slices conjugate-transposed,
     # taken from the original folded core (not the mode-1 compressed one)
     unf2 = np.conj(np.swapaxes(core, 0, 2)).reshape(rt, ell * rh)
-    U2, s2, _ = svd_trunc(unf2, tol, r_max)
-    new_core = np.einsum("ba,jbc,cd->jad", np.conj(U1), core, U2, optimize=True)
+    U2, s2 = svd_trunc_left(unf2, tol, r_max)
     if s1.size == 0 or s2.size == 0:
         dtype = complex if W.is_complex else float
         return BlockLowRank.empty(W.n_hat, W.n_til, W.ell, dtype=dtype)
-    return BlockLowRank(Qu @ U1, Qv @ U2, new_core, orthonormal=True)
+    new_core = np.einsum("ba,jbc,cd->jad", np.conj(U1), core, U2, optimize=True)
+    return BlockLowRank(lift_u(U1), lift_v(U2), new_core, orthonormal=True)
 
 
 def orthonormalize_cholesky(W):

@@ -14,7 +14,15 @@ import scipy.linalg
 
 from .errors import BtilNotSPD, NotPositiveDefinite, OutOfRange
 
-__all__ = ["qr_econ", "svd_trunc", "cholesky", "eig_sym_gen", "two_norm"]
+__all__ = [
+    "qr_econ",
+    "qr_unless_wide",
+    "svd_trunc",
+    "svd_trunc_left",
+    "cholesky",
+    "eig_sym_gen",
+    "two_norm",
+]
 
 
 def qr_econ(M):
@@ -38,6 +46,23 @@ def qr_econ(M):
     return Q, R
 
 
+def qr_unless_wide(M):
+    """Triangular factor of M and the map back to M's column space.
+
+    Returns ``(lift, R)`` with ``M = lift(R)``. For a matrix with fewer
+    columns than rows, ``M = Q R`` is the reduced QR and ``lift(X)`` is
+    ``Q @ X``. A matrix with at least as many columns as rows would only get
+    a square unitary Q back, so it skips the factorization: R is M itself
+    and ``lift`` the identity. A small left factor X of R (say, its left
+    singular vectors) becomes the matching factor of M as ``lift(X)``.
+    """
+    M = np.asarray(M)
+    if M.shape[1] >= M.shape[0]:
+        return (lambda X: X), M
+    Q, R = np.linalg.qr(M, mode="reduced")
+    return (lambda X: Q @ X), R
+
+
 def svd_trunc(M, tol=0.0, r_max=None):
     """Truncated SVD with a relative tail-energy cut.
 
@@ -51,11 +76,11 @@ def svd_trunc(M, tol=0.0, r_max=None):
     M = np.asarray(M)
     if tol < 0:
         raise OutOfRange("svd_trunc: tol must be >= 0")
+    if r_max is not None and r_max < 1:
+        raise OutOfRange("svd_trunc: r_max must be >= 1")
     kmax = min(M.shape)
     if r_max is None:
         r_max = kmax
-    if r_max < 1:
-        raise OutOfRange("svd_trunc: r_max must be >= 1")
     if kmax == 0:
         return (
             np.zeros((M.shape[0], 0), dtype=M.dtype),
@@ -71,6 +96,25 @@ def svd_trunc(M, tol=0.0, r_max=None):
     r = int(np.searchsorted(-np.sqrt(suffix), -thresh))
     r = min(r, r_max, kmax)
     return U[:, :r], s[:r], Vh[:r]
+
+
+def svd_trunc_left(M, tol=0.0, r_max=None):
+    """Left half ``(U, s)`` of ``svd_trunc(M, tol, r_max)``: same cut rule,
+    rank and errors.
+
+    A wide M (fewer rows than columns) is reduced to its square triangular
+    factor first: with ``M^H = Q R``, M = R^H Q^H has the left singular
+    vectors and singular values of R^H, so ``svd_trunc`` runs on the m x m
+    matrix R^H instead of the m x n M. Householder QR is backward stable,
+    so the singular values stay accurate to eps * ||M|| (a Gram matrix
+    M M^H would square the spectrum and lose everything below
+    sqrt(eps) * ||M||). Other shapes go to ``svd_trunc`` directly.
+    """
+    M = np.asarray(M)
+    if 0 < M.shape[0] < M.shape[1]:
+        M = np.linalg.qr(M.conj().T, mode="r").conj().T
+    U, s, _ = svd_trunc(M, tol, r_max)
+    return U, s
 
 
 def cholesky(G):

@@ -41,7 +41,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .dense import svd_trunc
+from .dense import qr_unless_wide, svd_trunc
 from .errors import (
     Breakdown,
     DegenerateInterval,
@@ -88,21 +88,21 @@ def pair_truncate(F, G, tol, r_max=None):
 
     Returns (F2, G2) with F2 G2^T close to F G^T, the discarded tail
     bounded by tol relative to the Frobenius norm, rank capped at r_max.
+    A factor with at least as many columns as rows skips its QR and enters
+    the core whole (``qr_unless_wide``); the result is the same truncation.
     The square-root-balanced split keeps both factors equally conditioned.
     """
     if F.shape[1] != G.shape[1]:
         raise DimensionMismatch("pair_truncate: factor ranks differ")
     if F.shape[1] == 0:
         return F, G
-    Qf, Rf = np.linalg.qr(F, mode="reduced")
-    Qg, Rg = np.linalg.qr(G, mode="reduced")
+    lift_f, Rf = qr_unless_wide(F)
+    lift_g, Rg = qr_unless_wide(G)
     U, s, Vh = svd_trunc(Rf @ Rg.T, tol, r_max)
-    if s.size == 0:
-        return Qf[:, :0], Qg[:, :0]
     sq = np.sqrt(s)
     # X = Qf U diag(s) Vh Qg^T, so the right factor is Qg (Vh^T * sqrt(s)):
     # a plain transpose of Vh (conjugating here would conjugate X itself)
-    return Qf @ (U * sq), Qg @ (Vh.T * sq)
+    return lift_f(U * sq), lift_g(Vh.T * sq)
 
 
 def _fast_mul(M):
@@ -140,10 +140,13 @@ def _shifted_solver(M):
                     raise SingularShiftedSolve(str(exc)) from exc
 
             return solve
-        lu = scipy.linalg.lu_factor(M)
-        if np.min(np.abs(np.diag(lu[0]))) == 0.0:
+        # getrf itself, not lu_factor: lu_factor reports an exactly zero
+        # pivot (info > 0) as a LinAlgWarning before returning the factors
+        (getrf,) = scipy.linalg.get_lapack_funcs(("getrf",), (M,))
+        lu, piv, info = getrf(np.asarray_chkfinite(M))
+        if info != 0:
             raise SingularShiftedSolve("shifted matrix is exactly singular")
-        return lambda B: scipy.linalg.lu_solve(lu, B)
+        return lambda B: scipy.linalg.lu_solve((lu, piv), B)
     except (scipy.linalg.LinAlgError, ValueError) as exc:
         raise SingularShiftedSolve(str(exc)) from exc
 

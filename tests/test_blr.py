@@ -171,6 +171,34 @@ def test_truncate_idempotent():
     assert (T2.r_hat, T2.r_til) == (T1.r_hat, T1.r_til)
 
 
+@pytest.mark.parametrize("complex_", [False, True])
+@pytest.mark.parametrize("ranks", [(7, 4), (7, 8)])
+def test_truncate_wide_bases(ranks, complex_):
+    # Bases with at least as many columns as rows skip their QR: U 5x7 on
+    # one side, U 5x7 and V 6x8 on both.
+    rng = make_rng(48)
+    n_hat, n_til, ell = 5, 6, 3
+    W = random_block(rng, n_hat, n_til, ell, *ranks, complex_=complex_)
+    D = to_dense(W)
+    T0 = truncate(W, 0.0)
+    assert np.linalg.norm(to_dense(T0) - D) <= 1e-12 * np.linalg.norm(D)
+    T = truncate(W, 0.0, r_max=3)
+    assert T.orthonormal and T.r_hat == 3 and T.r_til == 3
+    assert np.allclose(T.U.conj().T @ T.U, np.eye(3), atol=1e-12)
+    assert np.allclose(T.V.conj().T @ T.V, np.eye(3), atol=1e-12)
+    # Within the dense two-mode bound: the squared best rank-3 errors of
+    # the mode unfoldings [X_0, ..., X_{ell-1}] and [X_0^H, ...] add up.
+    X = [D[:, j].reshape((n_hat, n_til), order="F") for j in range(ell)]
+    tails = [
+        np.linalg.svd(np.hstack(mats), compute_uv=False)[3:]
+        for mats in (X, [x.conj().T for x in X])
+    ]
+    bound = np.sqrt(sum(np.sum(t**2) for t in tails))
+    assert np.linalg.norm(to_dense(T) - D) <= bound * (1 + 1e-10) + 1e-12
+    Z = truncate(right_multiply(W, np.zeros((ell, ell))), 1e-8)
+    assert (Z.U.shape, Z.V.shape, Z.sigma.shape) == ((n_hat, 0), (n_til, 0), (ell, 0, 0))
+
+
 def test_orthonormalize_cholesky():
     rng = make_rng(43)
     W = random_block(rng, 8, 7, 4, 3, 3)

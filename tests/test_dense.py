@@ -5,7 +5,15 @@ import pytest
 import scipy.linalg
 
 from conftest import make_rng
-from kroneig.dense import cholesky, eig_sym_gen, qr_econ, svd_trunc, two_norm
+from kroneig.dense import (
+    cholesky,
+    eig_sym_gen,
+    qr_econ,
+    qr_unless_wide,
+    svd_trunc,
+    svd_trunc_left,
+    two_norm,
+)
 from kroneig.errors import BtilNotSPD, NotPositiveDefinite, OutOfRange
 
 
@@ -75,6 +83,67 @@ def test_svd_trunc_validation():
         svd_trunc(M, tol=-1e-3)
     with pytest.raises(OutOfRange):
         svd_trunc(M, tol=0.0, r_max=0)
+
+
+def _graded_matrix(rng, rows, cols, complex_, floor=1e-14):
+    """rows x cols matrix with singular values graded from 1 down to floor."""
+    k = min(rows, cols)
+
+    def draw(*shape):
+        M = rng.standard_normal(shape)
+        return M + 1j * rng.standard_normal(shape) if complex_ else M
+
+    Q1, _ = np.linalg.qr(draw(rows, k))
+    Q2, _ = np.linalg.qr(draw(cols, k))
+    return (Q1 * np.logspace(0, np.log10(floor), k)) @ Q2.conj().T
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+@pytest.mark.parametrize("shape", [(9, 60), (60, 9), (9, 9)])
+def test_svd_trunc_left_matches_svd_trunc(shape, complex_):
+    # The left-only kernel reduces wide input by QR first; it must cut at
+    # the same rank with the same singular values and left subspace, also
+    # where the cut falls deep in a spectrum graded down to 1e-14.
+    rng = make_rng(18)
+    M = _graded_matrix(rng, *shape, complex_)
+    norm = np.linalg.norm(M, 2)
+    for tol in (0.0, 1e-12, 1e-3):
+        for r_max in (None, 3):
+            U_ref, s_ref, _ = svd_trunc(M, tol, r_max)
+            U, s = svd_trunc_left(M, tol, r_max)
+            assert U.shape == U_ref.shape and U.dtype == U_ref.dtype
+            assert np.all(np.abs(s - s_ref) <= 1e-13 * norm)
+            assert np.allclose(U.conj().T @ U, np.eye(s.size), atol=1e-12)
+            # Projectors onto the kept left subspaces agree where M has
+            # energy (single vectors of tiny, close values are ill-posed).
+            P_diff = U @ (U.conj().T @ M) - U_ref @ (U_ref.conj().T @ M)
+            assert np.linalg.norm(P_diff, 2) <= 1e-13 * norm
+
+
+def test_svd_trunc_left_zero_matrix_and_validation():
+    for shape in [(3, 8), (8, 3), (0, 4)]:
+        U, s = svd_trunc_left(np.zeros(shape), tol=0.0)
+        assert len(s) == 0 and U.shape == (shape[0], 0)
+    M = np.ones((2, 5))
+    with pytest.raises(OutOfRange):
+        svd_trunc_left(M, tol=-1e-3)
+    with pytest.raises(OutOfRange):
+        svd_trunc_left(M, tol=0.0, r_max=0)
+
+
+def test_qr_unless_wide():
+    rng = make_rng(19)
+    tall = rng.standard_normal((7, 3)) + 1j * rng.standard_normal((7, 3))
+    lift, R = qr_unless_wide(tall)
+    assert R.shape == (3, 3) and np.allclose(np.tril(R, -1), 0.0)
+    assert np.allclose(lift(R), tall, atol=1e-12)
+    Q = lift(np.eye(3))
+    assert np.allclose(Q.conj().T @ Q, np.eye(3), atol=1e-12)
+    for shape in [(4, 4), (4, 9)]:
+        wide = rng.standard_normal(shape)
+        lift, R = qr_unless_wide(wide)
+        X = rng.standard_normal((4, 2))
+        assert R is wide and lift(X) is X
 
 
 def test_cholesky_lower_and_failure():

@@ -88,6 +88,34 @@ def test_pair_truncate_contract():
         pair_truncate(F, G[:, :3], 0.0)
 
 
+@pytest.mark.parametrize("complex_", [False, True])
+@pytest.mark.parametrize("ranks", [(9, 14), (9, 7)])
+def test_pair_truncate_wide_factors(ranks, complex_):
+    # Factors with at least as many columns as rows skip their QR: on one
+    # side (F 6x9 wide, G 14x9 tall) and on both (F 6x9, G 7x9).
+    rng = make_rng(57)
+    r, n_til = ranks
+
+    def draw(*shape):
+        M = rng.standard_normal(shape)
+        return M + 1j * rng.standard_normal(shape) if complex_ else M
+
+    F, G = draw(6, r), draw(n_til, r)
+    X = F @ G.T
+    s = np.linalg.svd(X, compute_uv=False)
+    F2, G2 = pair_truncate(F, G, 0.0)
+    assert np.linalg.norm(F2 @ G2.T - X) <= 1e-12 * np.linalg.norm(X)
+    F3, G3 = pair_truncate(F, G, 0.0, r_max=2)
+    assert F3.shape == (6, 2) and G3.shape == (n_til, 2)
+    best = np.sqrt(np.sum(s[2:] ** 2))
+    assert abs(np.linalg.norm(F3 @ G3.T - X) - best) < 1e-10
+    # Balanced split: F3^H F3 = G3^H G3 = diag of the kept singular values.
+    assert np.allclose(F3.conj().T @ F3, np.diag(s[:2]), atol=1e-10)
+    assert np.allclose(G3.conj().T @ G3, np.diag(s[:2]), atol=1e-10)
+    F0, G0 = pair_truncate(0.0 * F, G, 0.0)
+    assert F0.shape == (6, 0) and G0.shape == (n_til, 0)
+
+
 def test_apply_pair_matches_dense():
     rng = make_rng(52)
     p = _problem(rng, rank=2)
