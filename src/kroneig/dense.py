@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from .errors import BtilNotSPD, NotPositiveDefinite, OutOfRange
+from .errors import BtilNotSPD, KroneigError, NotPositiveDefinite, OutOfRange
 
 __all__ = [
     "qr_econ",
@@ -46,21 +46,63 @@ def qr_econ(M):
     return Q, R
 
 
+def _lapack(name, like, *args, **kwargs):
+    """Call a LAPACK routine after its workspace query; info != 0 raises.
+
+    Returns the routine's outputs without ``work`` and ``info``.
+    """
+    (func,) = scipy.linalg.get_lapack_funcs((name,), like)
+    lwork = int(func(*args, lwork=-1, **kwargs)[-2][0].real)
+    *out, _, info = func(*args, lwork=max(lwork, 1), **kwargs)
+    if info != 0:
+        raise KroneigError(f"LAPACK {name} returned info={info}")
+    return out
+
+
 def qr_unless_wide(M):
     """Triangular factor of M and the map back to M's column space.
 
     Returns ``(lift, R)`` with ``M = lift(R)``. For a matrix with fewer
     columns than rows, ``M = Q R`` is the reduced QR and ``lift(X)`` is
-    ``Q @ X``. A matrix with at least as many columns as rows would only get
-    a square unitary Q back, so it skips the factorization: R is M itself
-    and ``lift`` the identity. A small left factor X of R (say, its left
-    singular vectors) becomes the matching factor of M as ``lift(X)``.
+    ``Q @ X``. Q is never formed: the Householder reflectors of LAPACK
+    ``geqrf`` are kept and ``lift`` applies them (``ormqr``/``unmqr``) to
+    the small X alone. A matrix with at least as many columns as rows would
+    only get a square unitary Q back, so it skips the factorization: R is M
+    itself and ``lift`` the identity. A small left factor X of R (say, its
+    left singular vectors) becomes the matching factor of M as ``lift(X)``,
+    a C-ordered array of dtype ``result_type(R, X)`` (R is in double
+    precision).
     """
     M = np.asarray(M)
-    if M.shape[1] >= M.shape[0]:
+    m, k = M.shape
+    if k >= m:
         return (lambda X: X), M
-    Q, R = np.linalg.qr(M, mode="reduced")
-    return (lambda X: Q @ X), R
+    M = M.astype(np.promote_types(M.dtype, np.float64), copy=False)
+    qr, tau = _lapack("geqrf", (M,), M)
+    R = np.triu(qr[:k])
+
+    def lift(X):
+        X = np.asarray(X)
+        X = X.astype(np.result_type(qr, X), copy=False)
+        if X.shape[1] == 0 or k == 0:
+            return np.zeros((m, X.shape[1]), dtype=X.dtype)
+        # (Q X)^T = X^T Q^T: apply the reflectors from the right to a
+        # Fortran-ordered X^T padded to m columns; the transpose of the
+        # result is then C-ordered with no copy.
+        if np.iscomplexobj(qr):
+            # unmqr applies Q^H only: X^H Q^H = ((Q X)^T)^*
+            C = np.zeros((X.shape[1], m), dtype=X.dtype, order="F")
+            C[:, :k] = X.conj().T
+            (C,) = _lapack("unmqr", (qr,), b"R", b"C", qr, tau, C, overwrite_c=1)
+            return np.conjugate(C, out=C).T
+        # real reflectors: a complex X goes in as its interleaved real view
+        Xr = np.ascontiguousarray(X).view(qr.dtype)
+        C = np.zeros((Xr.shape[1], m), dtype=qr.dtype, order="F")
+        C[:, :k] = Xr.T
+        (C,) = _lapack("ormqr", (qr,), b"R", b"T", qr, tau, C, overwrite_c=1)
+        return C.T.view(X.dtype)
+
+    return lift, R
 
 
 def svd_trunc(M, tol=0.0, r_max=None):

@@ -14,7 +14,7 @@ from kroneig.dense import (
     svd_trunc_left,
     two_norm,
 )
-from kroneig.errors import BtilNotSPD, NotPositiveDefinite, OutOfRange
+from kroneig.errors import BtilNotSPD, KroneigError, NotPositiveDefinite, OutOfRange
 
 
 def test_qr_econ_reconstructs_and_is_economy():
@@ -144,6 +144,44 @@ def test_qr_unless_wide():
         lift, R = qr_unless_wide(wide)
         X = rng.standard_normal((4, 2))
         assert R is wide and lift(X) is X
+
+
+def test_qr_unless_wide_lift_matches_explicit_q():
+    # lift applies the kept Householder reflectors; it must agree with the
+    # explicit Q of the same factorization for every dtype mix and layout.
+    rng = make_rng(20)
+    real = rng.standard_normal((30, 7))
+    cplx = real + 1j * rng.standard_normal((30, 7))
+    X_real = rng.standard_normal((7, 5))
+    X_cplx = X_real + 1j * rng.standard_normal((7, 5))
+    cases = [
+        (real, X_cplx),
+        (cplx, X_real),
+        (real, np.asfortranarray(X_real)),
+        (cplx, np.asfortranarray(X_cplx)),
+        (real, np.asfortranarray(X_cplx)),
+        (real, np.zeros((7, 0))),
+        (cplx, np.zeros((7, 0))),
+    ]
+    for M, X in cases:
+        lift, R = qr_unless_wide(M)
+        Q, R_ref = scipy.linalg.qr(M, mode="economic")
+        assert np.allclose(R, R_ref, rtol=0.0, atol=1e-13)
+        Y = lift(X)
+        assert Y.shape == (30, X.shape[1]) and Y.flags.c_contiguous
+        assert Y.dtype == np.result_type(M, X)
+        assert np.linalg.norm(Y - Q @ X) <= 1e-14 * np.linalg.norm(X)
+
+
+def test_qr_unless_wide_lapack_info_raises(monkeypatch):
+    # Valid inputs never make geqrf report info != 0 (the wrappers check
+    # their arguments first), so a fake routine stands in for one that does.
+    def geqrf(a, lwork, **kwargs):
+        return a, np.zeros(2), np.ones(1), -1
+
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", lambda names, arrays: (geqrf,))
+    with pytest.raises(KroneigError, match="info=-1"):
+        qr_unless_wide(np.ones((4, 2)))
 
 
 def test_cholesky_lower_and_failure():

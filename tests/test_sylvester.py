@@ -229,6 +229,25 @@ def test_eigenbasis_preconditioner_pole():
         M.solve_pair(p, p.F, p.G, tol=1e-10, r_max=10, rng=rng)
 
 
+def test_eigenbasis_preconditioner_real_products_any_layout():
+    # solve_pair multiplies its real eigenbases into complex factors as real
+    # GEMMs on the interleaved view; Fortran-ordered and strided factors
+    # must give the complex-GEMM result.
+    rng = make_rng(64)
+    p = _problem(rng, n_hat=12, n_til=11, z=5.0 + 1.5j)
+    M = EigenbasisPreconditioner.from_problem(p)
+    A = rng.standard_normal((11, 11)) + 1j * rng.standard_normal((11, 11))
+    _, s, Vh = np.linalg.svd(A)
+    G = (Vh.T * s)[:, ::2]
+    F = np.asfortranarray(rng.standard_normal((12, 6)) + 1j * rng.standard_normal((12, 6)))
+    assert not (G.flags.c_contiguous or G.flags.f_contiguous)
+    Fp, Gp = M.solve_pair(p, F, G, tol=0.0, r_max=40, rng=rng)
+    Qh, Qt = M.Q_hat.astype(complex), M.Q_til.astype(complex)
+    D = p.z - M.lam_hat[:, None] - M.lam_til[None, :]
+    ref = Qh @ (((Qh.T @ F) @ (Qt.T @ G).T) / D) @ Qt.T
+    assert np.linalg.norm(Fp @ Gp.T - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
 def test_adi_preconditioner_reduces_two_term_residual():
     rng = make_rng(58)
     # z well below the sum spectrum: the translated real ladder is sound.
@@ -281,6 +300,32 @@ def test_bicgstab_max_iter_flagged():
     sol = bicgstab_multiterm(p, precond=None, tol=1e-14, max_iter=2, rank_cap=60)
     assert not sol.converged
     assert sol.achieved_residual > 0.0
+
+
+@pytest.mark.parametrize(
+    "shape, kwargs",
+    [
+        ((40, 35), dict(tol=1e-10, rank_cap=90)),
+        ((10, 9), dict(tol=1e-10, rank_cap=60)),
+        ((40, 35), dict(tol=1e-14, rank_cap=30, max_iter=3)),
+        # rank cap 8: the residual stacks (25 columns) are tall, and checks
+        # every 2 iterations fail and go on with the recompressed pair
+        ((40, 35), dict(tol=1e-14, rank_cap=8, max_iter=12, replace_every=2)),
+    ],
+)
+def test_bicgstab_achieved_residual_is_true(shape, kwargs):
+    # The reported residual is decided from QR factors of the factored
+    # residual; it must match the dense recomputation to roundoff, which a
+    # Gram-based norm (noise near sqrt(eps) relative) cannot.
+    rng = make_rng(63)
+    p = _problem(rng, n_hat=shape[0], n_til=shape[1])
+    sol = bicgstab_multiterm(p, **kwargs)
+    assert sol.converged == (kwargs["tol"] == 1e-10)
+    X = sol.Xhat @ sol.Xtil.T
+    B = p.F @ p.G.T
+    R = p.Acoef @ X + X @ p.Bcoef.T - p.coupling_left @ X @ p.coupling_right - B
+    dense = np.linalg.norm(R) / np.linalg.norm(B)
+    assert abs(sol.achieved_residual - dense) <= 1e-13
 
 
 def test_multiterm_validation():
