@@ -1,10 +1,11 @@
 """kroneig: low-rank interior eigensolvers for Kronecker-sum operators.
 
 The library provides randomized Khatri-Rao sketches with embedding
-guarantees, a block low-rank vector format with truncation, low-rank
-Sylvester solvers (factored ADI and preconditioned BiCGstab), and two
-eigensolvers built on top: a contour-integral rational-filter method and a
-LOBPCG variant with rank truncation. Test operators are 2D Schrodinger
+guarantees, a block low-rank vector format with truncation, a low-rank
+multiterm Sylvester solver (BiCGstab preconditioned in the eigenbasis of
+the separable part), and two eigensolvers built on top: a contour-integral
+rational-filter method and a LOBPCG variant with rank truncation and a
+factored-ADI block preconditioner. Test operators are 2D Schrodinger
 discretizations with separable potentials.
 """
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -118,6 +119,7 @@ class KroneckerSumOperator:
     ``terms`` is a tuple of (Atil_i, Ahat_i) pairs; all tilde factors are
     n_til x n_til, all hat factors n_hat x n_hat. The full matrix (size
     n_til*n_hat per side) is only ever assembled by the desk-scale oracle.
+    ``split`` is the one place that recovers the separable structure.
     """
 
     terms: tuple
@@ -145,6 +147,28 @@ class KroneckerSumOperator:
     @property
     def n(self):
         return self.n_til * self.n_hat
+
+    @cached_property
+    def split(self):
+        """Separable split (K_hat, K_til, couplings) of the operator.
+
+        A = I (x) K_hat + K_til (x) I + sum of kron(til, hat) over the
+        (til, hat) pairs in ``couplings``. Terms whose tilde factor is the
+        identity sum into K_hat, the other terms whose hat factor is the
+        identity into K_til (so a kron(I, I) term counts on the hat side); a
+        side without such a term is None. Computed once per operator.
+        """
+        eye_til, eye_hat = np.eye(self.n_til), np.eye(self.n_hat)
+        K_hat = K_til = None
+        couplings = []
+        for til, hat in self.terms:
+            if np.array_equal(til, eye_til):
+                K_hat = hat if K_hat is None else K_hat + hat
+            elif np.array_equal(hat, eye_hat):
+                K_til = til if K_til is None else K_til + til
+            else:
+                couplings.append((til, hat))
+        return K_hat, K_til, tuple(couplings)
 
 
 def from_khatri_rao(sk):

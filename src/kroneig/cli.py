@@ -30,7 +30,6 @@ from .contour import (
     contour_eigensolve,
     node_problem,
     trapezoid_circle,
-    _split_schrodinger,
 )
 from .errors import ConfigError, KroneigError
 from .lobpcg import LobpcgConfig, lobpcg_lowrank
@@ -84,7 +83,6 @@ DEFAULTS = {
         "tol": 1e-10,
         "max_iter": 200,
         "rank_cap": 90,
-        "precond_iter": 8,
         "recompress_eps": 1e-10,
         "recompress_rmax": 90,
         "oracle": False,
@@ -119,7 +117,6 @@ DEFAULTS = {
         "center": 12.606,
         "radius": 9.0,
         "rank_cap": 90,
-        "precond_iter": 8,
         "max_iter": 200,
         "decay_n": 300,
         "decay_tol": 1e-10,
@@ -309,7 +306,6 @@ def cmd_contour(cfg):
         tol=cfg["tol"],
         max_iter=cfg["max_iter"],
         rank_cap=cfg["rank_cap"],
-        precond_iter=cfg["precond_iter"],
         seed=cfg["seed"],
     )
     recompress = RecompressConfig(eps=cfg["recompress_eps"], r_max=cfg["recompress_rmax"])
@@ -504,7 +500,7 @@ def cmd_sylvester_bench(cfg):
     for n in n_values:
         spec = make_spec(cfg["potential"], n)
         A = schrodinger_kron(spec)
-        K_hat, K_til, _, _ = _split_schrodinger(A)
+        K_hat, K_til, _ = A.split
         precond = EigenbasisPreconditioner(K_hat, K_til)
         sk = draw_khatri_rao(A.n_til, A.n_hat, 1, seed=cfg["seed"])
         F = sk.scale * sk.hat
@@ -517,7 +513,6 @@ def cmd_sylvester_bench(cfg):
                 sol = bicgstab_multiterm(
                     problem,
                     precond=precond,
-                    precond_iter=cfg["precond_iter"],
                     tol=tol,
                     max_iter=cfg["max_iter"],
                     rank_cap=cfg["rank_cap"],
@@ -546,13 +541,12 @@ def cmd_sylvester_bench(cfg):
     z = complex(cfg["center"]) + cfg["radius"] * np.exp(1j * math.pi / 4)
     spec = make_spec(cfg["potential"], n)
     A = schrodinger_kron(spec)
-    K_hat, K_til, _, _ = _split_schrodinger(A)
+    K_hat, K_til, _ = A.split
     sk = draw_khatri_rao(A.n_til, A.n_hat, 1, seed=cfg["seed"])
     problem = node_problem(A, z, sk.scale * sk.hat, sk.tilde)
     sol = bicgstab_multiterm(
         problem,
         precond=EigenbasisPreconditioner(K_hat, K_til),
-        precond_iter=cfg["precond_iter"],
         tol=cfg["decay_tol"],
         max_iter=cfg["max_iter"],
         rank_cap=cfg["rank_cap"],
@@ -596,89 +590,43 @@ def cmd_sylvester_bench(cfg):
     return 0
 
 
-def _add_common(sub):
-    sub.add_argument("--config", help="key=value config file; flags override it")
-    sub.add_argument("--out", help="output directory (default: current)")
-    sub.add_argument("--seed", type=int, help="master RNG seed")
-    sub.add_argument("--threads", type=int, help="worker threads; 0 = all cores")
+_SUBCOMMAND_HELP = {
+    "ose-stats": "sketch pseudoinverse-norm sweep",
+    "contour": "contour-integral eigensolver run",
+    "lobpcg": "low-rank LOBPCG run",
+    "sylvester-bench": "node solver timing and decay study",
+}
+
+_FLAG_HELP = {
+    "out": "output directory (default: current)",
+    "seed": "master RNG seed",
+    "threads": "worker threads; 0 = all cores",
+    "oracle": "desk scale only: dense eigendecomposition cross-check",
+    "square": "solve (A + shift I)^2 instead of A",
+    "reference": "also run the high-accuracy reference for error columns",
+}
 
 
 def build_parser():
+    """One flag per DEFAULTS key; a boolean flag sets the opposite of its default."""
     parser = argparse.ArgumentParser(
         prog="kroneig",
         description="Kronecker-structured eigensolver experiments",
     )
     subs = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = subs.add_parser("ose-stats", help="sketch pseudoinverse-norm sweep")
-    _add_common(p)
-    p.add_argument("--n-til", dest="n_til", type=int)
-    p.add_argument("--n-hat", dest="n_hat", type=int)
-    p.add_argument("--k-min", dest="k_min", type=int)
-    p.add_argument("--k-max", dest="k_max", type=int)
-    p.add_argument("--k-step", dest="k_step", type=int)
-    p.add_argument("--ell-min", dest="ell_min", type=int)
-    p.add_argument("--ell-max", dest="ell_max", type=int)
-    p.add_argument("--ell-step", dest="ell_step", type=int)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--target-prob", dest="target_prob", type=float)
-    p.add_argument("--families")
-    p.add_argument("--u-modes", dest="u_modes")
-    p.add_argument("--no-frontier", dest="frontier", action="store_const", const=False)
-    p.add_argument("--frontier-cap-factor", dest="frontier_cap_factor", type=int)
-
-    p = subs.add_parser("contour", help="contour-integral eigensolver run")
-    _add_common(p)
-    p.add_argument("--potential")
-    p.add_argument("--n", type=int)
-    p.add_argument("--ell", type=int)
-    p.add_argument("--q", type=int)
-    p.add_argument("--center", type=float)
-    p.add_argument("--radius", type=float)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--max-iter", dest="max_iter", type=int)
-    p.add_argument("--rank-cap", dest="rank_cap", type=int)
-    p.add_argument("--precond-iter", dest="precond_iter", type=int)
-    p.add_argument("--recompress-eps", dest="recompress_eps", type=float)
-    p.add_argument("--recompress-rmax", dest="recompress_rmax", type=int)
-    p.add_argument("--oracle", action="store_const", const=True,
-                   help="desk scale only: dense eigendecomposition cross-check")
-
-    p = subs.add_parser("lobpcg", help="low-rank LOBPCG run")
-    _add_common(p)
-    p.add_argument("--potential")
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--ell", type=int)
-    p.add_argument("--trunc-eps", dest="trunc_eps", type=float)
-    p.add_argument("--rmax", dest="r_max", type=int)
-    p.add_argument("--max-iter", dest="max_iter", type=int)
-    p.add_argument("--conv-tol", dest="conv_tol", type=float)
-    p.add_argument("--adi-iterations", dest="adi_iterations", type=int)
-    p.add_argument("--shift", type=float)
-    p.add_argument("--square", action="store_const", const=True,
-                   help="solve (A + shift I)^2 instead of A")
-    p.add_argument("--reference", action="store_const", const=True,
-                   help="also run the high-accuracy reference for error columns")
-    p.add_argument("--reference-iter", dest="reference_iter", type=int)
-
-    p = subs.add_parser("sylvester-bench", help="node solver timing and decay study")
-    _add_common(p)
-    p.add_argument("--potential")
-    p.add_argument("--n-values", dest="n_values")
-    p.add_argument("--tol-values", dest="tol_values")
-    p.add_argument("--nodes", type=int)
-    p.add_argument("--q", type=int)
-    p.add_argument("--center", type=float)
-    p.add_argument("--radius", type=float)
-    p.add_argument("--rank-cap", dest="rank_cap", type=int)
-    p.add_argument("--precond-iter", dest="precond_iter", type=int)
-    p.add_argument("--max-iter", dest="max_iter", type=int)
-    p.add_argument("--decay-n", dest="decay_n", type=int)
-    p.add_argument("--decay-tol", dest="decay_tol", type=float)
-    p.add_argument("--decay-count", dest="decay_count", type=int)
-
+    for name, defaults in DEFAULTS.items():
+        p = subs.add_parser(name, help=_SUBCOMMAND_HELP[name])
+        p.add_argument("--config", help="key=value config file; flags override it")
+        for key, default in defaults.items():
+            # key a_b is flag --a-b; r_max keeps its established --rmax
+            flag = "rmax" if key == "r_max" else key.replace("_", "-")
+            help_text = _FLAG_HELP.get(key)
+            if isinstance(default, bool):
+                p.add_argument(f"--no-{flag}" if default else f"--{flag}", dest=key,
+                               action="store_const", const=not default, help=help_text)
+            else:
+                p.add_argument(f"--{flag}", dest=key, help=help_text,
+                               type=None if isinstance(default, str) else type(default))
     return parser
 
 

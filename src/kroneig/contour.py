@@ -156,14 +156,18 @@ class EigenResult:
 
 @dataclass(frozen=True)
 class NodeSolverConfig:
-    """Settings for the per-node BiCGstab solves."""
+    """Settings for the per-node BiCGstab solves.
+
+    ``precond`` is "eig2" (one eigenbasis preconditioner shared by every
+    node and column), None (unpreconditioned) or an object with a
+    ``solve_pair`` method.
+    """
 
     tol: float = 1e-10
     max_iter: int = 200
     rank_cap: int = 90
     trunc_tol: float = 1e-15
     precond: str = "eig2"
-    precond_iter: int = 8
     seed: int = 0
 
 
@@ -175,37 +179,23 @@ class RecompressConfig:
     r_max: int = 90
 
 
-def _is_eye(M):
-    return M.shape[0] == M.shape[1] and np.array_equal(M, np.eye(M.shape[0]))
+def _node_parts(A):
+    """Factors of A = I (x) K_hat + K_til (x) I + til_c (x) hat_c.
 
-
-def _split_schrodinger(A):
-    """Split a Kronecker-sum operator into (K_hat, K_til, coupling pair).
-
-    Terms with an identity tilde factor add into K_hat, terms with an
-    identity hat factor into K_til; at most one general term may remain and
-    becomes the coupling. Zero coupling matrices are returned when no such
-    term exists.
+    Returns (K_hat, K_til, hat_c, til_c) read from ``A.split``; a side
+    without identity terms and a missing coupling term are zero matrices.
+    The node equation has room for one coupling term only.
     """
-    K_hat = np.zeros((A.n_hat, A.n_hat))
-    K_til = np.zeros((A.n_til, A.n_til))
-    coupling = []
-    for til, hat in A.terms:
-        if _is_eye(til):
-            K_hat = K_hat + hat
-        elif _is_eye(hat):
-            K_til = K_til + til
-        else:
-            coupling.append((til, hat))
-    if len(coupling) > 1:
+    K_hat, K_til, couplings = A.split
+    if len(couplings) > 1:
         raise StructureMismatch(
-            f"contour solver needs at most one non-separable term, found {len(coupling)}"
+            f"contour solver needs at most one non-separable term, found {len(couplings)}"
         )
-    if coupling:
-        til_c, hat_c = coupling[0]
-    else:
-        til_c = np.zeros((A.n_til, A.n_til))
-        hat_c = np.zeros((A.n_hat, A.n_hat))
+    zero_hat = np.zeros((A.n_hat, A.n_hat))
+    zero_til = np.zeros((A.n_til, A.n_til))
+    til_c, hat_c = couplings[0] if couplings else (zero_til, zero_hat)
+    K_hat = zero_hat if K_hat is None else K_hat
+    K_til = zero_til if K_til is None else K_til
     return K_hat, K_til, hat_c, til_c
 
 
@@ -215,7 +205,7 @@ def node_problem(A, z, F, G):
     With A = I (x) K_hat + K_til (x) I + til_c (x) hat_c the system becomes
     ((z/2) I - K_hat) X + X ((z/2) I - K_til)^T - hat_c X til_c^T = F G^T.
     """
-    K_hat, K_til, hat_c, til_c = _split_schrodinger(A)
+    K_hat, K_til, hat_c, til_c = _node_parts(A)
     Acoef = (z / 2.0) * np.eye(A.n_hat) - K_hat
     Bcoef = (z / 2.0) * np.eye(A.n_til) - K_til
     return MultitermSylvester(Acoef, Bcoef, hat_c, til_c.T, F, G, z=z)
@@ -226,7 +216,6 @@ def _solve_node_column(A, z, F, G, precond, cfg, seed):
     return bicgstab_multiterm(
         problem,
         precond=precond,
-        precond_iter=cfg.precond_iter,
         tol=cfg.tol,
         max_iter=cfg.max_iter,
         rank_cap=cfg.rank_cap,
@@ -257,10 +246,13 @@ def contour_eigensolve(A, filt, sk, solver_cfg=None, recompress=None, threads=1)
             f"vs operator ({A.n_hat}, {A.n_til})"
         )
     ell = sk.ell
-    K_hat, K_til, _, _ = _split_schrodinger(A)
+    K_hat, K_til, _, _ = _node_parts(A)
     shared_precond = (
         EigenbasisPreconditioner(K_hat, K_til) if cfg.precond == "eig2" else cfg.precond
     )
+    # an unknown name would otherwise fail every cell one by one
+    if shared_precond is not None and not hasattr(shared_precond, "solve_pair"):
+        raise OutOfRange(f"contour_eigensolve: unknown preconditioner {cfg.precond!r}")
 
     real_data = not any(
         np.iscomplexobj(t) for pair in A.terms for t in pair

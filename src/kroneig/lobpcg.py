@@ -75,7 +75,7 @@ class LobpcgConfig:
     power-method estimate of ||A||. shift sigma is added to the operator
     internally (A + sigma I) when A is indefinite and subtracted from the
     reported values. m_sum overrides the preconditioner operator; by
-    default it is rebuilt from the separable part of the (shifted)
+    default the preconditioner inverts the separable part of the (shifted)
     operator itself.
     """
 
@@ -119,8 +119,10 @@ class LobpcgState:
 class AdiBlockPreconditioner:
     """Columnwise approximate inverse of M = I (x) K_hat + K_til (x) I.
 
-    Runs a fixed number of factored ADI steps with geometric shifts from
-    the Gershgorin intervals of the two (SPD) one-dimensional factors; the
+    M is the separable part of ``m_sum.split``; coupling terms of m_sum
+    are ignored. ``apply_block`` is the library's one factored-ADI
+    recurrence: a fixed number of steps with geometric shifts from the
+    Gershgorin intervals of the two (SPD) one-dimensional factors, whose
     shifted solves are factored once here. Applied to a block, the two
     chains run on the shared bases only and the solution block is
     reassembled with block-diagonal cores scaled by the shift gaps, then
@@ -130,7 +132,12 @@ class AdiBlockPreconditioner:
     def __init__(self, m_sum, iterations, trunc_eps, r_max):
         if iterations < 1:
             raise OutOfRange("AdiBlockPreconditioner: iterations must be >= 1")
-        K_hat, K_til = _separable_parts(m_sum)
+        K_hat, K_til, _ = m_sum.split
+        if K_hat is None or K_til is None:
+            raise StructureMismatch(
+                "preconditioner needs identity (x) K and K (x) identity terms; "
+                "pass m_sum explicitly"
+            )
         self.n_hat, self.n_til = K_hat.shape[0], K_til.shape[0]
         self.trunc_eps = trunc_eps
         self.r_max = r_max
@@ -169,33 +176,6 @@ class AdiBlockPreconditioner:
             sigma[:, i * rh : (i + 1) * rh, i * rt : (i + 1) * rt] = gaps[i] * W.sigma
         out = BlockLowRank(Uout, Vout, sigma)
         return truncate(out, self.trunc_eps, self.r_max)
-
-
-def _separable_parts(A):
-    """Split a Kronecker-sum operator into its two one-sided factors.
-
-    Identity-tilde terms sum into the hat factor, identity-hat terms into
-    the tilde factor; any leftover coupling terms are ignored (the
-    preconditioner only ever inverts the separable part).
-    """
-    K_hat = np.zeros((A.n_hat, A.n_hat))
-    K_til = np.zeros((A.n_til, A.n_til))
-    seen_hat = seen_til = False
-    eye_t = np.eye(A.n_til)
-    eye_h = np.eye(A.n_hat)
-    for til, hat in A.terms:
-        if np.array_equal(til, eye_t):
-            K_hat = K_hat + hat
-            seen_hat = True
-        elif np.array_equal(hat, eye_h):
-            K_til = K_til + til
-            seen_til = True
-    if not (seen_hat and seen_til):
-        raise StructureMismatch(
-            "preconditioner needs identity (x) K and K (x) identity terms; "
-            "pass m_sum explicitly"
-        )
-    return K_hat, K_til
 
 
 def precond_apply(precond, W):
@@ -282,12 +262,7 @@ def lobpcg_lowrank(A, cfg, X0):
     if (X0.n_hat, X0.n_til) != (A.n_hat, A.n_til):
         raise DimensionMismatch("lobpcg_lowrank: X0 grid does not match the operator")
     Aw = shift_operator(A, cfg.shift) if cfg.shift != 0.0 else A
-    m_sum = cfg.m_sum
-    if m_sum is None:
-        K_hat, K_til = _separable_parts(Aw)
-        m_sum = KroneckerSumOperator(
-            ((np.eye(A.n_til), K_hat), (K_til, np.eye(A.n_hat)))
-        )
+    m_sum = cfg.m_sum if cfg.m_sum is not None else Aw
     precond = AdiBlockPreconditioner(m_sum, cfg.adi_iterations, cfg.trunc_eps, cfg.r_max)
     anorm = _norm_estimate(Aw, seed=cfg.seed)
     scale = 1.0 if cfg.conv_scale == "absolute" else anorm

@@ -146,37 +146,26 @@ def schrodinger_kron(spec):
     )
 
 
-def _is_identity(M):
-    return M.shape[0] == M.shape[1] and np.array_equal(M, np.eye(M.shape[0]))
-
-
 def shift_operator(A, sigma, require_structure=False):
     """Operator A + sigma*I, preserving the Kronecker-sum structure.
 
-    When A contains a kron(I, K) and a kron(K', I) term (distinct terms),
-    the shift is split evenly between them: K -> K + (sigma/2) I on both,
-    so no new term is created. Otherwise a term kron(I, sigma*I) is
-    appended, unless require_structure is set, in which case
-    StructureMismatch is raised.
+    When ``A.split`` has both separable sides, the shift is split evenly
+    between them: the result is I (x) (K_hat + (sigma/2) I) + (K_til +
+    (sigma/2) I) (x) I plus the coupling terms, so no new term is created.
+    Otherwise a term kron(I, sigma*I) is appended, unless
+    require_structure is set, in which case StructureMismatch is raised.
     """
     if sigma == 0:
         return A
-    terms = list(A.terms)
-    i_hat = next((i for i, (til, _) in enumerate(terms) if _is_identity(til)), None)
-    i_til = next(
-        (i for i, (_, hat) in enumerate(terms) if _is_identity(hat) and i != i_hat),
-        None,
-    )
-    if i_hat is None or i_til is None:
+    K_hat, K_til, couplings = A.split
+    eye_til, eye_hat = np.eye(A.n_til), np.eye(A.n_hat)
+    if K_hat is None or K_til is None:
         if require_structure:
             raise StructureMismatch("shift_operator: no kron(I, K) + kron(K, I) pair")
-        terms.append((np.eye(A.n_til), sigma * np.eye(A.n_hat)))
-        return KroneckerSumOperator(tuple(terms))
-    til, hat = terms[i_hat]
-    terms[i_hat] = (til, hat + 0.5 * sigma * np.eye(A.n_hat))
-    til, hat = terms[i_til]
-    terms[i_til] = (til + 0.5 * sigma * np.eye(A.n_til), hat)
-    return KroneckerSumOperator(tuple(terms))
+        return KroneckerSumOperator(tuple(A.terms) + ((eye_til, sigma * eye_hat),))
+    hat_term = (eye_til, K_hat + 0.5 * sigma * eye_hat)
+    til_term = (K_til + 0.5 * sigma * eye_til, eye_hat)
+    return KroneckerSumOperator((hat_term, til_term) + couplings)
 
 
 def square_operator(A):

@@ -11,20 +11,13 @@ carried in factored pairs: a rank-r matrix is a pair (F, G) of n_hat x r
 and n_til x r blocks with X = F @ G.T. The transpose is PLAIN, also for
 complex data; wherever an adjoint is meant the conjugation is written out.
 
-Two preconditioners are available for the BiCGstab iteration:
-
-* "eig2" (default) inverts the two-term part exactly in the eigenbasis of
-  K, one symmetric eigendecomposition per coefficient matrix, shared across
-  nodes/columns when the caller constructs the preconditioner once. Robust
-  at every node of a contour, including nodes whose real part falls inside
-  the sum-spectrum of the operator.
-* "adi" runs a few factored ADI steps with shifts taken from the real
-  spectral interval of K translated by z/2. Classical and cheap, but only
-  convergent when Re(z) stays below twice the smallest eigenvalue of K so
-  that the spectra of the two coefficients remain separated; for interior
-  contour nodes the translated real ladder amplifies interior modes and the
-  iteration diverges. Use it for the SPD/Lyapunov regime (it is the LOBPCG
-  preconditioner), not for interior nodes.
+The BiCGstab iteration is preconditioned by "eig2" (default), which
+inverts the two-term part exactly in the eigenbasis of K: one symmetric
+eigendecomposition per coefficient matrix, shared across nodes/columns when
+the caller constructs the preconditioner once. It is sound at every node of
+a contour, including nodes whose real part falls inside the sum-spectrum of
+the operator. ``precond=None`` runs unpreconditioned; any object with a
+``solve_pair`` method can stand in for eig2.
 
 BiCGstab recursion residuals drift away from true residuals once iterates
 are truncated, so the solver recomputes the true factored residual
@@ -60,10 +53,7 @@ __all__ = [
     "pair_norm",
     "pair_truncate",
     "adi_shifts",
-    "translated_adi_shifts",
-    "adi_solve",
     "EigenbasisPreconditioner",
-    "AdiPreconditioner",
     "bicgstab_multiterm",
     "multiterm_residual",
 ]
@@ -258,11 +248,14 @@ class FactoredSolution:
 
 
 # ---------------------------------------------------------------------------
-# ADI
+# ADI shifts
 
 
 def adi_shifts(interval_a, interval_b, count):
     """Shift pairs for Ac X + X Bc^T = F G^T with SPD-like coefficients.
+
+    They drive the one factored-ADI recurrence of the library,
+    ``lobpcg.AdiBlockPreconditioner``.
 
     Both intervals must be positive (they usually come from Gershgorin
     bounds; a lower bound touching 0 is floored at 1e-8 times the upper).
@@ -280,67 +273,6 @@ def adi_shifts(interval_a, interval_b, count):
     t = (np.arange(count) + 0.5) / count
     p = lo * (hi / lo) ** t
     return [(p_j, -p_j) for p_j in p]
-
-
-def translated_adi_shifts(interval_k, count, z):
-    """Shifts for the node equation ((z/2)I - K) X + X ((z/2)I - K) = C.
-
-    The real ladder p_j over spec(K) is translated by z/2 on both sides:
-    (alpha_j, beta_j) = (z/2 - p_j, p_j - z/2). Only sound when the two
-    coefficient spectra are separated, i.e. Re(z) < 2 min spec(K).
-    """
-    base = adi_shifts(interval_k, interval_k, count)
-    return [(z / 2.0 - p, p - z / 2.0) for p, _ in base]
-
-
-def adi_solve(Ac, Bc, F, G, shifts, tol=1e-5, max_iter=None):
-    """Factored ADI for the two-term equation Ac X + X Bc^T = F G^T.
-
-    One step per shift pair (alpha, beta): with A = Ac and B = -Bc^T the
-    updates are Z = (A - beta I)^{-1} F, Y = (B^T - alpha I)^{-1} G =
-    -(Bc + alpha I)^{-1} G, X += (beta - alpha) Z Y^T, and the rhs factors
-    contract, F += (beta - alpha) Z, G -= (beta - alpha) Y, so the residual
-    is exactly the current F G^T. Shifts are cycled when max_iter exceeds
-    their number; stops early once the relative residual reaches tol. The
-    solution rank grows by the rhs rank each step (no compression here).
-    """
-    if not shifts:
-        raise OutOfRange("adi_solve: needs at least one shift pair")
-    if max_iter is None:
-        max_iter = len(shifts)
-    dtype = np.result_type(
-        Ac.dtype, Bc.dtype, F.dtype, G.dtype, *(np.asarray(s).dtype for s in shifts[0])
-    )
-    n_hat, n_til = Ac.shape[0], Bc.shape[0]
-    eye_a = np.eye(n_hat)
-    eye_b = np.eye(n_til)
-    Fc = F.astype(dtype)
-    Gc = G.astype(dtype)
-    Xh = np.zeros((n_hat, 0), dtype=dtype)
-    Xt = np.zeros((n_til, 0), dtype=dtype)
-    bnorm = pair_norm(Fc, Gc)
-    rel = 1.0
-    solvers = {}
-    it = 0
-    for it in range(1, max_iter + 1):
-        alpha, beta = shifts[(it - 1) % len(shifts)]
-        key_a = ("a", beta)
-        key_b = ("b", alpha)
-        if key_a not in solvers:
-            solvers[key_a] = _shifted_solver(Ac - beta * eye_a)
-        if key_b not in solvers:
-            solvers[key_b] = _shifted_solver(Bc + alpha * eye_b)
-        Z = solvers[key_a](Fc)
-        Y = -solvers[key_b](Gc)
-        c = beta - alpha
-        Xh = np.hstack([Xh, c * Z])
-        Xt = np.hstack([Xt, Y])
-        Fc = Fc + c * Z
-        Gc = Gc - c * Y
-        rel = pair_norm(Fc, Gc) / bnorm
-        if rel <= tol:
-            break
-    return FactoredSolution(Xh, Xt, rel, it, converged=rel <= tol)
 
 
 # ---------------------------------------------------------------------------
@@ -414,38 +346,16 @@ class EigenbasisPreconditioner:
         return _real_matmul(self.Q_hat, Fp), _real_matmul(self.Q_til, Gp)
 
 
-class AdiPreconditioner:
-    """A few translated-real-ladder ADI steps on the two-term part.
-
-    ``interval`` encloses spec(K) (Gershgorin bounds are fine). Sound only
-    while Re(z) < 2 min spec(K); see the module docstring.
-    """
-
-    def __init__(self, interval, iterations):
-        self.interval = (float(interval[0]), float(interval[1]))
-        self.iterations = int(iterations)
-
-    def solve_pair(self, problem, F, G, tol, r_max, rng):
-        shifts = translated_adi_shifts(self.interval, self.iterations, problem.z)
-        sol = adi_solve(problem.Acoef, problem.Bcoef, F, G, shifts, tol=0.0)
-        return pair_truncate(sol.Xhat, sol.Xtil, tol, r_max)
-
-
 class _IdentityPreconditioner:
     def solve_pair(self, problem, F, G, tol, r_max, rng):
         return F, G
 
 
-def _make_precond(precond, problem, precond_iter):
+def _make_precond(precond, problem):
     if precond is None:
         return _IdentityPreconditioner()
     if precond == "eig2":
         return EigenbasisPreconditioner.from_problem(problem)
-    if precond == "adi":
-        from .problems import gershgorin_interval
-
-        K_hat, _ = problem.real_symmetric_parts()
-        return AdiPreconditioner(gershgorin_interval(K_hat), precond_iter)
     if hasattr(precond, "solve_pair"):
         return precond
     raise OutOfRange(f"bicgstab_multiterm: unknown preconditioner {precond!r}")
@@ -458,7 +368,6 @@ def _make_precond(precond, problem, precond_iter):
 def bicgstab_multiterm(
     problem,
     precond="eig2",
-    precond_iter=8,
     tol=1e-6,
     max_iter=200,
     rank_cap=90,
@@ -480,7 +389,7 @@ def bicgstab_multiterm(
     if rank_cap < problem.F.shape[1]:
         raise OutOfRange("bicgstab_multiterm: rank_cap below rhs rank")
     trunc_tol = 0.1 * tol if trunc_tol is None else trunc_tol
-    M = _make_precond(precond, problem, precond_iter)
+    M = _make_precond(precond, problem)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
     dtype = complex if any(

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from kroneig.cli import main
+from kroneig.cli import DEFAULTS, _resolve, build_parser, main
 from kroneig.problems import laplacian_1d_eigenvalues, make_spec
 
 
@@ -236,3 +236,36 @@ def test_exit_code_2_on_config_errors(tmp_path, capsys):
     malformed.write_text("just a line without equals\n")
     assert _run(["contour", "--config", str(malformed)]) == 2
     assert _run(["ose-stats", "--threads", "-2"]) == 2
+
+
+def test_every_default_key_is_set_by_its_flag():
+    # Parse only: each DEFAULTS key has one flag, --a-b for key a_b (r_max
+    # keeps --rmax), and a boolean flag sets the opposite of its default.
+    parser = build_parser()
+    for subcommand, defaults in DEFAULTS.items():
+        argv, expect = [subcommand], {}
+        for key, default in defaults.items():
+            flag = "rmax" if key == "r_max" else key.replace("_", "-")
+            if isinstance(default, bool):
+                argv.append(f"--no-{flag}" if default else f"--{flag}")
+                expect[key] = not default
+                continue
+            if isinstance(default, str):
+                value = default + "-x"
+            else:
+                value = default + (1 if isinstance(default, int) else 0.5)
+            argv += [f"--{flag}", str(value)]
+            expect[key] = value
+        assert _resolve(subcommand, parser.parse_args(argv)) == expect
+
+
+def test_removed_adi_iteration_knob_is_rejected(tmp_path):
+    # The node-ADI step count left with the node-ADI preconditioner: its
+    # config key and its flag are now unknown (exit 2, nothing runs).
+    cfgfile = tmp_path / "old.cfg"
+    cfgfile.write_text("precond_iter = 8\n")
+    for subcommand in ("contour", "sylvester-bench"):
+        assert _run([subcommand, "--config", str(cfgfile)]) == 2
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([subcommand, "--precond-iter", "8"])
+        assert exc.value.code == 2

@@ -18,7 +18,7 @@ from kroneig.contour import (
     tan_angle_B,
     trapezoid_circle,
 )
-from kroneig.blr import to_dense
+from kroneig.blr import KroneckerSumOperator, to_dense
 from kroneig.errors import (
     DegenerateSubspace,
     DimensionMismatch,
@@ -26,6 +26,7 @@ from kroneig.errors import (
     PoleHit,
     RankDeficient,
     SingularShiftedSolve,
+    StructureMismatch,
 )
 from kroneig.problems import (
     assemble_dense,
@@ -196,9 +197,7 @@ def test_contour_failed_cell_is_degraded_not_fatal():
     A = schrodinger_kron(spec)
     filt = trapezoid_circle(center, radius, 8)
     sk = draw_khatri_rao(12, 12, 3, seed=4)
-    from kroneig.contour import _split_schrodinger
-
-    K_hat, K_til, _, _ = _split_schrodinger(A)
+    K_hat, K_til, _ = A.split
     precond = _FailOnce(EigenbasisPreconditioner(K_hat, K_til))
     res = contour_eigensolve(
         A, filt, sk, NodeSolverConfig(tol=1e-9, seed=0, precond=precond)
@@ -213,6 +212,24 @@ def test_contour_failed_cell_is_degraded_not_fatal():
     # window (the degraded column may cost one direction).
     assert res.diagnostics["inside_count"] >= 2
     assert len(res.ritz_values) == res.diagnostics["subspace_dim"]
+
+
+def test_contour_rejects_unsupported_input():
+    # The node equation has room for one coupling term, and "eig2" (or
+    # None, or an object with solve_pair) is the only node preconditioner;
+    # both are checked before any node is solved.
+    spec, _, center, radius = _zero_potential_window(6)
+    A = schrodinger_kron(make_spec("sum-of-squares", 6))
+    til_c, hat_c = A.terms[2]
+    A2 = KroneckerSumOperator(A.terms + ((hat_c, til_c),))
+    filt = trapezoid_circle(center, radius, 8)
+    sk = draw_khatri_rao(6, 6, 2, seed=0)
+    with pytest.raises(StructureMismatch):
+        contour_eigensolve(A2, filt, sk)
+    with pytest.raises(StructureMismatch):
+        node_problem(A2, 1.0 + 1.0j, sk.hat[:, :1], sk.tilde[:, :1])
+    with pytest.raises(OutOfRange):
+        contour_eigensolve(A, filt, sk, NodeSolverConfig(precond="adi"))
 
 
 @pytest.mark.parametrize("family", ["gaussian", "khatri-rao"])

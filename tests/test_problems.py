@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from kroneig.blr import KroneckerSumOperator
 from kroneig.errors import OutOfRange, SizeOverflow, StructureMismatch
 from kroneig.problems import (
     POTENTIALS,
@@ -107,6 +108,41 @@ def test_shift_operator_fallback_and_structure_error():
     S = shift_operator(A, 1.0)
     assert S.s == 2
     assert np.allclose(assemble_dense(S), assemble_dense(A) + np.eye(9), atol=1e-12)
+
+
+def _split_cases():
+    A = schrodinger_kron(make_spec("sum-of-squares", 5))
+    rng = np.random.default_rng(6)
+    M = rng.standard_normal((5, 5))
+    K = A.terms[0][1]
+    eye = np.eye(5)
+    no_pair = KroneckerSumOperator(((M, M.T),))
+    return {
+        # id: (operator, K_hat present, K_til present, coupling count)
+        "schrodinger": (A, True, True, 1),
+        "shifted": (shift_operator(A, 2.5), True, True, 1),
+        "shift-appended": (shift_operator(no_pair, 1.5), True, False, 1),
+        "squared": (square_operator(shift_operator(A, -4.0)), True, True, 4),
+        "kron-eye-eye": (KroneckerSumOperator(((eye, eye), (K, eye), (M, M))), True, True, 1),
+        "no-identity": (no_pair, False, False, 1),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_split_cases()))
+def test_split_reassembles_operator(case):
+    # I (x) K_hat + K_til (x) I + sum(couplings) is the operator itself.
+    A, has_hat, has_til, n_couplings = _split_cases()[case]
+    K_hat, K_til, couplings = A.split
+    assert (K_hat is not None, K_til is not None) == (has_hat, has_til)
+    assert len(couplings) == n_couplings
+    out = sum(np.kron(til, hat) for til, hat in couplings)
+    if K_hat is not None:
+        out = out + np.kron(np.eye(A.n_til), K_hat)
+    if K_til is not None:
+        out = out + np.kron(K_til, np.eye(A.n_hat))
+    ref = assemble_dense(A)
+    assert np.allclose(out, ref, rtol=0.0, atol=1e-13 * np.linalg.norm(ref))
+    assert A.split is A.split
 
 
 def test_square_operator_matches_dense_square():

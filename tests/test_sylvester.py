@@ -1,8 +1,9 @@
 """Factored-pair Sylvester solvers against dense desk-scale oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
-import scipy.linalg
 
 from conftest import make_rng
 from kroneig.errors import (
@@ -12,19 +13,16 @@ from kroneig.errors import (
     OutOfRange,
     SingularShiftedSolve,
 )
-from kroneig.problems import gershgorin_interval
 from kroneig.sylvester import (
-    AdiPreconditioner,
     EigenbasisPreconditioner,
     MultitermSylvester,
+    _shifted_solver,
     adi_shifts,
-    adi_solve,
     bicgstab_multiterm,
     multiterm_residual,
     pair_inner,
     pair_norm,
     pair_truncate,
-    translated_adi_shifts,
 )
 
 
@@ -167,39 +165,19 @@ def test_adi_shifts_pattern_and_validation():
         adi_shifts((-3.0, -1.0), (-3.0, -1.0), 4)
 
 
-def test_translated_adi_shifts():
-    z = 1.5 + 0.5j
-    shifts = translated_adi_shifts((0.5, 10.0), 5, z)
-    assert len(shifts) == 5
-    base = adi_shifts((0.5, 10.0), (0.5, 10.0), 5)
-    for (a, b), (p, _) in zip(shifts, base):
-        assert abs(a - (z / 2.0 - p)) < 1e-14
-        assert abs(b + a) < 1e-14
-
-
-def test_adi_solve_lyapunov_converges():
-    rng = make_rng(55)
-    n = 50
-    K = _tridiag_spd(n, scale=float(n + 1) ** 2 / 20.0)
-    F = rng.standard_normal((n, 1))
-    G = rng.standard_normal((n, 1))
-    interval = gershgorin_interval(K)
-    shifts = adi_shifts(interval, interval, 11)
-    sol = adi_solve(K, K, F, G, shifts, tol=1e-5, max_iter=55)
-    assert sol.converged
-    assert sol.iterations <= 55
-    assert sol.achieved_residual <= 1e-5
-    X = sol.Xhat @ sol.Xtil.T
-    ref = scipy.linalg.solve_sylvester(K, K.T, F @ G.T)
-    assert np.linalg.norm(X - ref) <= 1e-4 * np.linalg.norm(ref)
-
-
-def test_adi_solve_singular_shift():
-    n = 4
-    Ac = np.eye(n)
-    F = np.ones((n, 1))
-    with pytest.raises(SingularShiftedSolve):
-        adi_solve(Ac, Ac, F, F, [(0.5, 1.0)])
+def test_shifted_solver_singular_shift():
+    # An exactly singular shifted matrix raises the typed error, without a
+    # LinAlgWarning, on the dense-LU branch (n <= 8) and on the banded
+    # branch (n > 8, bandwidth <= 2), whose solve closure raises.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularShiftedSolve):
+            _shifted_solver(np.zeros((4, 4)))
+        M = _tridiag_spd(12)
+        M[5, 4:7] = 0.0
+        solve = _shifted_solver(M)
+        with pytest.raises(SingularShiftedSolve):
+            solve(np.ones((12, 1)))
 
 
 def test_eigenbasis_preconditioner_exact_two_term():
@@ -248,22 +226,13 @@ def test_eigenbasis_preconditioner_real_products_any_layout():
     assert np.linalg.norm(Fp @ Gp.T - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
-def test_adi_preconditioner_reduces_two_term_residual():
-    rng = make_rng(58)
-    # z well below the sum spectrum: the translated real ladder is sound.
-    p = _problem(rng, coupling=0.0, z=-2.0)
-    K_hat, _ = p.real_symmetric_parts()
-    M = AdiPreconditioner(gershgorin_interval(K_hat), iterations=20)
-    Fp, Gp = M.solve_pair(p, p.F, p.G, tol=1e-9, r_max=60, rng=rng)
-    X = Fp @ Gp.T
-    R = p.Acoef @ X + X @ p.Bcoef.T - p.F @ p.G.T
-    assert np.linalg.norm(R) <= 1e-3 * np.linalg.norm(p.F @ p.G.T)
-
-
-@pytest.mark.parametrize("precond", ["eig2", "adi", None])
-def test_bicgstab_matches_dense(precond):
+@pytest.mark.parametrize(
+    "precond, z",
+    [("eig2", 6.0 + 2.0j), ("eig2", -1.0), (None, 6.0 + 2.0j)],
+    ids=["eig2", "eig2-real-shift", "None"],
+)
+def test_bicgstab_matches_dense(precond, z):
     rng = make_rng(59)
-    z = -1.0 if precond == "adi" else 6.0 + 2.0j
     p = _problem(rng, z=z)
     sol = bicgstab_multiterm(p, precond=precond, tol=1e-9, max_iter=300, rank_cap=60)
     assert sol.converged
@@ -292,6 +261,9 @@ def test_bicgstab_rank_cap():
     assert multiterm_residual(p, sol) <= 0.1
     with pytest.raises(OutOfRange):
         bicgstab_multiterm(p, rank_cap=1)
+    # the translated-ladder ADI node preconditioner is gone
+    with pytest.raises(OutOfRange):
+        bicgstab_multiterm(p, precond="adi")
 
 
 def test_bicgstab_max_iter_flagged():
