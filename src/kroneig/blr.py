@@ -18,7 +18,6 @@ new values; blocks are never mutated in place.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -42,8 +41,6 @@ __all__ = [
     "orthonormalize_cholesky",
     "orthonormalize_svd",
     "apply_vec",
-    "save_blr",
-    "load_blr",
 ]
 
 DENSE_CAP = 10**7
@@ -375,64 +372,3 @@ def apply_vec(A, v):
     X = v.reshape((A.n_hat, A.n_til), order="F")
     out = sum(hat @ X @ til.T for til, hat in A.terms)
     return out.reshape(-1, order="F")
-
-
-_MAGIC = b"KRBL"
-
-
-def save_blr(W, fh):
-    """Serialize a block: fixed header, then U, V and the core slices as
-    little-endian 64-bit floats (complex as interleaved pairs)."""
-    close = False
-    if isinstance(fh, (str, bytes)):
-        fh = open(fh, "wb")
-        close = True
-    try:
-        kind = b"c" if W.is_complex else b"f"
-        fh.write(_MAGIC)
-        fh.write(
-            struct.pack(
-                "<cBqqqqq",
-                kind,
-                1 if W.orthonormal else 0,
-                W.n_hat,
-                W.n_til,
-                W.r_hat,
-                W.r_til,
-                W.ell,
-            )
-        )
-        dt = "<c16" if kind == b"c" else "<f8"
-        for arr in (W.U, W.V, W.sigma):
-            fh.write(np.ascontiguousarray(arr).astype(dt).tobytes())
-    finally:
-        if close:
-            fh.close()
-
-
-def load_blr(fh):
-    """Inverse of save_blr."""
-    close = False
-    if isinstance(fh, (str, bytes)):
-        fh = open(fh, "rb")
-        close = True
-    try:
-        if fh.read(4) != _MAGIC:
-            raise OutOfRange("load_blr: bad magic")
-        kind, orth, n_hat, n_til, r_hat, r_til, ell = struct.unpack(
-            "<cBqqqqq", fh.read(struct.calcsize("<cBqqqqq"))
-        )
-        dt = np.dtype("<c16") if kind == b"c" else np.dtype("<f8")
-
-        def rd(shape):
-            count = int(np.prod(shape))
-            arr = np.frombuffer(fh.read(count * dt.itemsize), dtype=dt).reshape(shape)
-            return arr.astype(complex if kind == b"c" else float)
-
-        U = rd((n_hat, r_hat))
-        V = rd((n_til, r_til))
-        sigma = rd((ell, r_hat, r_til))
-        return BlockLowRank(U, V, sigma, orthonormal=bool(orth))
-    finally:
-        if close:
-            fh.close()

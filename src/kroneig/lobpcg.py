@@ -15,9 +15,10 @@ The preconditioner inverts a two-term Kronecker sum M = I (x) K_hat' +
 K_til' (x) I approximately by factored ADI. Because every column of a
 block shares the same bases, one ADI chain on each basis serves all
 columns at once: the hat-side chain transforms U, the tilde-side chain
-transforms V, and the per-column cores are reused in a block-diagonal
-layout scaled by the shift gaps. The shifted solves are factored once at
-construction and reused every iteration.
+transforms V, and each step's block reuses the per-column cores scaled by
+its shift gap. The running sum is truncated as each later step is added.
+The shifted solves are factored once at construction and reused every
+iteration.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .errors import (
     StructureMismatch,
 )
 from .problems import gershgorin_interval, shift_operator
-from .sylvester import _shifted_solver, adi_shifts
+from .sylvester import _shifted_solver, adi_shifts, fadi_steps
 
 __all__ = [
     "LobpcgConfig",
@@ -120,13 +121,15 @@ class AdiBlockPreconditioner:
     """Columnwise approximate inverse of M = I (x) K_hat + K_til (x) I.
 
     M is the separable part of ``m_sum.split``; coupling terms of m_sum
-    are ignored. ``apply_block`` is the library's one factored-ADI
-    recurrence: a fixed number of steps with geometric shifts from the
-    Gershgorin intervals of the two (SPD) one-dimensional factors, whose
-    shifted solves are factored once here. Applied to a block, the two
-    chains run on the shared bases only and the solution block is
-    reassembled with block-diagonal cores scaled by the shift gaps, then
-    truncated once.
+    are ignored. ``apply_block`` runs the library's factored-ADI
+    recurrence (``sylvester.fadi_steps``) for a fixed number of steps with
+    geometric shifts from the Gershgorin intervals of the two (SPD)
+    one-dimensional factors, whose shifted solves are factored once here.
+    Applied to a block, the two chains run on the shared bases only: step k
+    contributes the block (Z_k, Y_k) with the input cores scaled by its
+    shift gap, and every sum of two or more steps is truncated at trunc_eps
+    and r_max as it forms, so no more than one step's rank is ever stacked
+    onto a truncated sum. A single step keeps the input's rank.
     """
 
     def __init__(self, m_sum, iterations, trunc_eps, r_max):
@@ -155,27 +158,18 @@ class AdiBlockPreconditioner:
             raise DimensionMismatch("AdiBlockPreconditioner: block grid mismatch")
         if W.r_hat == 0 or W.r_til == 0:
             return W
-        m = len(self.shifts)
-        Fb = W.U
-        Gb = np.conj(W.V)
-        Zs, Ys, gaps = [], [], []
-        for i, (alpha, beta) in enumerate(self.shifts):
-            Z = self.solve_hat[i](Fb)
-            Y = -self.solve_til[i](Gb)
-            c = beta - alpha
-            Zs.append(Z)
-            Ys.append(Y)
-            gaps.append(c)
-            Fb = Fb + c * Z
-            Gb = Gb - c * Y
-        Uout = np.hstack(Zs)
-        Vout = np.hstack([np.conj(Y) for Y in Ys])
-        rh, rt = W.r_hat, W.r_til
-        sigma = np.zeros((W.ell, m * rh, m * rt), dtype=W.sigma.dtype)
-        for i in range(m):
-            sigma[:, i * rh : (i + 1) * rh, i * rt : (i + 1) * rt] = gaps[i] * W.sigma
-        out = BlockLowRank(Uout, Vout, sigma)
-        return truncate(out, self.trunc_eps, self.r_max)
+        steps = fadi_steps(
+            W.U,
+            np.conj(W.V),
+            self.shifts,
+            lambda k, F: self.solve_hat[k](F),
+            lambda k, G: self.solve_til[k](G),
+        )
+        out = None
+        for Z, Y, gap in steps:
+            step = BlockLowRank(Z, np.conj(Y), gap * W.sigma)
+            out = step if out is None else truncate(add(out, step), self.trunc_eps, self.r_max)
+        return out
 
 
 def precond_apply(precond, W):

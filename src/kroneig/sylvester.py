@@ -12,12 +12,15 @@ and n_til x r blocks with X = F @ G.T. The transpose is PLAIN, also for
 complex data; wherever an adjoint is meant the conjugation is written out.
 
 The BiCGstab iteration is preconditioned by "eig2" (default), which
-inverts the two-term part exactly in the eigenbasis of K: one symmetric
+inverts the two-term part in the eigenbasis of K: one symmetric
 eigendecomposition per coefficient matrix, shared across nodes/columns when
 the caller constructs the preconditioner once. It is sound at every node of
 a contour, including nodes whose real part falls inside the sum-spectrum of
-the operator. ``precond=None`` runs unpreconditioned; any object with a
-``solve_pair`` method can stand in for eig2.
+the operator. At a nonreal node it solves a low-rank input to the
+requested tolerance by factored ADI (``fadi_steps``, the library's one
+fADI recurrence) and draws no random numbers. ``precond=None`` runs
+unpreconditioned; any object with a ``solve_pair`` method can stand in for
+eig2.
 
 BiCGstab recursion residuals drift away from true residuals once iterates
 are truncated, so the solver recomputes the true factored residual
@@ -53,9 +56,9 @@ __all__ = [
     "pair_norm",
     "pair_truncate",
     "adi_shifts",
+    "fadi_steps",
     "EigenbasisPreconditioner",
     "bicgstab_multiterm",
-    "multiterm_residual",
 ]
 
 # ---------------------------------------------------------------------------
@@ -212,21 +215,6 @@ class MultitermSylvester:
         return out[0], out[1]
 
 
-def multiterm_residual(problem, sol):
-    """Relative Frobenius residual of a factored solution, Gram-based.
-
-    ||L(X) - F G^T||_F / ||F G^T||_F computed entirely from low-rank
-    factors; a zero solution gives exactly 1.
-    """
-    bnorm = pair_norm(problem.F, problem.G)
-    if sol.Xhat.shape[1] == 0:
-        return 1.0
-    LF, LG = problem.apply_pair(sol.Xhat, sol.Xtil)
-    RF = np.hstack([LF, problem.F])
-    RG = np.hstack([LG, -problem.G])
-    return pair_norm(RF, RG) / bnorm
-
-
 @dataclass
 class FactoredSolution:
     """Low-rank solution X = Xhat @ Xtil.T with solver bookkeeping.
@@ -248,14 +236,13 @@ class FactoredSolution:
 
 
 # ---------------------------------------------------------------------------
-# ADI shifts
+# factored ADI
 
 
 def adi_shifts(interval_a, interval_b, count):
     """Shift pairs for Ac X + X Bc^T = F G^T with SPD-like coefficients.
 
-    They drive the one factored-ADI recurrence of the library,
-    ``lobpcg.AdiBlockPreconditioner``.
+    ``lobpcg.AdiBlockPreconditioner`` runs ``fadi_steps`` with them.
 
     Both intervals must be positive (they usually come from Gershgorin
     bounds; a lower bound touching 0 is floored at 1e-8 times the upper).
@@ -275,26 +262,84 @@ def adi_shifts(interval_a, interval_b, count):
     return [(p_j, -p_j) for p_j in p]
 
 
+def fadi_steps(F, G, shifts, solve_hat, solve_til):
+    """Factored ADI for A X + X B^T = F G^T (Benner, Li & Truhar 2009).
+
+    Step k yields (Z, Y, gap) with Z = (A - beta_k I)^{-1} F_k =
+    ``solve_hat(k, F_k)``, Y = -(B + alpha_k I)^{-1} G_k =
+    ``-solve_til(k, G_k)`` and gap = beta_k - alpha_k; X_m = sum gap Z Y^T.
+    The residual of X_m keeps the input rank, F_m G_m^T, with F_0 = F,
+    F_{k+1} = F_k + gap Z = (A - alpha_k I)(A - beta_k I)^{-1} F_k, and
+    G_0 = G, G_{k+1} = G_k - gap Y = (B + alpha_k I)^{-1}(B + beta_k I) G_k.
+    """
+    for k, (alpha, beta) in enumerate(shifts):
+        Z = solve_hat(k, F)
+        Y = -solve_til(k, G)
+        gap = beta - alpha
+        yield Z, Y, gap
+        F = F + gap * Z
+        G = G - gap * Y
+
+
+def _diagonal_fadi(a, b, f, g, target, max_steps):
+    """fADI for diag(a) X + X diag(b) = f g^T with greedy shifts.
+
+    Step k takes alpha_k = a_i and beta_k = -b_j at the largest rows i of
+    F_k and j of G_k, which it zeroes; every other row is scaled, so the
+    row norms track ||F_k||_F ||G_k||_F >= ||F_k G_k^T||_F exactly at O(n)
+    a step, before any factor is touched. Returns the stacked pair (Z, Y),
+    X = Z Y^T, at the first step whose bound is at most target, or None
+    when that takes more than max_steps. The row norms are renormalized
+    every step and the bound kept as a logarithm, so amplifying steps
+    cannot overflow.
+    """
+    phi, gam = np.linalg.norm(f, axis=1), np.linalg.norm(g, axis=1)
+    log_target = math.log(target) if target > 0 else -math.inf
+    log_bound, shifts = 0.0, []
+    while phi.any() and gam.any():
+        s_phi, s_gam = np.linalg.norm(phi), np.linalg.norm(gam)
+        log_bound += math.log(s_phi) + math.log(s_gam)
+        if log_bound <= log_target:
+            break
+        if len(shifts) == max_steps:
+            return None
+        alpha, beta = a[np.argmax(phi)], -b[np.argmax(gam)]
+        # every denominator is some a_i + b_j, nonzero for disjoint spectra
+        phi = phi / s_phi * np.abs(a - alpha) / np.abs(a - beta)
+        gam = gam / s_gam * np.abs(b + beta) / np.abs(b + alpha)
+        shifts.append((alpha, beta))
+
+    def solve_hat(k, F):
+        return F / (a - shifts[k][1])[:, None]
+
+    def solve_til(k, G):
+        return G / (b + shifts[k][0])[:, None]
+
+    steps = list(fadi_steps(f, g, shifts, solve_hat, solve_til))
+    Zs = np.hstack([f[:, :0]] + [gap * Z for Z, _, gap in steps])
+    Ys = np.hstack([g[:, :0]] + [Y for _, Y, _ in steps])
+    return Zs, Ys
+
+
 # ---------------------------------------------------------------------------
 # preconditioners for the multiterm BiCGstab
 
-# dense SVD below this size; randomized range finder above
-_DENSE_SVD_MAX = 600
-
 
 def _compress_dense(X, tol, r_max, rng):
-    """Split a dense matrix into a balanced low-rank pair."""
-    n1, n2 = X.shape
-    if max(n1, n2) <= _DENSE_SVD_MAX:
-        U, s, Vh = svd_trunc(X, tol, r_max)
-    else:
-        # randomized range finder at the rank cap, then exact SVD of the
-        # projected core; fine for preconditioning purposes
-        m = min(r_max + 8, n2, n1)
-        Y = X @ rng.standard_normal((n2, m))
+    """Split a dense matrix into a balanced low-rank pair.
+
+    A randomized range finder with r_max + 8 columns when they fill at most
+    half of the smaller side, an exact truncated SVD otherwise.
+    """
+    m = r_max + 8
+    if m <= min(X.shape) / 2:
+        # the exact SVD of the projected core is fine for preconditioning
+        Y = X @ rng.standard_normal((X.shape[1], m))
         Q, _ = np.linalg.qr(Y, mode="reduced")
         U, s, Vh = svd_trunc(Q.conj().T @ X, tol, r_max)
         U = Q @ U
+    else:
+        U, s, Vh = svd_trunc(X, tol, r_max)
     sq = np.sqrt(s)
     return U * sq, Vh.T * sq
 
@@ -314,13 +359,17 @@ def _real_matmul(Q, X):
 
 
 class EigenbasisPreconditioner:
-    """Exact inverse of the two-term part via eigendecompositions of K.
+    """Inverse of the two-term part via eigendecompositions of K.
 
     For Acoef = (z/2) I - K_hat and Bcoef = (z/2) I - K_til the map
     X -> Acoef X + X Bcoef^T is diagonal in the eigenbases: with K = Q L Q^T
     the inverse is Q_hat ((Q_hat^T C Q_til) / D) Q_til^T, D_ij = z -
-    lambda_hat_i - lambda_til_j. Build once per K pair and share across
-    nodes and columns; ``solve_pair`` is pure and thread-safe.
+    lambda_hat_i - lambda_til_j. At a nonreal z, ``solve_pair`` runs fADI on
+    the diagonal spectra z/2 - lambda until its residual is at most
+    tol ||F G^T||_F, if that fits its rank budget, and recompresses the
+    result; otherwise it compresses the dense quotient. Build once per K
+    pair and share across nodes and columns; ``solve_pair`` is pure and
+    thread-safe.
     """
 
     def __init__(self, K_hat, K_til=None):
@@ -337,12 +386,26 @@ class EigenbasisPreconditioner:
 
     def solve_pair(self, problem, F, G, tol, r_max, rng):
         z = problem.z
-        D = z - self.lam_hat[:, None] - self.lam_til[None, :]
-        # the eigenvalues are real, so only a real z can make D_ij vanish
-        if np.imag(z) == 0 and np.min(np.abs(D)) == 0.0:
-            raise SingularShiftedSolve("eigenbasis preconditioner: z hits the sum spectrum")
-        W = _real_matmul(self.Q_hat.T, F) @ _real_matmul(self.Q_til.T, G).T / D
-        Fp, Gp = _compress_dense(W, tol, r_max, rng)
+        f = _real_matmul(self.Q_hat.T, F)
+        g = _real_matmul(self.Q_til.T, G)
+        pair = None
+        if np.imag(z) != 0:
+            # fADI stacks s = r_in * steps columns: at most half the smaller
+            # side, and only while their O(n s^2) recompression costs less
+            # than the dense path's O(n^2 (r_max + 8))
+            n = min(f.shape[0], g.shape[0])
+            stack_max = min(n / 2, math.sqrt(n * (r_max + 8) / 2))
+            budget = int(stack_max // max(f.shape[1], 1))
+            a, b = z / 2.0 - self.lam_hat, z / 2.0 - self.lam_til
+            pair = _diagonal_fadi(a, b, f, g, tol * pair_norm(f, g), budget)
+        if pair is not None:
+            Fp, Gp = pair_truncate(*pair, tol, r_max)
+        else:
+            D = z - self.lam_hat[:, None] - self.lam_til[None, :]
+            # the eigenvalues are real, so only a real z can make D_ij vanish
+            if np.imag(z) == 0 and np.min(np.abs(D)) == 0.0:
+                raise SingularShiftedSolve("eigenbasis preconditioner: z hits the sum spectrum")
+            Fp, Gp = _compress_dense(f @ g.T / D, tol, r_max, rng)
         return _real_matmul(self.Q_hat, Fp), _real_matmul(self.Q_til, Gp)
 
 

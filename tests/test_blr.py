@@ -1,7 +1,5 @@
 """Block low-rank algebra against dense oracles at desk scale."""
 
-import io
-
 import numpy as np
 import pytest
 
@@ -14,11 +12,9 @@ from kroneig.blr import (
     block_inner,
     column_norms,
     from_khatri_rao,
-    load_blr,
     orthonormalize_cholesky,
     orthonormalize_svd,
     right_multiply,
-    save_blr,
     to_dense,
     truncate,
 )
@@ -234,20 +230,6 @@ def test_apply_vec_matches_dense():
     A = random_sym_kron_operator(rng, 5, 4, terms=2)
     v = rng.standard_normal(20)
     assert np.allclose(apply_vec(A, v), kron_dense(A) @ v, atol=1e-12)
-
-
-def test_save_load_round_trip():
-    rng = make_rng(46)
-    for complex_ in (False, True):
-        W = random_block(rng, 6, 5, 3, 2, 4, complex_=complex_)
-        buf = io.BytesIO()
-        save_blr(W, buf)
-        buf.seek(0)
-        W2 = load_blr(buf)
-        assert np.array_equal(W.U, W2.U)
-        assert np.array_equal(W.V, W2.V)
-        assert np.array_equal(W.sigma, W2.sigma)
-        assert W.orthonormal == W2.orthonormal
 
 
 def test_random_composition_chains():

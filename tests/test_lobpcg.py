@@ -97,6 +97,40 @@ def test_adi_block_preconditioner_matches_dense_fadi():
     assert precond_apply(None, W) is W
 
 
+def test_adi_block_preconditioner_streamed_truncation():
+    # Each partial sum is truncated at trunc_eps as the steps come in, so
+    # the error against the exact fADI output stays within m truncations
+    # of the largest partial sum, each with the 2 * eps slack of the
+    # truncation tests.
+    rng = make_rng(83)
+    n_hat, n_til, ell, m, eps = 14, 12, 3, 6, 1e-3
+    A = _structured_operator(rng, n_hat, n_til)
+    K_hat = A.terms[0][1]
+    K_til = A.terms[1][0]
+    W = random_block(rng, n_hat, n_til, ell, 3, 3)
+    D = to_dense(W)
+    shifts = adi_shifts(gershgorin_interval(K_hat), gershgorin_interval(K_til), m)
+
+    def partial(k):
+        cols = [
+            dense_fadi_apply(
+                K_hat, K_til, shifts[:k], D[:, j].reshape((n_hat, n_til), order="F")
+            ).reshape(-1, order="F")
+            for j in range(ell)
+        ]
+        return np.stack(cols, axis=1)
+
+    largest = max(np.linalg.norm(partial(k)) for k in range(1, m + 1))
+    pre = AdiBlockPreconditioner(A, iterations=m, trunc_eps=eps, r_max=None)
+    out = pre.apply_block(W)
+    err = np.linalg.norm(to_dense(out) - partial(m))
+    assert 0.0 < err <= m * 2.0 * eps * largest
+    assert out.orthonormal
+    capped = AdiBlockPreconditioner(A, iterations=m, trunc_eps=eps, r_max=3).apply_block(W)
+    assert max(out.r_hat, out.r_til) > 3
+    assert capped.orthonormal and max(capped.r_hat, capped.r_til) <= 3
+
+
 def test_adi_preconditioner_inverts_two_term():
     rng = make_rng(82)
     A = _structured_operator(rng, 10, 10)

@@ -1,11 +1,13 @@
 """Factored-pair Sylvester solvers against dense desk-scale oracles."""
 
+import copy
 import warnings
 
 import numpy as np
 import pytest
 
 from conftest import make_rng
+from kroneig import sylvester
 from kroneig.errors import (
     Breakdown,
     DegenerateInterval,
@@ -19,7 +21,6 @@ from kroneig.sylvester import (
     _shifted_solver,
     adi_shifts,
     bicgstab_multiterm,
-    multiterm_residual,
     pair_inner,
     pair_norm,
     pair_truncate,
@@ -131,25 +132,6 @@ def test_real_symmetric_parts_round_trip():
     assert np.allclose((p.z / 2.0) * np.eye(p.n_til) - K_til, p.Bcoef, atol=1e-13)
 
 
-def test_multiterm_residual_definition():
-    rng = make_rng(54)
-    p = _problem(rng, rank=2)
-    from kroneig.sylvester import FactoredSolution
-
-    zero = FactoredSolution(
-        np.zeros((p.n_hat, 0)), np.zeros((p.n_til, 0)), 1.0, 0
-    )
-    assert multiterm_residual(p, zero) == 1.0
-    Xh = rng.standard_normal((p.n_hat, 3))
-    Xt = rng.standard_normal((p.n_til, 3))
-    sol = FactoredSolution(Xh, Xt, 0.0, 1)
-    L = _dense_operator(p)
-    x = (Xh @ Xt.T).reshape(-1, order="F")
-    b = (p.F @ p.G.T).reshape(-1, order="F")
-    ref = np.linalg.norm(L @ x - b) / np.linalg.norm(b)
-    assert abs(multiterm_residual(p, sol) - ref) < 1e-10 * max(ref, 1.0)
-
-
 def test_adi_shifts_pattern_and_validation():
     shifts = adi_shifts((0.5, 40.0), (1.0, 30.0), 6)
     assert len(shifts) == 6
@@ -226,6 +208,84 @@ def test_eigenbasis_preconditioner_real_products_any_layout():
     assert np.linalg.norm(Fp @ Gp.T - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
+def _eigenbasis_case(rank, n_hat=60, n_til=57):
+    # K with spectrum in about [0.4, 4.6]; z = 2.5 + 6j lies over the sum
+    # spectrum, where fADI reaches 1e-12 in 8 steps a column
+    rng = make_rng(70)
+
+    def K(n, scale):
+        T = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+        return scale * T + np.diag(rng.uniform(0.0, 1.0, n))
+
+    M = EigenbasisPreconditioner(K(n_hat, 1.0), K(n_til, 0.8))
+    F = rng.standard_normal((n_hat, rank))
+    G = rng.standard_normal((n_til, rank))
+    return M, F, G
+
+
+def _eigenbasis_problem(M, F, G, z):
+    # solve_pair reads only z from the problem; its eigenbases hold K
+    n_hat, n_til = F.shape[0], G.shape[0]
+    return MultitermSylvester(
+        np.eye(n_hat), np.eye(n_til), np.eye(n_hat), np.eye(n_til), F, G, z=z
+    )
+
+
+@pytest.mark.parametrize("rank", [1, 3])
+def test_eigenbasis_fadi_branch(rank, monkeypatch):
+    # A low-rank input at a nonreal node takes the fADI branch: it matches
+    # the exact eigenbasis quotient, draws no random numbers and never
+    # reaches the dense compression.
+    M, F, G = _eigenbasis_case(rank)
+    z = 2.5 + 6.0j
+    tol = 1e-12
+
+    def dense_path(*args):
+        raise AssertionError("dense path taken")
+
+    monkeypatch.setattr(sylvester, "_compress_dense", dense_path)
+    rng = make_rng(71)
+    state = copy.deepcopy(rng.bit_generator.state)
+    Fp, Gp = M.solve_pair(_eigenbasis_problem(M, F, G, z), F, G, tol, 40, rng)
+    np.testing.assert_equal(rng.bit_generator.state, state)
+    D = z - M.lam_hat[:, None] - M.lam_til[None, :]
+    f, g = M.Q_hat.T @ F, M.Q_til.T @ G
+    ref = M.Q_hat @ ((f @ g.T) / D) @ M.Q_til.T
+    assert np.linalg.norm(Fp @ Gp.T - ref) <= 1e-10 * np.linalg.norm(ref)
+    # the recurrence itself stops on its residual, in the eigenbasis
+    a = z / 2.0 - M.lam_hat
+    b = z / 2.0 - M.lam_til
+    target = tol * np.linalg.norm(f @ g.T)
+    Z, Y = sylvester._diagonal_fadi(a, b, f, g, target, max_steps=60)
+    X = Z @ Y.T
+    R = a[:, None] * X + X * b[None, :] - f @ g.T
+    assert np.linalg.norm(R) <= target
+
+
+def test_eigenbasis_high_rank_takes_dense_path():
+    # rank 20 at n = 57 leaves fADI one step, short of tol: the output is
+    # the dense path's, random range finder (r_max + 8 <= n/2) included
+    M, F, G = _eigenbasis_case(20)
+    z = 2.5 + 6.0j
+    Fp, Gp = M.solve_pair(_eigenbasis_problem(M, F, G, z), F, G, 1e-12, 10, make_rng(72))
+    D = z - M.lam_hat[:, None] - M.lam_til[None, :]
+    W = sylvester._real_matmul(M.Q_hat.T, F) @ sylvester._real_matmul(M.Q_til.T, G).T / D
+    Fd, Gd = sylvester._compress_dense(W, 1e-12, 10, make_rng(72))
+    assert np.array_equal(Fp, sylvester._real_matmul(M.Q_hat, Fd))
+    assert np.array_equal(Gp, sylvester._real_matmul(M.Q_til, Gd))
+
+
+def test_eigenbasis_node_next_to_spectrum():
+    # Im z = 1e-3 over a point of the sum spectrum: steps can amplify rows
+    # by about spread / Im z; the result is finite, from fADI or the
+    # dense path, and no overflow warning escapes
+    M, F, G = _eigenbasis_case(1)
+    z = M.lam_hat[20] + M.lam_til[30] + 1e-3j
+    Fp, Gp = M.solve_pair(_eigenbasis_problem(M, F, G, z), F, G, 1e-12, 40, make_rng(73))
+    assert np.all(np.isfinite(Fp)) and np.all(np.isfinite(Gp))
+    assert Fp.shape[1] == Gp.shape[1] >= 1
+
+
 @pytest.mark.parametrize(
     "precond, z",
     [("eig2", 6.0 + 2.0j), ("eig2", -1.0), (None, 6.0 + 2.0j)],
@@ -258,7 +318,9 @@ def test_bicgstab_rank_cap():
     # rank limit is.
     sol = bicgstab_multiterm(p, tol=1e-7, max_iter=200, rank_cap=8)
     assert sol.rank <= 8
-    assert multiterm_residual(p, sol) <= 0.1
+    x = (sol.Xhat @ sol.Xtil.T).reshape(-1, order="F")
+    b = (p.F @ p.G.T).reshape(-1, order="F")
+    assert np.linalg.norm(_dense_operator(p) @ x - b) <= 0.1 * np.linalg.norm(b)
     with pytest.raises(OutOfRange):
         bicgstab_multiterm(p, rank_cap=1)
     # the translated-ladder ADI node preconditioner is gone
