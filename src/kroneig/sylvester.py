@@ -28,6 +28,13 @@ periodically and at every claimed convergence; the reported residual is
 always a true one. Whether it converged is decided from the triangular
 factors of the unrecompressed residual stack, ||Rf Rg^T||_F; the stack is
 recompressed only when the iteration goes on with it.
+
+A pair is only worth its factors while it is smaller than the matrix. When
+a pair at the rank cap would store at least as many entries as the
+n_hat x n_til matrix (``_pair_fills_matrix``), BiCGstab carries its
+recursion blocks and eig2 its dense output as exact matrices X, in the pair
+form (X, I): one product F @ G.T replaces each QR and SVD. The iterate x
+stays a truncated pair of rank at most the cap.
 """
 
 from __future__ import annotations
@@ -325,12 +332,21 @@ def _diagonal_fadi(a, b, f, g, target, max_steps):
 # preconditioners for the multiterm BiCGstab
 
 
+def _pair_fills_matrix(r_max, n1, n2):
+    """True when an n1 x n2 pair of rank r_max stores at least n1 * n2 entries."""
+    return r_max * (n1 + n2) >= n1 * n2
+
+
 def _compress_dense(X, tol, r_max, rng):
     """Split a dense matrix into a balanced low-rank pair.
 
-    A randomized range finder with r_max + 8 columns when they fill at most
-    half of the smaller side, an exact truncated SVD otherwise.
+    When a pair of rank r_max would be no smaller than X, returns X itself
+    as the exact pair (X, I). Otherwise a randomized range finder with
+    r_max + 8 columns when they fill at most half of the smaller side, an
+    exact truncated SVD when they do not.
     """
+    if _pair_fills_matrix(r_max, *X.shape):
+        return X, np.eye(X.shape[1], dtype=X.dtype)
     m = r_max + 8
     if m <= min(X.shape) / 2:
         # the exact SVD of the projected core is fine for preconditioning
@@ -441,13 +457,16 @@ def bicgstab_multiterm(
     """Preconditioned BiCGstab on factored pairs with rank truncation.
 
     Every recombination is recompressed to ``trunc_tol`` (default
-    0.1 * tol) and ``rank_cap``. Because truncation makes the recursion
-    residual drift, the true factored residual is recomputed every
-    ``replace_every`` iterations and at every claimed convergence; the
-    returned ``achieved_residual`` is always a true one. On a rho/omega
-    breakdown the iteration restarts once from the current iterate with a
-    fresh random shadow pair before raising Breakdown. Reaching max_iter
-    returns the best iterate flagged ``converged=False``.
+    0.1 * tol) and ``rank_cap``. When a pair at ``rank_cap`` would store at
+    least n_hat * n_til entries, the recursion blocks (p, v, s, t, r) are
+    kept as exact matrices (X, I) instead; the iterate x is truncated either
+    way, so the returned rank is at most ``rank_cap``. Because truncation
+    makes the recursion residual drift, the true factored residual is
+    recomputed every ``replace_every`` iterations and at every claimed
+    convergence; the returned ``achieved_residual`` is always a true one.
+    On a rho/omega breakdown the iteration restarts once from the current
+    iterate with a fresh random shadow pair before raising Breakdown.
+    Reaching max_iter returns the best iterate flagged ``converged=False``.
     """
     if rank_cap < problem.F.shape[1]:
         raise OutOfRange("bicgstab_multiterm: rank_cap below rhs rank")
@@ -467,6 +486,12 @@ def bicgstab_multiterm(
     xG = np.zeros((n_til, 0), dtype=dtype)
     if bnorm == 0.0:
         return FactoredSolution(xF, xG, 0.0, 0, converged=True)
+    dense = _pair_fills_matrix(rank_cap, n_hat, n_til)
+    eye = np.eye(n_til, dtype=dtype) if dense else None
+
+    def recompress(F, G, tol=trunc_tol, r_max=rank_cap):
+        """A recursion block: the exact (F G^T, I) when pairs cannot be smaller."""
+        return (F @ G.T, eye) if dense else pair_truncate(F, G, tol, r_max)
 
     def true_residual(xF, xG):
         """Relative norm of b - L(x), decided from triangular factors.
@@ -486,7 +511,7 @@ def bicgstab_multiterm(
         _, Rf = qr_unless_wide(rF)
         _, Rg = qr_unless_wide(rG)
         rel = float(np.linalg.norm(Rf @ Rg.T)) / bnorm
-        return rel, lambda: pair_truncate(rF, rG, 1e-16, 4 * rank_cap)
+        return rel, lambda: recompress(rF, rG, 1e-16, 4 * rank_cap)
 
     rF, rG = bF.copy(), bG.copy()
     r0F, r0G = rF, rG
@@ -521,11 +546,11 @@ def bicgstab_multiterm(
             beta = (rho_new / rho) * (alpha / omega)
             pF = np.hstack([rF, beta * pF, -beta * omega * vF])
             pG = np.hstack([rG, pG, vG])
-            pF, pG = pair_truncate(pF, pG, trunc_tol, rank_cap)
+            pF, pG = recompress(pF, pG)
         rho = rho_new
         phF, phG = M.solve_pair(problem, pF, pG, trunc_tol, rank_cap, rng)
         vF, vG = problem.apply_pair(phF, phG)
-        vF, vG = pair_truncate(vF, vG, trunc_tol, rank_cap)
+        vF, vG = recompress(vF, vG)
         denom = pair_inner(r0F, r0G, vF, vG)
         if abs(denom) < tiny:
             if restarted:
@@ -539,7 +564,7 @@ def bicgstab_multiterm(
         alpha = rho / denom
         sF = np.hstack([rF, -alpha * vF])
         sG = np.hstack([rG, vG])
-        sF, sG = pair_truncate(sF, sG, trunc_tol, rank_cap)
+        sF, sG = recompress(sF, sG)
         if pair_norm(sF, sG) / bnorm <= tol:
             # half-step exit: t would vanish and poison omega
             xF = np.hstack([xF, alpha * phF])
@@ -555,7 +580,7 @@ def bicgstab_multiterm(
             continue
         shF, shG = M.solve_pair(problem, sF, sG, trunc_tol, rank_cap, rng)
         tF, tG = problem.apply_pair(shF, shG)
-        tF, tG = pair_truncate(tF, tG, trunc_tol, rank_cap)
+        tF, tG = recompress(tF, tG)
         tt = pair_inner(tF, tG, tF, tG)
         if abs(tt) < tiny:
             raise Breakdown("bicgstab_multiterm: t vanished")
@@ -565,7 +590,7 @@ def bicgstab_multiterm(
         xF, xG = pair_truncate(xF, xG, trunc_tol, rank_cap)
         rF = np.hstack([sF, -omega * tF])
         rG = np.hstack([sG, tG])
-        rF, rG = pair_truncate(rF, rG, trunc_tol, rank_cap)
+        rF, rG = recompress(rF, rG)
         claimed = pair_norm(rF, rG) / bnorm
         if claimed <= tol or it % replace_every == 0:
             rel, keep = true_residual(xF, xG)
