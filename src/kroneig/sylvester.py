@@ -383,7 +383,11 @@ class EigenbasisPreconditioner:
     lambda_hat_i - lambda_til_j. At a nonreal z, ``solve_pair`` runs fADI on
     the diagonal spectra z/2 - lambda until its residual is at most
     tol ||F G^T||_F, if that fits its rank budget, and recompresses the
-    result; otherwise it compresses the dense quotient. Build once per K
+    result; otherwise it forms the dense quotient and passes it through
+    ``_compress_dense``. Its output has rank at most r_max, except when a
+    pair of rank r_max cannot be smaller than the matrix
+    (``_pair_fills_matrix``): the dense quotient then comes back exactly
+    as (W, I), of rank n_til, and the caller truncates. Build once per K
     pair and share across nodes and columns; ``solve_pair`` is pure and
     thread-safe.
     """

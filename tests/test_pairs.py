@@ -36,3 +36,43 @@ def test_summarize_fixed_numbers():
     assert flipped["wins"] == 0 and not flipped["gain"]
     with pytest.raises(ValueError):
         summarize(base, change[:3], "lower")
+
+
+def _run(solve_s, failed, attempted=100):
+    metrics = {"solve_s": {"value": solve_s, "unit": "s"}}
+    return {"returncode": 0, "result": {"correct": True, "failed": failed,
+                                        "attempted": attempted, "metrics": metrics}}
+
+
+def test_crashes_and_failures_withhold_the_gain():
+    pairs = _load_pairs()
+    # a crashed change run loses its pair and stays out of the quartiles
+    row = pairs.summarize([10.0, 11.0, 12.0], [5.0, None, 6.0], "lower")
+    assert (row["wins"], row["pairs"]) == (2, 3)
+    assert row["change_median"] == 5.5 and not row["gain"]
+    none_ran = pairs.summarize([10.0, 11.0], [None, None], "lower")
+    assert none_ran["wins"] == 0 and none_ran["relative"] is None and not none_ran["gain"]
+
+    meta = {"workloads": ["w"]}
+    directions = {"solve_s": "lower"}
+
+    def report(change_failed, change_attempted=100):
+        runs = [{"workload": "w", "seed": s, "base": _run(10.0 + s, 1),
+                 "change": _run(5.0 + s, change_failed, change_attempted)}
+                for s in range(10)]
+        return pairs.build_report(meta, runs, directions)["summary"]["w"]
+
+    assert report(1)["metrics"]["solve_s"]["gain"]
+    # more failures per operation than the base: no gain, however fast
+    worse = report(2)
+    assert worse["change"]["failed_share"] == 0.02 and worse["base"]["failed_share"] == 0.01
+    assert not worse["metrics"]["solve_s"]["gain"]
+    # more failures over proportionally more operations is the same share
+    assert report(3, 300)["metrics"]["solve_s"]["gain"]
+    # a base crash drops the pair; a change crash counts as a lost pair
+    runs = [{"workload": "w", "seed": 0, "base": {"returncode": 1}, "change": _run(5.0, 0)},
+            {"workload": "w", "seed": 1, "base": _run(10.0, 0), "change": {"returncode": 1}},
+            {"workload": "w", "seed": 2, "base": _run(10.0, 0), "change": _run(5.0, 0)}]
+    rows = pairs.build_report(meta, runs, directions)["summary"]["w"]
+    assert rows["base_crashed"] == 1 and rows["change"]["crashed"] == 1
+    assert (rows["metrics"]["solve_s"]["wins"], rows["metrics"]["solve_s"]["pairs"]) == (1, 2)

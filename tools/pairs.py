@@ -1,14 +1,13 @@
 """Alternated parent/change benchmark pairs, summarized into BENCH_<sha>.json.
 
     python3 tools/pairs.py --base REV --workload contour-tight
-        --seeds 201 202 ... --seconds 30 [--trace 0|1] [--out FILE]
-        [--workdir DIR]
+        --seeds 201 202 ... --seconds 30 [--out FILE] [--workdir DIR]
 
 Run from the root of a git checkout; only the standard library is used.
 The base revision REV is exported with `git archive` into a temporary
 directory under --workdir; the change is the working tree as it is. For
 each seed, `python3 bench/run.py --workload W --seed S --seconds T --trace
-X` runs once in each tree, the base first on even pair indices and the
+0` runs once in each tree, the base first on even pair indices and the
 change first on odd ones. With --seconds 0 a run makes exactly the
 workload's min_rounds solver calls on the same inputs in both trees, so
 the two sides of a pair are input-matched.
@@ -16,13 +15,19 @@ the two sides of a pair are input-matched.
 The output (default BENCH_<short sha of REV>.json at the root: the change
 measured against REV) holds, per workload and metric, both sides' medians
 and quartiles, the base's IQR, how many pairs the change won (ties count
-for neither), and every run's result and env record. Metric directions
-come from BENCHMARK.json. The file is rewritten after every pair, so an
-interrupted measurement keeps the pairs it finished.
+for neither; a change run that crashed is a loss), both sides' failed
+operations, and every run's result and env record. A metric's "gain"
+also needs the change to fail no larger share of its operations than the
+base. Metric directions come from BENCHMARK.json's end-to-end metrics.
+When src/ or bench/ differ from HEAD, the sha256 of that diff names the
+measured code. The file is rewritten after every pair, so an interrupted
+measurement keeps the pairs it finished.
 """
 
 import argparse
+import hashlib
 import json
+import math
 import os
 import shutil
 import statistics
@@ -46,27 +51,30 @@ def quartiles(values):
 def summarize(base, change, better):
     """Pair statistics of one metric; base[i] and change[i] share a seed.
 
-    better is "lower" or "higher". Returns the medians and quartiles of
-    both sides, the base's IQR (q3 - q1), the change's median relative to
-    the base's, the pairs the change won out of all pairs (ties count for
-    neither), and whether the gain rule holds: at least nine tenths of
-    the pairs won and a median gap, in the better direction, larger than
-    the base's IQR.
+    better is "lower" or "higher"; a change value of None is a crashed
+    run, which loses its pair and is left out of the change's quartiles.
+    Returns the medians and quartiles of both sides, the base's IQR
+    (q3 - q1), the change's median relative to the base's, the pairs the
+    change won out of all pairs (ties count for neither), and whether the
+    gain rule holds: at least nine tenths of the pairs won and a median
+    gap, in the better direction, larger than the base's IQR.
     """
     if len(base) != len(change) or not base:
         raise ValueError("summarize: need equally many base and change values")
     sign = -1.0 if better == "lower" else 1.0
-    bq, cq = quartiles(base), quartiles(change)
+    ran = [c for c in change if c is not None]
+    bq = quartiles(base)
+    cq = quartiles(ran) if ran else (None, None, None)
     iqr = bq[2] - bq[0]
-    wins = sum(1 for b, c in zip(base, change) if sign * (c - b) > 0)
-    gap = sign * (cq[1] - bq[1])
+    wins = sum(1 for b, c in zip(base, change) if c is not None and sign * (c - b) > 0)
+    gap = sign * (cq[1] - bq[1]) if ran else -math.inf
     return {
         "base_median": bq[1],
         "base_quartiles": [bq[0], bq[2]],
         "base_iqr": iqr,
         "change_median": cq[1],
         "change_quartiles": [cq[0], cq[2]],
-        "relative": cq[1] / bq[1] - 1.0 if bq[1] else None,
+        "relative": cq[1] / bq[1] - 1.0 if ran and bq[1] else None,
         "wins": wins,
         "pairs": len(base),
         "gain": wins >= 0.9 * len(base) and gap > iqr,
@@ -91,11 +99,11 @@ def export(rev, workdir):
     return dest, tree
 
 
-def run_once(tree, workload, seed, seconds, trace):
-    """One bench/run.py run in tree: its result and env records."""
+def run_once(tree, workload, seed, seconds):
+    """One untraced bench/run.py run in tree: its result and env records."""
     cmd = [
         sys.executable, os.path.join("bench", "run.py"), "--workload", workload,
-        "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
+        "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
     ]
     t0 = time.monotonic()
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
@@ -108,26 +116,42 @@ def run_once(tree, workload, seed, seconds, trace):
     return record
 
 
+def failed_share(results):
+    """Failed operations over attempted ones, summed over runs."""
+    attempted = sum(res["attempted"] for res in results)
+    return sum(res["failed"] for res in results) / attempted if attempted else 0.0
+
+
 def build_report(meta, runs, directions):
-    """The BENCH file: meta, a summary per workload and metric, all runs."""
+    """The BENCH file: meta, a summary per workload and metric, all runs.
+
+    Pairs whose base run crashed cannot be compared and are counted
+    apart; a crashed change run stays in as a lost pair.
+    """
     summary = {}
     for workload in meta["workloads"]:
-        done = [r for r in runs if r["workload"] == workload
-                and "result" in r["base"] and "result" in r["change"]]
+        done = [r for r in runs if r["workload"] == workload and "result" in r["base"]]
         if not done:
             continue
-        rows = {"metrics": {}}
-        for name in done[0]["base"]["result"]["metrics"]:
-            values = [[r[side]["result"]["metrics"][name]["value"] for r in done]
-                      for side in ("base", "change")]
-            rows["metrics"][name] = summarize(*values, directions.get(name, "lower"))
+        rows = {"metrics": {}, "base_crashed": sum(
+            1 for r in runs if r["workload"] == workload and "result" not in r["base"])}
         for side in ("base", "change"):
-            results = [r[side]["result"] for r in done]
+            results = [r[side]["result"] for r in done if "result" in r[side]]
             rows[side] = {
+                "crashed": len(done) - len(results),
                 "correct": all(res["correct"] for res in results),
                 "failed": [res["failed"] for res in results],
                 "attempted": [res["attempted"] for res in results],
+                "failed_share": failed_share(results),
             }
+        fails_more = rows["change"]["failed_share"] > rows["base"]["failed_share"]
+        for name in directions:
+            base = [r["base"]["result"]["metrics"][name]["value"] for r in done]
+            change = [r["change"]["result"]["metrics"][name]["value"]
+                      if "result" in r["change"] else None for r in done]
+            row = summarize(base, change, directions[name])
+            row["gain"] = row["gain"] and not fails_more
+            rows["metrics"][name] = row
         summary[workload] = rows
     return {"meta": meta, "summary": summary, "runs": runs}
 
@@ -138,7 +162,6 @@ def main(argv=None):
     p.add_argument("--workload", required=True, action="append")
     p.add_argument("--seeds", required=True, type=int, nargs="+")
     p.add_argument("--seconds", required=True, type=float)
-    p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     p.add_argument("--out")
     p.add_argument("--workdir", help="where the base tree is exported (default: system temp)")
     args = p.parse_args(argv)
@@ -147,15 +170,18 @@ def main(argv=None):
     out = args.out or os.path.join(ROOT, f"BENCH_{base_sha[:7]}.json")
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
-    directions = {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
+    directions = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    change = {"head": _git("rev-parse", "HEAD"),
+              "dirty": bool(_git("status", "--porcelain", "--", "src", "bench"))}
+    if change["dirty"]:
+        diff = _git("diff", "HEAD", "--binary", "--", "src", "bench")
+        change["diff_sha256"] = hashlib.sha256(diff.encode()).hexdigest()
     meta = {
         "base": base_sha,
-        "change": {"head": _git("rev-parse", "HEAD"),
-                   "dirty": bool(_git("status", "--porcelain", "--", "src", "bench"))},
+        "change": change,
         "workloads": args.workload,
         "seeds": args.seeds,
         "seconds": args.seconds,
-        "trace": args.trace,
         "order": "base first on even pair indices, change first on odd",
     }
     dest, base_tree = export(base_sha, args.workdir)
@@ -167,7 +193,7 @@ def main(argv=None):
                 pair = {"workload": workload, "seed": seed, "first": sides[0]}
                 for side in sides:
                     tree = base_tree if side == "base" else ROOT
-                    pair[side] = run_once(tree, workload, seed, args.seconds, args.trace)
+                    pair[side] = run_once(tree, workload, seed, args.seconds)
                 runs.append(pair)
                 report = build_report(meta, runs, directions)
                 with open(out, "w", encoding="utf-8") as fh:
