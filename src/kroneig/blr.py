@@ -11,9 +11,11 @@ Kronecker convention kron(tilde_part, hat_part). For real data V^H is just
 V^T; all formulas below use conjugate transposes so complex factors (which
 appear once contour-node solutions enter) work unchanged.
 
-Kronecker-sum operators A = sum_i kron(Atil_i, Ahat_i) are kept as factor
-pairs and applied to blocks without ever forming A. Everything here returns
-new values; blocks are never mutated in place.
+Kronecker-sum operators A = sum_i kron(Atil_i, Ahat_i) are kept as pairs
+of typed factors (``factors``: identity, banded or dense) and applied to
+blocks without ever forming A; an identity factor passes a basis through
+untouched. Everything here returns new values; blocks are never mutated
+in place.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import scipy.linalg
 
 from .dense import cholesky, qr_unless_wide, svd_trunc_left
 from .errors import DimensionMismatch, GramNotSPD, OutOfRange, SizeOverflow
+from .factors import Identity, as_factor
 
 __all__ = [
     "BlockLowRank",
@@ -114,9 +117,11 @@ class KroneckerSumOperator:
     """Operator A = sum_i kron(Atil_i, Ahat_i) held as factor pairs.
 
     ``terms`` is a tuple of (Atil_i, Ahat_i) pairs; all tilde factors are
-    n_til x n_til, all hat factors n_hat x n_hat. The full matrix (size
-    n_til*n_hat per side) is only ever assembled by the desk-scale oracle.
-    ``split`` is the one place that recovers the separable structure.
+    n_til x n_til, all hat factors n_hat x n_hat. A raw array among them is
+    classified here, once (``factors.as_factor``); typed factors are kept
+    as they are. The full matrix (size n_til*n_hat per side) is only ever
+    assembled by the desk-scale oracle. ``split`` is the one place that
+    recovers the separable structure.
     """
 
     terms: tuple
@@ -124,6 +129,8 @@ class KroneckerSumOperator:
     def __post_init__(self):
         if len(self.terms) < 1:
             raise DimensionMismatch("KroneckerSumOperator: needs at least one term")
+        terms = tuple((as_factor(til), as_factor(hat)) for til, hat in self.terms)
+        object.__setattr__(self, "terms", terms)
         n_til, n_hat = self.n_til, self.n_hat
         for til, hat in self.terms:
             if til.shape != (n_til, n_til) or hat.shape != (n_hat, n_hat):
@@ -150,18 +157,18 @@ class KroneckerSumOperator:
         """Separable split (K_hat, K_til, couplings) of the operator.
 
         A = I (x) K_hat + K_til (x) I + sum of kron(til, hat) over the
-        (til, hat) pairs in ``couplings``. Terms whose tilde factor is the
-        identity sum into K_hat, the other terms whose hat factor is the
-        identity into K_til (so a kron(I, I) term counts on the hat side); a
-        side without such a term is None. Computed once per operator.
+        (til, hat) pairs in ``couplings``. Terms whose tilde factor is an
+        ``Identity`` sum into K_hat, the other terms whose hat factor is one
+        into K_til (so a kron(I, I) term counts on the hat side); a side
+        without such a term is None. The factor types decide, not their
+        values. Computed once per operator.
         """
-        eye_til, eye_hat = np.eye(self.n_til), np.eye(self.n_hat)
         K_hat = K_til = None
         couplings = []
         for til, hat in self.terms:
-            if np.array_equal(til, eye_til):
+            if isinstance(til, Identity):
                 K_hat = hat if K_hat is None else K_hat + hat
-            elif np.array_equal(hat, eye_hat):
+            elif isinstance(hat, Identity):
                 K_til = til if K_til is None else K_til + til
             else:
                 couplings.append((til, hat))
@@ -199,7 +206,8 @@ def apply_operator(A, W):
 
     New bases stack the per-term images, Uout = [Ahat_1 U, ..., Ahat_s U]
     and Vout = [conj(Atil_1) V, ...], and each core becomes block-diagonal
-    with s copies of Sigma(j); ranks grow exactly s-fold.
+    with s copies of Sigma(j); ranks grow exactly s-fold. An identity
+    factor contributes the basis itself, a banded one an O(n r) product.
     """
     if A.n_hat != W.n_hat or A.n_til != W.n_til:
         raise DimensionMismatch(
@@ -208,7 +216,7 @@ def apply_operator(A, W):
         )
     s = A.s
     Uout = np.hstack([hat @ W.U for _, hat in A.terms])
-    Vout = np.hstack([np.conj(til) @ W.V for til, _ in A.terms])
+    Vout = np.hstack([til.conj() @ W.V for til, _ in A.terms])
     rh, rt = W.r_hat, W.r_til
     dtype = np.result_type(W.sigma.dtype, *(t.dtype for pair in A.terms for t in pair))
     sigma = np.zeros((W.ell, s * rh, s * rt), dtype=dtype)
@@ -370,5 +378,5 @@ def apply_vec(A, v):
     if v.shape[0] != A.n:
         raise DimensionMismatch(f"apply_vec: vector length {v.shape[0]} vs n={A.n}")
     X = v.reshape((A.n_hat, A.n_til), order="F")
-    out = sum(hat @ X @ til.T for til, hat in A.terms)
+    out = sum((til @ (hat @ X).T).T for til, hat in A.terms)
     return out.reshape(-1, order="F")

@@ -468,10 +468,7 @@ def cmd_lobpcg(cfg):
 
 
 def _sparse_operator(A):
-    return sum(
-        scipy.sparse.kron(scipy.sparse.csr_matrix(til), scipy.sparse.csr_matrix(hat))
-        for til, hat in A.terms
-    ).tocsc()
+    return sum(scipy.sparse.kron(til.matrix, hat.matrix) for til, hat in A.terms).tocsc()
 
 
 def _factored_singvals(Xhat, Xtil, count):

@@ -7,11 +7,13 @@ of the circle's interior, so rho(A) Omega approximately spans the
 invariant subspace belonging to the enclosed eigenvalues. Each node
 contributes one shifted linear solve; with a Khatri-Rao sketch column as
 right-hand side that solve matricizes to a three-term Sylvester equation
-handled by the truncated BiCGstab in .sylvester. Per sketch column the
-node solutions are accumulated into one low-rank pair (conjugate node
-pairs are folded into a single real contribution when the data is real),
-the columns are assembled into a block low-rank subspace, and Ritz pairs
-are extracted from the projected problem.
+handled by the truncated BiCGstab in .sylvester; the node problem holds
+the operator's own typed factors and z, so no n x n coefficient is formed
+per (node, column) cell. Per sketch column the node solutions are
+accumulated into one low-rank pair (conjugate node pairs are folded into a
+single real contribution when the data is real), the columns are
+assembled into a block low-rank subspace, and Ritz pairs are extracted
+from the projected problem.
 
 Desk-scale evaluators quantify the subspace quality independently of the
 solver: structural_bound evaluates the angle bound driven by the filter
@@ -51,6 +53,7 @@ from .errors import (
     SizeOverflow,
     StructureMismatch,
 )
+from .factors import Identity
 from .sylvester import EigenbasisPreconditioner, MultitermSylvester, bicgstab_multiterm, pair_truncate
 
 __all__ = [
@@ -182,21 +185,18 @@ class RecompressConfig:
 def _node_parts(A):
     """Factors of A = I (x) K_hat + K_til (x) I + til_c (x) hat_c.
 
-    Returns (K_hat, K_til, hat_c, til_c) read from ``A.split``; a side
-    without identity terms and a missing coupling term are zero matrices.
-    The node equation has room for one coupling term only.
+    Returns (K_hat, K_til, couplings) read from ``A.split``; a side without
+    identity terms is the zero diagonal. The contour solver takes one
+    coupling term at most, the three-term node equation.
     """
     K_hat, K_til, couplings = A.split
     if len(couplings) > 1:
         raise StructureMismatch(
             f"contour solver needs at most one non-separable term, found {len(couplings)}"
         )
-    zero_hat = np.zeros((A.n_hat, A.n_hat))
-    zero_til = np.zeros((A.n_til, A.n_til))
-    til_c, hat_c = couplings[0] if couplings else (zero_til, zero_hat)
-    K_hat = zero_hat if K_hat is None else K_hat
-    K_til = zero_til if K_til is None else K_til
-    return K_hat, K_til, hat_c, til_c
+    K_hat = 0.0 * Identity(A.n_hat) if K_hat is None else K_hat
+    K_til = 0.0 * Identity(A.n_til) if K_til is None else K_til
+    return K_hat, K_til, couplings
 
 
 def node_problem(A, z, F, G):
@@ -204,11 +204,10 @@ def node_problem(A, z, F, G):
 
     With A = I (x) K_hat + K_til (x) I + til_c (x) hat_c the system becomes
     ((z/2) I - K_hat) X + X ((z/2) I - K_til)^T - hat_c X til_c^T = F G^T.
+    The problem holds A's own factors, so a node costs O(1) to set up.
     """
-    K_hat, K_til, hat_c, til_c = _node_parts(A)
-    Acoef = (z / 2.0) * np.eye(A.n_hat) - K_hat
-    Bcoef = (z / 2.0) * np.eye(A.n_til) - K_til
-    return MultitermSylvester(Acoef, Bcoef, hat_c, til_c.T, F, G, z=z)
+    K_hat, K_til, couplings = _node_parts(A)
+    return MultitermSylvester(K_hat, K_til, couplings, F, G, z=z)
 
 
 def _solve_node_column(A, z, F, G, precond, cfg, seed):
@@ -246,7 +245,7 @@ def contour_eigensolve(A, filt, sk, solver_cfg=None, recompress=None, threads=1)
             f"vs operator ({A.n_hat}, {A.n_til})"
         )
     ell = sk.ell
-    K_hat, K_til, _, _ = _node_parts(A)
+    K_hat, K_til, _ = _node_parts(A)
     shared_precond = (
         EigenbasisPreconditioner(K_hat, K_til) if cfg.precond == "eig2" else cfg.precond
     )

@@ -51,7 +51,7 @@ from .errors import (
     StructureMismatch,
 )
 from .problems import gershgorin_interval, shift_operator
-from .sylvester import _shifted_solver, adi_shifts, fadi_steps
+from .sylvester import adi_shifts, fadi_steps
 
 __all__ = [
     "LobpcgConfig",
@@ -124,7 +124,8 @@ class AdiBlockPreconditioner:
     are ignored. ``apply_block`` runs the library's factored-ADI
     recurrence (``sylvester.fadi_steps``) for a fixed number of steps with
     geometric shifts from the Gershgorin intervals of the two (SPD)
-    one-dimensional factors, whose shifted solves are factored once here.
+    one-dimensional factors, whose shifted solves each factor provides,
+    factored once here (band LU for a banded factor).
     Applied to a block, the two chains run on the shared bases only: step k
     contributes the block (Z_k, Y_k) with the input cores scaled by its
     shift gap, and every sum of two or more steps is truncated at trunc_eps
@@ -147,11 +148,9 @@ class AdiBlockPreconditioner:
         self.shifts = adi_shifts(
             gershgorin_interval(K_hat), gershgorin_interval(K_til), iterations
         )
-        eye_h = np.eye(self.n_hat)
-        eye_t = np.eye(self.n_til)
         # fADI step: Z = (K_hat - beta I)^{-1} F, Y = -(K_til + alpha I)^{-1} G
-        self.solve_hat = [_shifted_solver(K_hat - b * eye_h) for _, b in self.shifts]
-        self.solve_til = [_shifted_solver(K_til + a * eye_t) for a, _ in self.shifts]
+        self.solve_hat = [K_hat.shifted_solver(b) for _, b in self.shifts]
+        self.solve_til = [K_til.shifted_solver(-a) for a, _ in self.shifts]
 
     def apply_block(self, W):
         if (W.n_hat, W.n_til) != (self.n_hat, self.n_til):

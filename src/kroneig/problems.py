@@ -9,10 +9,13 @@ the n x n interior grid x_i = a + i h, h = (b - a)/(n + 1), becomes a
 
 with K = -T + diag(f(x)), T the scaled tridiag(1, -2, 1) Laplacian stencil,
 whenever the potential separates as V(x, y) = f(x) + f(y) + sign*g(x)g(y).
-The module also provides the symbolic shift/square transforms used to move
-interior eigenvalues to the edge of the spectrum, Gershgorin interval
-estimates feeding the ADI shift selection, and a desk-scale dense assembly
-oracle.
+The factors are built typed (``factors``): K is ``Banded`` with bandwidth
+1, the potential diagonals have bandwidth 0, and the identities are
+``Identity``, so no n x n array is formed. The module also provides the
+symbolic shift/square transforms used to move interior eigenvalues to the
+edge of the spectrum (they keep the factors structured: K^2 has bandwidth
+2), Gershgorin interval estimates feeding the ADI shift selection, and a
+desk-scale dense assembly oracle.
 """
 
 from __future__ import annotations
@@ -21,9 +24,11 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
+import scipy.sparse
 
 from .blr import KroneckerSumOperator
 from .errors import OutOfRange, SizeOverflow, StructureMismatch
+from .factors import Banded, Factor, Identity
 
 __all__ = [
     "SchrodingerSpec",
@@ -111,14 +116,12 @@ def make_spec(potential, n, a=None, b=None):
 
 
 def laplacian_1d(spec):
-    """Second-difference matrix T = tridiag(1, -2, 1) / h^2, size n x n."""
-    n, h = spec.n, spec.h
-    T = np.zeros((n, n))
-    idx = np.arange(n)
-    T[idx, idx] = -2.0 / h**2
-    T[idx[:-1], idx[:-1] + 1] = 1.0 / h**2
-    T[idx[:-1] + 1, idx[:-1]] = 1.0 / h**2
-    return T
+    """Second-difference matrix T = tridiag(1, -2, 1) / h^2, n x n banded."""
+    h2 = spec.h**2
+    stencil = scipy.sparse.diags_array(
+        [1.0 / h2, -2.0 / h2, 1.0 / h2], offsets=[1, 0, -1], shape=(spec.n, spec.n)
+    )
+    return Banded(stencil)
 
 
 def laplacian_1d_eigenvalues(spec):
@@ -134,16 +137,10 @@ def schrodinger_kron(spec):
     The zero-potential eigenvalues are the pairwise sums of the closed-form
     1D values (checked in tests at desk scale).
     """
-    K = -laplacian_1d(spec) + np.diag(spec._sample(spec.f))
-    gx = spec._sample(spec.g)
-    eye = np.eye(spec.n)
-    return KroneckerSumOperator(
-        (
-            (eye, K),
-            (K, eye),
-            (spec.sign * np.diag(gx), np.diag(gx)),
-        )
-    )
+    K = -laplacian_1d(spec) + Banded(scipy.sparse.diags_array(spec._sample(spec.f)))
+    g = Banded(scipy.sparse.diags_array(spec._sample(spec.g)))
+    eye = Identity(spec.n)
+    return KroneckerSumOperator(((eye, K), (K, eye), (spec.sign * g, g)))
 
 
 def shift_operator(A, sigma, require_structure=False):
@@ -158,7 +155,7 @@ def shift_operator(A, sigma, require_structure=False):
     if sigma == 0:
         return A
     K_hat, K_til, couplings = A.split
-    eye_til, eye_hat = np.eye(A.n_til), np.eye(A.n_hat)
+    eye_til, eye_hat = Identity(A.n_til), Identity(A.n_hat)
     if K_hat is None or K_til is None:
         if require_structure:
             raise StructureMismatch("shift_operator: no kron(I, K) + kron(K, I) pair")
@@ -174,7 +171,10 @@ def square_operator(A):
     Expands (sum_i kron(T_i, H_i))^2 into the s^2 products
     kron(T_i T_j, H_i H_j), then merges terms sharing an identical left
     factor (summing the right factors) and afterwards terms sharing an
-    identical right factor. The result assembles to assemble_dense(A)^2.
+    identical right factor; identical means the same type and the same
+    stored values (``equals``). Products stay typed: I K = K and a band
+    product adds the bandwidths. The result assembles to
+    assemble_dense(A)^2.
     """
     if A.s > 4:
         raise OutOfRange("square_operator: term count must be <= 4")
@@ -184,10 +184,10 @@ def square_operator(A):
         out = []
         for til, hat in pairs:
             for idx, (t0, h0) in enumerate(out):
-                if key_side == 0 and np.array_equal(til, t0):
+                if key_side == 0 and til.equals(t0):
                     out[idx] = (t0, h0 + hat)
                     break
-                if key_side == 1 and np.array_equal(hat, h0):
+                if key_side == 1 and hat.equals(h0):
                     out[idx] = (t0 + til, h0)
                     break
             else:
@@ -204,13 +204,16 @@ def assemble_dense(A, cap_side=ASSEMBLE_CAP_SIDE):
         raise SizeOverflow(f"assemble_dense: side {A.n} exceeds cap {cap_side}")
     out = np.zeros((A.n, A.n), dtype=np.result_type(*(t.dtype for p in A.terms for t in p)))
     for til, hat in A.terms:
-        out += np.kron(til, hat)
+        out += np.kron(til.dense(), hat.dense())
     return out
 
 
 def gershgorin_interval(M):
-    """Cheap enclosing interval [lo, hi] for the spectrum of a symmetric M."""
-    M = np.asarray(M)
-    d = np.real(np.diag(M))
-    radii = np.sum(np.abs(M), axis=1) - np.abs(d)
+    """Cheap enclosing interval [lo, hi] for the spectrum of a symmetric M.
+
+    M is an array or a factor; a banded factor is read in its band.
+    """
+    M = M.matrix if isinstance(M, Factor) else np.asarray(M)
+    d = np.real(M.diagonal())
+    radii = abs(M).sum(axis=1) - np.abs(d)
     return float(np.min(d - radii)), float(np.max(d + radii))

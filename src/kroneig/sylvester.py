@@ -2,14 +2,18 @@
 
 The three-term ("multiterm") equation solved here is
 
-    Acoef X + X Bcoef^T - Cl X Cr = F G^T,
+    ((z/2) I - K_hat) X + X ((z/2) I - K_til)^T - hat_c X til_c^T = F G^T,
 
-the matricized form of one shifted Kronecker-structured linear system: for a
-quadrature node z the coefficients are Acoef = Bcoef = (z/2) I - K and the
-coupling factors Cl, Cr are the two potential diagonals. Everything is
-carried in factored pairs: a rank-r matrix is a pair (F, G) of n_hat x r
-and n_til x r blocks with X = F @ G.T. The transpose is PLAIN, also for
-complex data; wherever an adjoint is meant the conjugation is written out.
+the matricized form of one shifted Kronecker-structured linear system
+(z I - A) x = vec(F G^T) with A = I (x) K_hat + K_til (x) I + til_c (x)
+hat_c (``MultitermSylvester`` takes any number of coupling terms); for the
+Schrodinger problems K is tridiagonal and the coupling factors are the
+two potential diagonals. The problem holds the typed
+factors (``factors``) and the shift z and applies (z/2) X - K X on the
+fly, so it never forms an n x n coefficient. Everything is carried in
+factored pairs: a rank-r matrix is a pair (F, G) of n_hat x r and n_til x
+r blocks with X = F @ G.T. The transpose is PLAIN, also for complex data;
+wherever an adjoint is meant the conjugation is written out.
 
 The BiCGstab iteration is preconditioned by "eig2" (default), which
 inverts the two-term part in the eigenbasis of K: one symmetric
@@ -44,7 +48,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 
 from .dense import qr_unless_wide, svd_trunc
 from .errors import (
@@ -55,6 +58,7 @@ from .errors import (
     SingularShiftedSolve,
     StructureMismatch,
 )
+from .factors import as_factor
 
 __all__ = [
     "MultitermSylvester",
@@ -107,52 +111,6 @@ def pair_truncate(F, G, tol, r_max=None):
     return lift_f(U * sq), lift_g(Vh.T * sq)
 
 
-def _fast_mul(M):
-    """Matrix-times-block closure with sparse/diagonal fast paths."""
-    M = np.asarray(M)
-    n = M.shape[0]
-    nz = np.count_nonzero(M)
-    offdiag = nz - np.count_nonzero(np.diag(M))
-    if offdiag == 0:
-        d = np.diag(M).copy()
-        return lambda B: d[:, None] * B
-    if nz < 0.1 * n * n:
-        S = scipy.sparse.csr_matrix(M)
-        return lambda B: S @ B
-    return lambda B: M @ B
-
-
-def _shifted_solver(M):
-    """Factor M once and return a solve closure; banded when M is banded."""
-    M = np.asarray(M)
-    n = M.shape[0]
-    rows, cols = np.nonzero(M)
-    bw = int(np.max(np.abs(rows - cols))) if rows.size else 0
-    try:
-        if bw <= 2 and n > 8:
-            ab = np.zeros((2 * bw + 1, n), dtype=M.dtype)
-            for d in range(-bw, bw + 1):
-                diag = np.diagonal(M, d)
-                ab[bw - d, max(d, 0) : max(d, 0) + diag.size] = diag
-
-            def solve(B):
-                try:
-                    return scipy.linalg.solve_banded((bw, bw), ab, B)
-                except scipy.linalg.LinAlgError as exc:
-                    raise SingularShiftedSolve(str(exc)) from exc
-
-            return solve
-        # getrf itself, not lu_factor: lu_factor reports an exactly zero
-        # pivot (info > 0) as a LinAlgWarning before returning the factors
-        (getrf,) = scipy.linalg.get_lapack_funcs(("getrf",), (M,))
-        lu, piv, info = getrf(np.asarray_chkfinite(M))
-        if info != 0:
-            raise SingularShiftedSolve("shifted matrix is exactly singular")
-        return lambda B: scipy.linalg.lu_solve((lu, piv), B)
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise SingularShiftedSolve(str(exc)) from exc
-
-
 # ---------------------------------------------------------------------------
 # problem container
 
@@ -161,63 +119,73 @@ def _shifted_solver(M):
 class MultitermSylvester:
     """One shifted three-term Sylvester problem in factored form.
 
-    Encodes ``Acoef X + X Bcoef^T - coupling_left X coupling_right = F G^T``
-    with X of shape (n_hat, n_til); ``z`` records the originating spectral
-    shift (Acoef = Bcoef = (z/2) I - K for contour nodes) and drives the
-    preconditioners.
+    Encodes ``((z/2) I - K_hat) X + X ((z/2) I - K_til)^T - sum hat_c X
+    til_c^T = F G^T`` with X of shape (n_hat, n_til), summed over the
+    (til_c, hat_c) pairs in ``couplings``. K_hat, K_til and the coupling
+    factors are typed factors (raw arrays are classified once, here); ``z``
+    is the spectral shift and drives the preconditioners. ``Acoef`` and
+    ``Bcoef`` are dense n x n views for oracles only.
     """
 
-    Acoef: np.ndarray
-    Bcoef: np.ndarray
-    coupling_left: np.ndarray
-    coupling_right: np.ndarray
+    K_hat: object
+    K_til: object
+    couplings: tuple
     F: np.ndarray
     G: np.ndarray
     z: complex = 0.0
 
     def __post_init__(self):
-        n_hat, n_til = self.Acoef.shape[0], self.Bcoef.shape[0]
+        self.K_hat, self.K_til = as_factor(self.K_hat), as_factor(self.K_til)
+        self.couplings = tuple((as_factor(t), as_factor(h)) for t, h in self.couplings)
+        n_hat, n_til = self.n_hat, self.n_til
         if self.F.shape[0] != n_hat or self.G.shape[0] != n_til:
             raise DimensionMismatch("MultitermSylvester: rhs factors do not fit")
         if self.F.shape[1] != self.G.shape[1] or self.F.shape[1] < 1:
             raise DimensionMismatch("MultitermSylvester: rhs rank must be >= 1")
-        if self.coupling_left.shape[0] != n_hat or self.coupling_right.shape[0] != n_til:
-            raise DimensionMismatch("MultitermSylvester: coupling sizes do not fit")
-        self._mul_a = _fast_mul(self.Acoef)
-        self._mul_b = _fast_mul(self.Bcoef)
-        self._mul_cl = _fast_mul(self.coupling_left)
-        self._mul_crt = _fast_mul(np.asarray(self.coupling_right).T)
+        for til, hat in self.couplings:
+            if hat.shape[0] != n_hat or til.shape[0] != n_til:
+                raise DimensionMismatch("MultitermSylvester: coupling sizes do not fit")
 
     @property
     def n_hat(self):
-        return self.Acoef.shape[0]
+        return self.K_hat.shape[0]
 
     @property
     def n_til(self):
-        return self.Bcoef.shape[0]
+        return self.K_til.shape[0]
+
+    @property
+    def Acoef(self):
+        return (self.z / 2.0) * np.eye(self.n_hat) - self.K_hat.dense()
+
+    @property
+    def Bcoef(self):
+        return (self.z / 2.0) * np.eye(self.n_til) - self.K_til.dense()
 
     def apply_pair(self, F, G):
-        """Factored image (Fo, Go) with Fo Go^T = L(F G^T); rank triples."""
-        Fo = np.hstack([self._mul_a(F), F, -self._mul_cl(F)])
-        Go = np.hstack([G, self._mul_b(G), self._mul_crt(G)])
-        return Fo, Go
+        """Factored image (Fo, Go) with Fo Go^T = L(F G^T); the rank grows
+        (2 + len(couplings))-fold."""
+        h = self.z / 2.0
+        Fo, Go = [h * F - self.K_hat @ F, F], [G, h * G - self.K_til @ G]
+        for til, hat in self.couplings:
+            Fo.append(-(hat @ F))
+            Go.append(til @ G)
+        return np.hstack(Fo), np.hstack(Go)
 
     def real_symmetric_parts(self):
-        """Recover (K_hat, K_til) from Acoef = (z/2) I - K_hat etc.
+        """(K_hat, K_til) as dense real symmetric arrays.
 
-        Raises StructureMismatch when the coefficients are not of that form
-        with real symmetric K.
+        Raises StructureMismatch when either is not real symmetric.
         """
         out = []
-        for M in (self.Acoef, self.Bcoef):
-            K = (self.z / 2.0) * np.eye(M.shape[0]) - M
+        for K in (self.K_hat.dense(), self.K_til.dense()):
             if np.iscomplexobj(K):
                 scale = max(np.max(np.abs(K.real)), 1.0)
                 if np.max(np.abs(K.imag)) > 1e-12 * scale:
-                    raise StructureMismatch("coefficient is not (z/2) I - K with real K")
+                    raise StructureMismatch("K is not real")
                 K = np.real(K)
             if not np.allclose(K, K.T, rtol=1e-12, atol=1e-12):
-                raise StructureMismatch("coefficient is not symmetric")
+                raise StructureMismatch("K is not symmetric")
             out.append(K)
         return out[0], out[1]
 
@@ -409,13 +377,13 @@ class EigenbasisPreconditioner:
         f = _real_matmul(self.Q_hat.T, F)
         g = _real_matmul(self.Q_til.T, G)
         pair = None
-        if np.imag(z) != 0:
-            # fADI stacks s = r_in * steps columns: at most half the smaller
-            # side, and only while their O(n s^2) recompression costs less
-            # than the dense path's O(n^2 (r_max + 8))
-            n = min(f.shape[0], g.shape[0])
-            stack_max = min(n / 2, math.sqrt(n * (r_max + 8) / 2))
-            budget = int(stack_max // max(f.shape[1], 1))
+        # fADI stacks s = r_in * steps columns: at most half the smaller
+        # side, and only while their O(n s^2) recompression costs less
+        # than the dense path's O(n^2 (r_max + 8))
+        n = min(f.shape[0], g.shape[0])
+        stack_max = min(n / 2, math.sqrt(n * (r_max + 8) / 2))
+        budget = int(stack_max // max(f.shape[1], 1))
+        if np.imag(z) != 0 and budget >= 1:
             a, b = z / 2.0 - self.lam_hat, z / 2.0 - self.lam_til
             pair = _diagonal_fadi(a, b, f, g, tol * pair_norm(f, g), budget)
         if pair is not None:
@@ -480,7 +448,7 @@ def bicgstab_multiterm(
 
     dtype = complex if any(
         np.iscomplexobj(a)
-        for a in (problem.Acoef, problem.Bcoef, problem.F, problem.G, np.asarray(problem.z))
+        for a in (problem.K_hat, problem.K_til, problem.F, problem.G, np.asarray(problem.z))
     ) else float
     bF = problem.F.astype(dtype)
     bG = problem.G.astype(dtype)

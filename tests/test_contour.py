@@ -102,7 +102,7 @@ def test_node_problem_matches_shifted_dense():
     L = (
         np.kron(np.eye(p.n_til), p.Acoef)
         + np.kron(p.Bcoef, np.eye(p.n_hat))
-        - np.kron(p.coupling_right.T, p.coupling_left)
+        - np.kron(p.couplings[0][0].dense(), p.couplings[0][1].dense())
     )
     assert np.allclose(L, z * np.eye(A.n) - assemble_dense(A), atol=1e-11)
 

@@ -38,10 +38,11 @@ def test_summarize_fixed_numbers():
         summarize(base, change[:3], "lower")
 
 
-def _run(solve_s, failed, attempted=100):
+def _run(solve_s, failed, attempted=100, rounds=1):
     metrics = {"solve_s": {"value": solve_s, "unit": "s"}}
-    return {"returncode": 0, "result": {"correct": True, "failed": failed,
-                                        "attempted": attempted, "metrics": metrics}}
+    return {"returncode": 0, "env": {"solve_s": [solve_s] * rounds},
+            "result": {"correct": True, "failed": failed,
+                       "attempted": attempted, "metrics": metrics}}
 
 
 def test_crashes_and_failures_withhold_the_gain():
@@ -76,3 +77,18 @@ def test_crashes_and_failures_withhold_the_gain():
     rows = pairs.build_report(meta, runs, directions)["summary"]["w"]
     assert rows["base_crashed"] == 1 and rows["change"]["crashed"] == 1
     assert (rows["metrics"]["solve_s"]["wins"], rows["metrics"]["solve_s"]["pairs"]) == (1, 2)
+
+
+def test_round_counts_are_reported_and_mismatches_flagged():
+    pairs = _load_pairs()
+    runs = [{"workload": "w", "seed": 7, "base": _run(10.0, 0, rounds=1),
+             "change": _run(5.0, 0, rounds=2)},
+            {"workload": "w", "seed": 8, "base": _run(10.0, 0, rounds=3),
+             "change": _run(5.0, 0, rounds=3)},
+            {"workload": "w", "seed": 9, "base": _run(10.0, 0, rounds=1),
+             "change": {"returncode": 1}}]
+    rows = pairs.build_report({"workloads": ["w"]}, runs, {"solve_s": "lower"})["summary"]["w"]
+    assert rows["base"]["rounds"] == [1, 3, 1]
+    # a crashed change run has no round count and cannot differ
+    assert rows["change"]["rounds"] == [2, 3]
+    assert rows["rounds_differ"] == [7]

@@ -1,7 +1,6 @@
 """Factored-pair Sylvester solvers against dense desk-scale oracles."""
 
 import copy
-import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +17,6 @@ from kroneig.errors import (
 from kroneig.sylvester import (
     EigenbasisPreconditioner,
     MultitermSylvester,
-    _shifted_solver,
     adi_shifts,
     bicgstab_multiterm,
     pair_inner,
@@ -38,22 +36,14 @@ def _problem(rng, n_hat=10, n_til=9, z=6.0 + 2.0j, coupling=0.15, rank=1):
     cr = np.diag(coupling * rng.standard_normal(n_til))
     F = rng.standard_normal((n_hat, rank))
     G = rng.standard_normal((n_til, rank))
-    return MultitermSylvester(
-        (z / 2.0) * np.eye(n_hat) - K_hat,
-        (z / 2.0) * np.eye(n_til) - K_til,
-        cl,
-        cr,
-        F,
-        G,
-        z=z,
-    )
+    return MultitermSylvester(K_hat, K_til, ((cr.T, cl),), F, G, z=z)
 
 
 def _dense_operator(p):
     return (
         np.kron(np.eye(p.n_til), p.Acoef)
         + np.kron(p.Bcoef, np.eye(p.n_hat))
-        - np.kron(p.coupling_right.T, p.coupling_left)
+        - np.kron(p.couplings[0][0].dense(), p.couplings[0][1].dense())
     )
 
 
@@ -120,7 +110,8 @@ def test_apply_pair_matches_dense():
     p = _problem(rng, rank=2)
     X = p.F @ p.G.T
     Fo, Go = p.apply_pair(p.F, p.G)
-    ref = p.Acoef @ X + X @ p.Bcoef.T - p.coupling_left @ X @ p.coupling_right
+    til_c, hat_c = p.couplings[0]
+    ref = p.Acoef @ X + X @ p.Bcoef.T - hat_c.dense() @ X @ til_c.dense().T
     assert np.allclose(Fo @ Go.T, ref, atol=1e-12)
 
 
@@ -147,21 +138,6 @@ def test_adi_shifts_pattern_and_validation():
         adi_shifts((-3.0, -1.0), (-3.0, -1.0), 4)
 
 
-def test_shifted_solver_singular_shift():
-    # An exactly singular shifted matrix raises the typed error, without a
-    # LinAlgWarning, on the dense-LU branch (n <= 8) and on the banded
-    # branch (n > 8, bandwidth <= 2), whose solve closure raises.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(SingularShiftedSolve):
-            _shifted_solver(np.zeros((4, 4)))
-        M = _tridiag_spd(12)
-        M[5, 4:7] = 0.0
-        solve = _shifted_solver(M)
-        with pytest.raises(SingularShiftedSolve):
-            solve(np.ones((12, 1)))
-
-
 def test_eigenbasis_preconditioner_exact_two_term():
     rng = make_rng(56)
     p = _problem(rng, coupling=0.0, z=3.0 + 1.0j)
@@ -177,13 +153,7 @@ def test_eigenbasis_preconditioner_pole():
     K = np.diag([1.0, 2.0])
     M = EigenbasisPreconditioner(K)
     p = MultitermSylvester(
-        1.0 * np.eye(2) - K,
-        1.0 * np.eye(2) - K,
-        np.zeros((2, 2)),
-        np.zeros((2, 2)),
-        np.ones((2, 1)),
-        np.ones((2, 1)),
-        z=2.0,
+        K, K, ((np.zeros((2, 2)), np.zeros((2, 2))),), np.ones((2, 1)), np.ones((2, 1)), z=2.0
     )
     with pytest.raises(SingularShiftedSolve):
         M.solve_pair(p, p.F, p.G, tol=1e-10, r_max=10, rng=rng)
@@ -227,7 +197,7 @@ def _eigenbasis_problem(M, F, G, z):
     # solve_pair reads only z from the problem; its eigenbases hold K
     n_hat, n_til = F.shape[0], G.shape[0]
     return MultitermSylvester(
-        np.eye(n_hat), np.eye(n_til), np.eye(n_hat), np.eye(n_til), F, G, z=z
+        np.eye(n_hat), np.eye(n_til), ((np.eye(n_til), np.eye(n_hat)),), F, G, z=z
     )
 
 
@@ -273,6 +243,23 @@ def test_eigenbasis_high_rank_takes_dense_path():
     Fd, Gd = sylvester._compress_dense(W, 1e-12, 10, make_rng(72))
     assert np.array_equal(Fp, sylvester._real_matmul(M.Q_hat, Fd))
     assert np.array_equal(Gp, sylvester._real_matmul(M.Q_til, Gd))
+
+
+def test_eigenbasis_zero_budget_skips_fadi(monkeypatch):
+    # rank 30 at n = 57 leaves fADI no step at all: solve_pair goes straight
+    # to the dense path without running the fADI prelude
+    M, F, G = _eigenbasis_case(30)
+    z = 2.5 + 6.0j
+
+    def fadi(*args):
+        raise AssertionError("fADI run with a zero step budget")
+
+    monkeypatch.setattr(sylvester, "_diagonal_fadi", fadi)
+    Fp, Gp = M.solve_pair(_eigenbasis_problem(M, F, G, z), F, G, 1e-12, 10, make_rng(74))
+    D = z - M.lam_hat[:, None] - M.lam_til[None, :]
+    W = sylvester._real_matmul(M.Q_hat.T, F) @ sylvester._real_matmul(M.Q_til.T, G).T / D
+    Fd, Gd = sylvester._compress_dense(W, 1e-12, 10, make_rng(74))
+    assert np.array_equal(Fp, sylvester._real_matmul(M.Q_hat, Fd))
 
 
 def test_eigenbasis_node_next_to_spectrum():
@@ -347,7 +334,8 @@ def test_bicgstab_dense_and_pair_regimes_agree(monkeypatch):
         assert sol.converged and sol.achieved_residual <= 1e-11
         assert sol.rank <= 40
         X = sol.Xhat @ sol.Xtil.T
-        R = p.Acoef @ X + X @ p.Bcoef.T - p.coupling_left @ X @ p.coupling_right - B
+        til_c, hat_c = p.couplings[0]
+        R = p.Acoef @ X + X @ p.Bcoef.T - hat_c.dense() @ X @ til_c.dense().T - B
         assert abs(np.linalg.norm(R) / np.linalg.norm(B) - sol.achieved_residual) <= 1e-13
         sols.append(X)
     assert np.linalg.norm(sols[0] - sols[1]) <= 1e-8 * np.linalg.norm(sols[1])
@@ -401,7 +389,8 @@ def test_bicgstab_achieved_residual_is_true(shape, kwargs):
     assert sol.converged == (kwargs["tol"] == 1e-10)
     X = sol.Xhat @ sol.Xtil.T
     B = p.F @ p.G.T
-    R = p.Acoef @ X + X @ p.Bcoef.T - p.coupling_left @ X @ p.coupling_right - B
+    til_c, hat_c = p.couplings[0]
+    R = p.Acoef @ X + X @ p.Bcoef.T - hat_c.dense() @ X @ til_c.dense().T - B
     dense = np.linalg.norm(R) / np.linalg.norm(B)
     assert abs(sol.achieved_residual - dense) <= 1e-13
 
@@ -412,8 +401,7 @@ def test_multiterm_validation():
         MultitermSylvester(
             np.eye(4),
             np.eye(3),
-            np.eye(4),
-            np.eye(3),
+            ((np.eye(3), np.eye(4)),),
             rng.standard_normal((4, 2)),
             rng.standard_normal((3, 1)),
         )
@@ -421,8 +409,7 @@ def test_multiterm_validation():
         MultitermSylvester(
             np.eye(4),
             np.eye(3),
-            np.eye(3),
-            np.eye(3),
+            ((np.eye(3), np.eye(3)),),
             rng.standard_normal((4, 1)),
             rng.standard_normal((3, 1)),
         )

@@ -16,7 +16,11 @@ The output (default BENCH_<short sha of REV>.json at the root: the change
 measured against REV) holds, per workload and metric, both sides' medians
 and quartiles, the base's IQR, how many pairs the change won (ties count
 for neither; a change run that crashed is a loss), both sides' failed
-operations, and every run's result and env record. A metric's "gain"
+operations and solver rounds per run, and every run's result and env
+record. A run fits as many rounds into --seconds as it expects to finish,
+each on other inputs, so "rounds_differ" lists the seeds whose two sides
+ran different round counts: there the peak_rss_mb and ritz_entries
+medians cover different inputs. A metric's "gain"
 also needs the change to fail no larger share of its operations than the
 base. Metric directions come from BENCHMARK.json's end-to-end metrics.
 When src/ or bench/ differ from HEAD, the sha256 of that diff names the
@@ -143,7 +147,12 @@ def build_report(meta, runs, directions):
                 "failed": [res["failed"] for res in results],
                 "attempted": [res["attempted"] for res in results],
                 "failed_share": failed_share(results),
+                "rounds": [len(r[side]["env"]["solve_s"]) for r in done if "result" in r[side]],
             }
+        rows["rounds_differ"] = [
+            r["seed"] for r in done if "result" in r["change"]
+            and len(r["base"]["env"]["solve_s"]) != len(r["change"]["env"]["solve_s"])
+        ]
         fails_more = rows["change"]["failed_share"] > rows["base"]["failed_share"]
         for name in directions:
             base = [r["base"]["result"]["metrics"][name]["value"] for r in done]
