@@ -16,17 +16,24 @@ of typed factors (``factors``: identity, banded or dense) and applied to
 blocks without ever forming A; an identity factor passes a basis through
 untouched. Everything here returns new values; blocks are never mutated
 in place.
+
+Both eigensolvers end in the Rayleigh-Ritz step defined here once:
+``orthonormalize`` (Cholesky of the Gram, SVD fallback on a singular one),
+``rayleigh_ritz_3block`` (project onto up to three stacked blocks and
+solve the small pencil) and ``residual_block`` (A W - W diag(theta)),
+whose ``column_norms`` are the reported residuals. ``EigenResult`` holds
+what they return.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 
-from .dense import cholesky, qr_unless_wide, svd_trunc_left
+from .dense import cholesky, eig_sym_gen, qr_unless_wide, svd_trunc_left
 from .errors import DimensionMismatch, GramNotSPD, OutOfRange, SizeOverflow
 from .factors import Identity, as_factor
 
@@ -43,6 +50,10 @@ __all__ = [
     "truncate",
     "orthonormalize_cholesky",
     "orthonormalize_svd",
+    "orthonormalize",
+    "rayleigh_ritz_3block",
+    "residual_block",
+    "EigenResult",
     "apply_vec",
 ]
 
@@ -369,6 +380,76 @@ def orthonormalize_svd(W, tol=1e-12):
     keep = lam > tol * lmax
     B = Q[:, keep] / np.sqrt(lam[keep])
     return right_multiply(W, B), int(np.count_nonzero(keep))
+
+
+def orthonormalize(W):
+    """Cholesky orthonormalization with the SVD fallback on a singular Gram.
+
+    Returns (Worth, method), method "cholesky" or "svd"; the column count
+    shrinks when the fallback drops numerically dependent directions.
+    """
+    try:
+        return orthonormalize_cholesky(W)[0], "cholesky"
+    except GramNotSPD:
+        return orthonormalize_svd(W)[0], "svd"
+
+
+def rayleigh_ritz_3block(S1, S2, S3, A):
+    """Projected eigenproblem on the stacked blocks [S1 S2 S3].
+
+    Assembles the blockwise projected operator and Gram matrices,
+    symmetrizes both, and solves for the S1.ell smallest eigenpairs. S2/S3
+    may be None or empty (the iteration-1 case). Returns (C1, C2, C3,
+    theta) with the eigenvector matrix partitioned by block rows; missing
+    blocks get zero-width factors. Raises BtilNotSPD when the combined
+    Gram is numerically singular (caller drops a block and retries).
+    """
+    blocks = [S for S in (S1, S2, S3) if S is not None and S.ell > 0]
+    widths = [S.ell for S in blocks]
+    AS = [apply_operator(A, S) for S in blocks]
+    H = np.block([[block_inner(Si, ASj) for ASj in AS] for Si in blocks])
+    G = np.block([[block_inner(Si, Sj) for Sj in blocks] for Si in blocks])
+    H = 0.5 * (H + H.conj().T)
+    G = 0.5 * (G + G.conj().T)
+    theta, C = eig_sym_gen(H, G, S1.ell)
+    parts = np.split(C, np.cumsum(widths)[:-1], axis=0)
+    out = []
+    i = 0
+    for S in (S1, S2, S3):
+        if S is not None and S.ell > 0:
+            out.append(parts[i])
+            i += 1
+        else:
+            out.append(np.zeros((0, S1.ell)))
+    return out[0], out[1], out[2], theta
+
+
+def residual_block(A, W, theta):
+    """Residual block A W - W diag(theta), in block low-rank form."""
+    return add(apply_operator(A, W), right_multiply(W, np.diag(-theta)))
+
+
+@dataclass
+class EigenResult:
+    """Approximate eigenpairs plus run bookkeeping.
+
+    ritz_values ascending; ritz_vectors holds the matching columns in block
+    low-rank form; residual_norms are ||A u - theta u||_2 with unit-norm u.
+    inside_flags marks contour membership for the filter solver and
+    per-pair convergence for the iterative solver. diagnostics is a plain
+    dict (per-node solver reports, rank histories, failure records).
+    """
+
+    ritz_values: np.ndarray
+    ritz_vectors: BlockLowRank
+    residual_norms: np.ndarray
+    inside_flags: np.ndarray
+    diagnostics: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        k = len(self.ritz_values)
+        if len(self.residual_norms) != k or len(self.inside_flags) != k:
+            raise DimensionMismatch("EigenResult: per-pair lists must share length")
 
 
 def apply_vec(A, v):

@@ -12,8 +12,9 @@ the operator's own typed factors and z, so no n x n coefficient is formed
 per (node, column) cell. Per sketch column the node solutions are
 accumulated into one low-rank pair (conjugate node pairs are folded into a
 single real contribution when the data is real), the columns are
-assembled into a block low-rank subspace, and Ritz pairs are extracted
-from the projected problem.
+assembled into a block low-rank subspace, and the Ritz pairs come from
+the Rayleigh-Ritz step shared with LOBPCG (``blr.orthonormalize``,
+``blr.rayleigh_ritz_3block``, ``blr.residual_block``).
 
 Desk-scale evaluators quantify the subspace quality independently of the
 solver: structural_bound evaluates the angle bound driven by the filter
@@ -25,26 +26,24 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .blr import (
     BlockLowRank,
-    add,
-    apply_operator,
-    block_inner,
+    EigenResult,
     column_norms,
-    orthonormalize_cholesky,
-    orthonormalize_svd,
+    orthonormalize,
+    rayleigh_ritz_3block,
+    residual_block,
     right_multiply,
     truncate,
 )
-from .dense import cholesky, eig_sym_gen, two_norm
+from .dense import cholesky, two_norm
 from .errors import (
     DegenerateSubspace,
     DimensionMismatch,
-    GramNotSPD,
     KroneigError,
     OutOfRange,
     PoleHit,
@@ -58,7 +57,6 @@ from .sylvester import EigenbasisPreconditioner, MultitermSylvester, bicgstab_mu
 
 __all__ = [
     "RationalFilter",
-    "EigenResult",
     "NodeSolverConfig",
     "RecompressConfig",
     "trapezoid_circle",
@@ -134,29 +132,6 @@ def filter_eval(filt, lam):
     return vals
 
 
-@dataclass
-class EigenResult:
-    """Approximate eigenpairs plus run bookkeeping.
-
-    ritz_values ascending; ritz_vectors holds the matching columns in block
-    low-rank form; residual_norms are ||A u - theta u||_2 with unit-norm u.
-    inside_flags marks contour membership for the filter solver and
-    per-pair convergence for the iterative solver. diagnostics is a plain
-    dict (per-node solver reports, rank histories, failure records).
-    """
-
-    ritz_values: np.ndarray
-    ritz_vectors: BlockLowRank
-    residual_norms: np.ndarray
-    inside_flags: np.ndarray
-    diagnostics: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        k = len(self.ritz_values)
-        if len(self.residual_norms) != k or len(self.inside_flags) != k:
-            raise DimensionMismatch("EigenResult: per-pair lists must share length")
-
-
 @dataclass(frozen=True)
 class NodeSolverConfig:
     """Settings for the per-node BiCGstab solves.
@@ -210,19 +185,6 @@ def node_problem(A, z, F, G):
     return MultitermSylvester(K_hat, K_til, couplings, F, G, z=z)
 
 
-def _solve_node_column(A, z, F, G, precond, cfg, seed):
-    problem = node_problem(A, z, F, G)
-    return bicgstab_multiterm(
-        problem,
-        precond=precond,
-        tol=cfg.tol,
-        max_iter=cfg.max_iter,
-        rank_cap=cfg.rank_cap,
-        trunc_tol=cfg.trunc_tol,
-        seed=seed,
-    )
-
-
 def contour_eigensolve(A, filt, sk, solver_cfg=None, recompress=None, threads=1):
     """Filtered-subspace eigensolver: solve, accumulate, assemble, project.
 
@@ -273,31 +235,32 @@ def contour_eigensolve(A, filt, sk, solver_cfg=None, recompress=None, threads=1)
     rank_history = []
 
     def run_cell(i, j):
-        z = complex(filt.nodes[i])
+        """Solve one (node, column) cell; a KroneigError is returned, not raised."""
         F = sk.scale * sk.hat[:, j : j + 1]
         G = sk.tilde[:, j : j + 1].copy()
         seed = int(np.random.SeedSequence((cfg.seed, i, j)).generate_state(1)[0])
-        return _solve_node_column(A, z, F, G, shared_precond, cfg, seed)
+        try:
+            return bicgstab_multiterm(
+                node_problem(A, complex(filt.nodes[i]), F, G),
+                precond=shared_precond,
+                tol=cfg.tol,
+                max_iter=cfg.max_iter,
+                rank_cap=cfg.rank_cap,
+                trunc_tol=cfg.trunc_tol,
+                seed=seed,
+            )
+        except KroneigError as exc:
+            return exc
 
     for i in node_ids:
         z = complex(filt.nodes[i])
         c = complex(filt.weights[i] / (2.0j * np.pi))
         if threads > 1 and ell > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
-                futures = [pool.submit(run_cell, i, j) for j in range(ell)]
-            outcomes = []
-            for f in futures:
-                try:
-                    outcomes.append(f.result())
-                except KroneigError as exc:
-                    outcomes.append(exc)
+                outcomes = list(pool.map(run_cell, [i] * ell, range(ell)))
         else:
-            outcomes = []
-            for j in range(ell):
-                try:
-                    outcomes.append(run_cell(i, j))
-                except KroneigError as exc:
-                    outcomes.append(exc)
+            # lazily: each solution is folded in before the next is solved
+            outcomes = map(run_cell, [i] * ell, range(ell))
         for j, sol in enumerate(outcomes):
             if isinstance(sol, KroneigError):
                 failures.append((i, j))
@@ -363,30 +326,14 @@ def contour_eigensolve(A, filt, sk, solver_cfg=None, recompress=None, threads=1)
     if W.r_hat > rec.r_max or W.r_til > rec.r_max:
         raise RankOverflow("contour_eigensolve: assembly exceeded the rank cap")
 
-    try:
-        W, _ = orthonormalize_cholesky(W)
-        diagnostics["orthonormalization"] = "cholesky"
-    except GramNotSPD:
-        W, kept = orthonormalize_svd(W)
-        diagnostics["orthonormalization"] = "svd"
-        if kept == 0:
-            diagnostics["subspace_dim"] = 0
-            return EigenResult(
-                np.zeros(0), W, np.zeros(0), np.zeros(0, dtype=bool), diagnostics
-            )
+    W, diagnostics["orthonormalization"] = orthonormalize(W)
     diagnostics["subspace_dim"] = W.ell
+    if W.ell == 0:
+        return EigenResult(np.zeros(0), W, np.zeros(0), np.zeros(0, dtype=bool), diagnostics)
 
-    AW = apply_operator(A, W)
-    H = block_inner(W, AW)
-    H = 0.5 * (H + H.conj().T)
-    Gm = block_inner(W, W)
-    Gm = 0.5 * (Gm + Gm.conj().T)
-    theta, C = eig_sym_gen(H, Gm, W.ell)
+    C, _, _, theta = rayleigh_ritz_3block(W, None, None, A)
     Wr = right_multiply(W, C)
-
-    AWr = apply_operator(A, Wr)
-    Rblk = add(AWr, right_multiply(Wr, np.diag(-theta)))
-    res = column_norms(Rblk)
+    res = column_norms(residual_block(A, Wr, theta))
     inside = np.abs(theta - filt.center) < filt.radius * (1.0 + 1e-8)
     diagnostics["inside_count"] = int(np.count_nonzero(inside))
     return EigenResult(theta, Wr, res, inside, diagnostics)

@@ -19,6 +19,9 @@ transforms V, and each step's block reuses the per-column cores scaled by
 its shift gap. The running sum is truncated as each later step is added.
 The shifted solves are factored once at construction and reused every
 iteration.
+
+Orthonormalization, the three-block Rayleigh-Ritz step and the residual
+block are ``blr``'s, shared with the contour solver.
 """
 
 from __future__ import annotations
@@ -30,26 +33,17 @@ import numpy as np
 
 from .blr import (
     BlockLowRank,
-    KroneckerSumOperator,
+    EigenResult,
     add,
-    apply_operator,
     apply_vec,
-    block_inner,
     column_norms,
-    orthonormalize_cholesky,
-    orthonormalize_svd,
+    orthonormalize,
+    rayleigh_ritz_3block,
+    residual_block,
     right_multiply,
     truncate,
 )
-from .contour import EigenResult
-from .dense import eig_sym_gen
-from .errors import (
-    BtilNotSPD,
-    DimensionMismatch,
-    GramNotSPD,
-    OutOfRange,
-    StructureMismatch,
-)
+from .errors import BtilNotSPD, DimensionMismatch, OutOfRange, StructureMismatch
 from .problems import gershgorin_interval, shift_operator
 from .sylvester import adi_shifts, fadi_steps
 
@@ -59,7 +53,6 @@ __all__ = [
     "AdiBlockPreconditioner",
     "lobpcg_lowrank",
     "precond_apply",
-    "rayleigh_ritz_3block",
 ]
 
 
@@ -75,9 +68,8 @@ class LobpcgConfig:
     residual norms against conv_tol; "anorm" scales the threshold by a
     power-method estimate of ||A||. shift sigma is added to the operator
     internally (A + sigma I) when A is indefinite and subtracted from the
-    reported values. m_sum overrides the preconditioner operator; by
-    default the preconditioner inverts the separable part of the (shifted)
-    operator itself.
+    reported values. The preconditioner inverts the separable part of the
+    (shifted) operator.
     """
 
     k: int
@@ -88,7 +80,6 @@ class LobpcgConfig:
     conv_tol: float = 1e-7
     conv_scale: str = "absolute"
     adi_iterations: int = 8
-    m_sum: KroneckerSumOperator = None
     shift: float = 0.0
     seed: int = 0
 
@@ -120,8 +111,8 @@ class LobpcgState:
 class AdiBlockPreconditioner:
     """Columnwise approximate inverse of M = I (x) K_hat + K_til (x) I.
 
-    M is the separable part of ``m_sum.split``; coupling terms of m_sum
-    are ignored. ``apply_block`` runs the library's factored-ADI
+    M is the separable part of ``A.split``; coupling terms of A are
+    ignored. ``apply_block`` runs the library's factored-ADI
     recurrence (``sylvester.fadi_steps``) for a fixed number of steps with
     geometric shifts from the Gershgorin intervals of the two (SPD)
     one-dimensional factors, whose shifted solves each factor provides,
@@ -133,14 +124,13 @@ class AdiBlockPreconditioner:
     onto a truncated sum. A single step keeps the input's rank.
     """
 
-    def __init__(self, m_sum, iterations, trunc_eps, r_max):
+    def __init__(self, A, iterations, trunc_eps, r_max):
         if iterations < 1:
             raise OutOfRange("AdiBlockPreconditioner: iterations must be >= 1")
-        K_hat, K_til, _ = m_sum.split
+        K_hat, K_til, _ = A.split
         if K_hat is None or K_til is None:
             raise StructureMismatch(
-                "preconditioner needs identity (x) K and K (x) identity terms; "
-                "pass m_sum explicitly"
+                "preconditioner needs identity (x) K and K (x) identity terms in the operator"
             )
         self.n_hat, self.n_til = K_hat.shape[0], K_til.shape[0]
         self.trunc_eps = trunc_eps
@@ -178,50 +168,6 @@ def precond_apply(precond, W):
     return precond.apply_block(W)
 
 
-def _orthonormalize(W):
-    """Cholesky orthonormalization with the SVD fallback on a singular Gram.
-
-    Returns the orthonormalized block; the column count shrinks when the
-    fallback drops numerically dependent directions.
-    """
-    try:
-        Worth, _ = orthonormalize_cholesky(W)
-        return Worth
-    except GramNotSPD:
-        Worth, _ = orthonormalize_svd(W)
-        return Worth
-
-
-def rayleigh_ritz_3block(S1, S2, S3, A):
-    """Projected eigenproblem on the stacked blocks [S1 S2 S3].
-
-    Assembles the blockwise projected operator and Gram matrices,
-    symmetrizes both, and solves for the S1.ell smallest eigenpairs. S2/S3
-    may be None or empty (the iteration-1 case). Returns (C1, C2, C3,
-    theta) with the eigenvector matrix partitioned by block rows; missing
-    blocks get zero-width factors. Raises BtilNotSPD when the combined
-    Gram is numerically singular (caller drops a block and retries).
-    """
-    blocks = [S for S in (S1, S2, S3) if S is not None and S.ell > 0]
-    widths = [S.ell for S in blocks]
-    AS = [apply_operator(A, S) for S in blocks]
-    H = np.block([[block_inner(Si, ASj) for ASj in AS] for Si in blocks])
-    G = np.block([[block_inner(Si, Sj) for Sj in blocks] for Si in blocks])
-    H = 0.5 * (H + H.conj().T)
-    G = 0.5 * (G + G.conj().T)
-    theta, C = eig_sym_gen(H, G, S1.ell)
-    parts = np.split(C, np.cumsum(widths)[:-1], axis=0)
-    out = []
-    i = 0
-    for S in (S1, S2, S3):
-        if S is not None and S.ell > 0:
-            out.append(parts[i])
-            i += 1
-        else:
-            out.append(np.zeros((0, S1.ell)))
-    return out[0], out[1], out[2], theta
-
-
 def _norm_estimate(A, iters=20, seed=0):
     """Power-method estimate of ||A||_2 on the Kronecker-sum operator."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
@@ -255,13 +201,12 @@ def lobpcg_lowrank(A, cfg, X0):
     if (X0.n_hat, X0.n_til) != (A.n_hat, A.n_til):
         raise DimensionMismatch("lobpcg_lowrank: X0 grid does not match the operator")
     Aw = shift_operator(A, cfg.shift) if cfg.shift != 0.0 else A
-    m_sum = cfg.m_sum if cfg.m_sum is not None else Aw
-    precond = AdiBlockPreconditioner(m_sum, cfg.adi_iterations, cfg.trunc_eps, cfg.r_max)
+    precond = AdiBlockPreconditioner(Aw, cfg.adi_iterations, cfg.trunc_eps, cfg.r_max)
     anorm = _norm_estimate(Aw, seed=cfg.seed)
     scale = 1.0 if cfg.conv_scale == "absolute" else anorm
     threshold = cfg.conv_tol * scale
 
-    state = LobpcgState(X=_orthonormalize(X0))
+    state = LobpcgState(X=orthonormalize(X0)[0])
     C1, _, _, theta = rayleigh_ritz_3block(state.X, None, None, Aw)
     state.X = right_multiply(state.X, C1)
     state.theta = theta
@@ -272,8 +217,7 @@ def lobpcg_lowrank(A, cfg, X0):
 
     for it in range(1, cfg.max_iter + 1):
         state.iteration = it
-        AX = apply_operator(Aw, state.X)
-        Rraw = add(AX, right_multiply(state.X, np.diag(-theta)))
+        Rraw = residual_block(Aw, state.X, theta)
         res = column_norms(Rraw)
         state.residual_history.append([float(r) for r in res])
         state.ritz_history.append([float(t - cfg.shift) for t in theta])
@@ -287,11 +231,11 @@ def lobpcg_lowrank(A, cfg, X0):
 
         R = truncate(Rraw, cfg.trunc_eps, cfg.r_max)
         R = precond_apply(precond, R)
-        R = _orthonormalize(R)
+        R = orthonormalize(R)[0]
         if R.ell == 0:
             break
         if P is not None and P.ell > 0:
-            P = _orthonormalize(P)
+            P = orthonormalize(P)[0]
         try:
             C1, C2, C3, theta = rayleigh_ritz_3block(state.X, R, P, Aw)
         except BtilNotSPD:
@@ -320,8 +264,7 @@ def lobpcg_lowrank(A, cfg, X0):
     if not converged:
         # the final update was never residual-tested; evaluate it so the
         # returned triple (X, theta, res) is consistent, then keep the best
-        Rraw = add(apply_operator(Aw, state.X), right_multiply(state.X, np.diag(-theta)))
-        res = column_norms(Rraw)
+        res = column_norms(residual_block(Aw, state.X, theta))
         if float(np.max(res[: cfg.k])) < best[0]:
             best = (float(np.max(res[: cfg.k])), state.X, theta.copy(), res.copy())
         _, Xb, theta, res = best

@@ -44,9 +44,6 @@ __all__ = [
 # Hard cap on dense materialization of a sketch (entries), overridable per call.
 DENSE_CAP = 10**7
 
-C_JL = 128.0 * math.e**4
-C_OSE = (2000.0 * math.e**4) ** 2
-
 
 def _rng(seed):
     """Philox generator from an int, tuple of ints, or SeedSequence."""
@@ -77,8 +74,6 @@ class KhatriRaoSketch:
     tilde : (n_til, ell) ndarray
     hat : (n_hat, ell) ndarray
     scale : float, 1 or 1/sqrt(ell)
-    seed_tilde, seed_hat : seeds of the two independent Gaussian streams
-        (None when the factors were supplied directly).
 
     Column j of the represented matrix is ``scale * kron(tilde_j, hat_j)``,
     a vector of length n_til * n_hat.
@@ -87,8 +82,6 @@ class KhatriRaoSketch:
     tilde: np.ndarray
     hat: np.ndarray
     scale: float = 1.0
-    seed_tilde: object = None
-    seed_hat: object = None
 
     def __post_init__(self):
         if self.tilde.shape[1] != self.hat.shape[1]:
@@ -123,7 +116,7 @@ def draw_khatri_rao(n_til, n_hat, ell, seed, scaled=True):
     tilde = _rng(seed_til).standard_normal((n_til, ell))
     hat = _rng(seed_hat).standard_normal((n_hat, ell))
     scale = 1.0 / math.sqrt(ell) if scaled else 1.0
-    return KhatriRaoSketch(tilde, hat, scale, seed_tilde=seed_til, seed_hat=seed_hat)
+    return KhatriRaoSketch(tilde, hat, scale)
 
 
 def _kr_columns(tilde, hat):
@@ -191,8 +184,6 @@ class OseBoundParams:
     epsilon: float
     delta: float
     k: int
-    C_JL: float = C_JL
-    C_OSE: float = C_OSE
 
     def validate(self):
         if not 0.0 < self.epsilon <= 1.0:

@@ -310,20 +310,15 @@ def _compress_dense(X, tol, r_max, rng):
 
     When a pair of rank r_max would be no smaller than X, returns X itself
     as the exact pair (X, I). Otherwise a randomized range finder with
-    r_max + 8 columns when they fill at most half of the smaller side, an
-    exact truncated SVD when they do not.
+    r_max + 8 columns, followed by the exact SVD of the projected core
+    (fine for preconditioning).
     """
     if _pair_fills_matrix(r_max, *X.shape):
         return X, np.eye(X.shape[1], dtype=X.dtype)
-    m = r_max + 8
-    if m <= min(X.shape) / 2:
-        # the exact SVD of the projected core is fine for preconditioning
-        Y = X @ rng.standard_normal((X.shape[1], m))
-        Q, _ = np.linalg.qr(Y, mode="reduced")
-        U, s, Vh = svd_trunc(Q.conj().T @ X, tol, r_max)
-        U = Q @ U
-    else:
-        U, s, Vh = svd_trunc(X, tol, r_max)
+    Y = X @ rng.standard_normal((X.shape[1], r_max + 8))
+    Q, _ = np.linalg.qr(Y, mode="reduced")
+    U, s, Vh = svd_trunc(Q.conj().T @ X, tol, r_max)
+    U = Q @ U
     sq = np.sqrt(s)
     return U * sq, Vh.T * sq
 
@@ -485,6 +480,17 @@ def bicgstab_multiterm(
         rel = float(np.linalg.norm(Rf @ Rg.T)) / bnorm
         return rel, lambda: recompress(rF, rG, 1e-16, 4 * rank_cap)
 
+    def restart(message):
+        """Restart once from the current iterate with a random rank-1 shadow pair."""
+        nonlocal restarted
+        if restarted:
+            raise Breakdown(message)
+        restarted = True
+        rF, rG = true_residual(xF, xG)[1]()
+        r0F = rng.standard_normal((n_hat, 1)).astype(dtype)
+        r0G = rng.standard_normal((n_til, 1)).astype(dtype)
+        return rF, rG, r0F, r0G
+
     rF, rG = bF.copy(), bG.copy()
     r0F, r0G = rF, rG
     rho = alpha = omega = 1.0 + 0j if dtype is complex else 1.0
@@ -499,14 +505,10 @@ def bicgstab_multiterm(
         it += 1
         rho_new = pair_inner(r0F, r0G, rF, rG)
         if abs(rho_new) < tiny or (not fresh and (abs(rho) < tiny or abs(omega) < tiny)):
-            # shadow direction collapsed: restart once from the current
-            # iterate with a random rank-1 shadow pair
-            if restarted:
-                raise Breakdown(f"bicgstab_multiterm: rho/omega underflow at iteration {it}")
-            restarted = True
-            rF, rG = true_residual(xF, xG)[1]()
-            r0F = rng.standard_normal((n_hat, 1)).astype(dtype)
-            r0G = rng.standard_normal((n_til, 1)).astype(dtype)
+            # shadow direction collapsed
+            rF, rG, r0F, r0G = restart(
+                f"bicgstab_multiterm: rho/omega underflow at iteration {it}"
+            )
             fresh = True
             rho_new = pair_inner(r0F, r0G, rF, rG)
             if abs(rho_new) < tiny:
@@ -525,12 +527,7 @@ def bicgstab_multiterm(
         vF, vG = recompress(vF, vG)
         denom = pair_inner(r0F, r0G, vF, vG)
         if abs(denom) < tiny:
-            if restarted:
-                raise Breakdown("bicgstab_multiterm: alpha denominator underflow")
-            restarted = True
-            rF, rG = true_residual(xF, xG)[1]()
-            r0F = rng.standard_normal((n_hat, 1)).astype(dtype)
-            r0G = rng.standard_normal((n_til, 1)).astype(dtype)
+            rF, rG, r0F, r0G = restart("bicgstab_multiterm: alpha denominator underflow")
             fresh = True
             continue
         alpha = rho / denom

@@ -12,8 +12,10 @@ from kroneig.blr import (
     block_inner,
     column_norms,
     from_khatri_rao,
+    orthonormalize,
     orthonormalize_cholesky,
     orthonormalize_svd,
+    residual_block,
     right_multiply,
     to_dense,
     truncate,
@@ -223,6 +225,29 @@ def test_orthonormalize_svd_drops_null_columns():
     # Span is preserved: original columns project onto Q exactly.
     D, QD = to_dense(WW), to_dense(Q)
     assert np.allclose(QD @ (QD.conj().T @ D), D, atol=1e-8)
+
+
+def test_orthonormalize_falls_back_on_singular_gram():
+    rng = make_rng(47)
+    W = random_block(rng, 8, 7, 4, 3, 3)
+    Q, method = orthonormalize(W)
+    assert method == "cholesky" and Q.ell == 4
+    assert np.allclose(block_inner(Q, Q), np.eye(4), atol=1e-8)
+    # A zero column makes the Gram singular: the SVD path drops it.
+    Z = BlockLowRank(W.U, W.V, np.concatenate([W.sigma[:3], 0.0 * W.sigma[3:]]))
+    Q, method = orthonormalize(Z)
+    assert method == "svd" and Q.ell == 3
+    assert np.allclose(block_inner(Q, Q), np.eye(3), atol=1e-8)
+
+
+def test_residual_block_matches_dense():
+    rng = make_rng(48)
+    A = random_sym_kron_operator(rng, 5, 4, terms=3)
+    W = random_block(rng, 5, 4, 3, 2, 3)
+    theta = rng.standard_normal(3)
+    D = to_dense(W)
+    ref = kron_dense(A) @ D - D @ np.diag(theta)
+    assert np.allclose(to_dense(residual_block(A, W, theta)), ref, atol=1e-11)
 
 
 def test_apply_vec_matches_dense():

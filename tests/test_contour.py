@@ -8,7 +8,6 @@ import scipy.linalg
 
 from conftest import bound_instance, make_rng
 from kroneig.contour import (
-    EigenResult,
     NodeSolverConfig,
     RecompressConfig,
     contour_eigensolve,
@@ -34,7 +33,7 @@ from kroneig.problems import (
     make_spec,
     schrodinger_kron,
 )
-from kroneig.sketch import draw_khatri_rao
+from kroneig.sketch import KhatriRaoSketch, draw_khatri_rao
 from kroneig.sylvester import EigenbasisPreconditioner
 
 
@@ -176,6 +175,27 @@ def test_contour_threads_deterministic():
     assert np.array_equal(r1.ritz_values, r2.ritz_values)
     assert np.array_equal(r1.residual_norms, r2.residual_norms)
     assert r1.diagnostics["column_rank_history"] == r2.diagnostics["column_rank_history"]
+
+
+def test_contour_gram_breakdown_falls_back_to_svd():
+    # A zero hat column gives a zero right-hand side, hence a zero subspace
+    # column and a singular Gram: the SVD fallback drops it, and the Ritz
+    # values are those of the sketch without that column.
+    spec, _, center, radius = _zero_potential_window(20)
+    A = schrodinger_kron(spec)
+    filt = trapezoid_circle(center, radius, 8)
+    sk = draw_khatri_rao(20, 20, 5, seed=3)
+    hat = sk.hat.copy()
+    hat[:, 4] = 0.0
+    cfg = NodeSolverConfig(tol=1e-10, seed=0)
+    res = contour_eigensolve(A, filt, KhatriRaoSketch(sk.tilde, hat, sk.scale), cfg)
+    ref = contour_eigensolve(
+        A, filt, KhatriRaoSketch(sk.tilde[:, :4], sk.hat[:, :4], sk.scale), cfg
+    )
+    assert res.diagnostics["orthonormalization"] == "svd"
+    assert res.diagnostics["subspace_dim"] == 4
+    assert ref.diagnostics["orthonormalization"] == "cholesky"
+    assert np.allclose(res.ritz_values, ref.ritz_values, rtol=1e-10, atol=0.0)
 
 
 class _FailOnce:

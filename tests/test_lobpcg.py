@@ -15,6 +15,7 @@ from kroneig.blr import (
     KroneckerSumOperator,
     block_inner,
     from_khatri_rao,
+    rayleigh_ritz_3block,
     to_dense,
 )
 from kroneig.errors import DimensionMismatch, OutOfRange, StructureMismatch
@@ -23,7 +24,6 @@ from kroneig.lobpcg import (
     LobpcgConfig,
     lobpcg_lowrank,
     precond_apply,
-    rayleigh_ritz_3block,
 )
 from kroneig.problems import (
     gershgorin_interval,

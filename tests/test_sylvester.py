@@ -343,6 +343,29 @@ def test_bicgstab_dense_and_pair_regimes_agree(monkeypatch):
     assert calls[0] < calls[1]
 
 
+class _ZeroPrecond:
+    """Preconditioner mapping every pair to zero, so alpha's denominator vanishes."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def solve_pair(self, problem, F, G, tol, r_max, rng):
+        self.calls += 1
+        return 0 * F, 0 * G
+
+
+@pytest.mark.parametrize("n, rank_cap", [(12, 90), (40, 8)])
+def test_bicgstab_restarts_once_then_breaks_down(n, rank_cap):
+    # cap 90 at n=12 keeps the recursion blocks dense, cap 8 at n=40 keeps
+    # them as pairs; either way one restart, then a typed Breakdown
+    rng = make_rng(67)
+    p = _problem(rng, n_hat=n, n_til=n)
+    precond = _ZeroPrecond()
+    with pytest.raises(Breakdown, match="alpha denominator underflow"):
+        bicgstab_multiterm(p, precond=precond, tol=1e-8, rank_cap=rank_cap)
+    assert precond.calls == 2
+
+
 def test_bicgstab_rank_cap():
     rng = make_rng(60)
     p = _problem(rng, n_hat=14, n_til=13, rank=2)
