@@ -348,8 +348,11 @@ def orthonormalize_cholesky(W):
 
     Returns (Worth, L) with L the lower Cholesky factor of block_inner(W, W)
     and Worth = W L^{-H}, so block_inner(Worth, Worth) = I. Raises
-    GramNotSPD when the Gram is numerically rank-deficient; callers fall
-    back to an SVD-based cleanup.
+    GramNotSPD when the Gram is numerically rank-deficient: when the
+    factorization fails, or when a pivot of the Jacobi-scaled Gram D^-1 G
+    D^-1 (D the column norms), (L_kk / D_k)^2, is at roundoff level, which
+    does not depend on column scale. Callers fall back to an SVD-based
+    cleanup.
     """
     G = block_inner(W, W)
     G = 0.5 * (G + G.conj().T)
@@ -357,6 +360,9 @@ def orthonormalize_cholesky(W):
         L = cholesky(G)
     except Exception as exc:
         raise GramNotSPD(f"orthonormalize_cholesky: {exc}") from exc
+    pivots = (np.abs(np.diagonal(L)) ** 2 / np.real(np.diagonal(G)))
+    if np.min(pivots, initial=1.0) <= G.shape[0] * np.finfo(float).eps:
+        raise GramNotSPD("orthonormalize_cholesky: scaled Gram pivot at roundoff level")
     # W L^{-H}: columns of the inverse conjugate-transposed factor
     Linv = scipy.linalg.solve_triangular(L, np.eye(L.shape[0], dtype=L.dtype), lower=True)
     return right_multiply(W, Linv.conj().T), L

@@ -318,10 +318,10 @@ def cmd_contour(cfg):
     out = _outdir(cfg)
     _write_csv(
         os.path.join(out, "contour_nodes.csv"),
-        ["node", "z_re", "z_im", "column", "iterations", "residual", "converged"],
+        ["node", "z_re", "z_im", "column", "method", "iterations", "residual", "converged"],
         [
             [r["node"], filt.nodes[r["node"]].real, filt.nodes[r["node"]].imag,
-             r["column"], r["iterations"], r["residual"], r["converged"]]
+             r["column"], r["method"], r["iterations"], r["residual"], r["converged"]]
             for r in diag["node_reports"]
         ],
     )

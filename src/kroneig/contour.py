@@ -4,17 +4,24 @@ The filter is a quadrature discretization of the resolvent contour
 integral: for nodes z_i and weights w_i on a circle, rho(lam) =
 (1 / 2 pi i) sum_i w_i / (z_i - lam) approximates the indicator function
 of the circle's interior, so rho(A) Omega approximately spans the
-invariant subspace belonging to the enclosed eigenvalues. Each node
-contributes one shifted linear solve; with a Khatri-Rao sketch column as
-right-hand side that solve matricizes to a three-term Sylvester equation
-handled by the truncated BiCGstab in .sylvester; the node problem holds
-the operator's own typed factors and z, so no n x n coefficient is formed
-per (node, column) cell. Per sketch column the node solutions are
-accumulated into one low-rank pair (conjugate node pairs are folded into a
-single real contribution when the data is real), the columns are
-assembled into a block low-rank subspace, and the Ritz pairs come from
+invariant subspace belonging to the enclosed eigenvalues. Each node and
+sketch column make one cell, a shifted linear solve whose right-hand side
+is the Khatri-Rao column; it matricizes to a three-term Sylvester
+equation. The node equations of a run are one family in the shift with
+the same right-hand sides, and their solutions lie close to one small
+tensor basis U (x) V (``sylvester.TensorGalerkin``). The training cells
+(every column at two nodes) are solved by the truncated BiCGstab of
+.sylvester and span that basis; every other cell is solved by Galerkin
+projection onto it, and its true residual is checked in full space. A
+cell that misses the node tolerance falls back to BiCGstab, and its
+solution extends the basis after its node. The filter is accumulated
+exactly on the shared basis, one core per sketch column (for real data
+the basis is real, so a conjugate node pair folds into one real
+contribution), truncated once at assembly, and the Ritz pairs come from
 the Rayleigh-Ritz step shared with LOBPCG (``blr.orthonormalize``,
-``blr.rayleigh_ritz_3block``, ``blr.residual_block``).
+``blr.rayleigh_ritz_3block``, ``blr.residual_block``). A node problem
+holds the operator's own typed factors and z, so no n x n coefficient is
+formed per cell.
 
 Desk-scale evaluators quantify the subspace quality independently of the
 solver: structural_bound evaluates the angle bound driven by the filter
@@ -53,7 +60,12 @@ from .errors import (
     StructureMismatch,
 )
 from .factors import Identity
-from .sylvester import EigenbasisPreconditioner, MultitermSylvester, bicgstab_multiterm, pair_truncate
+from .sylvester import (
+    EigenbasisPreconditioner,
+    MultitermSylvester,
+    TensorGalerkin,
+    bicgstab_multiterm,
+)
 
 __all__ = [
     "RationalFilter",
@@ -151,7 +163,7 @@ class NodeSolverConfig:
 
 @dataclass(frozen=True)
 class RecompressConfig:
-    """Accumulation/assembly recompression: relative eps, hard rank cap."""
+    """Assembly truncation of the filtered block: relative eps, hard rank cap."""
 
     eps: float = 1e-10
     r_max: int = 90
@@ -185,18 +197,30 @@ def node_problem(A, z, F, G):
     return MultitermSylvester(K_hat, K_til, couplings, F, G, z=z)
 
 
+def _training_cells(node_ids, ell):
+    """Cells solved by BiCGstab before any Galerkin solve: every column at
+    the first solved node and at the middle one."""
+    return [(i, j) for i in sorted({node_ids[0], node_ids[len(node_ids) // 2]}) for j in range(ell)]
+
+
 def contour_eigensolve(A, filt, sk, solver_cfg=None, recompress=None, threads=1):
     """Filtered-subspace eigensolver: solve, accumulate, assemble, project.
 
-    For every quadrature node i and sketch column j the shifted system is
-    solved in factored form and the weighted solutions are accumulated per
-    column with periodic recompression; for real data only the upper
-    half-plane nodes are solved and each contributes the folded real part
-    of its conjugate pair. The accumulated columns are assembled into one
-    block low-rank subspace (block-selector cores), truncated,
+    Every quadrature node i and sketch column j make one cell, the shifted
+    system (z_i - A) x = sketch column j in factored form; for real data
+    only the upper half-plane nodes are solved and each contributes the
+    folded real part of its conjugate pair. The cells of the training
+    nodes (the first solved node and the middle one) are solved by
+    BiCGstab, and their solutions span the shared tensor basis of a
+    ``TensorGalerkin`` family. Every other cell is solved on that basis,
+    and its true residual is checked in full space: a cell that misses
+    the node tolerance falls back to BiCGstab, and after each node the
+    fallback solutions extend the basis in column order (the greedy
+    reduced-basis loop). The filter is accumulated exactly on the shared
+    basis, one core per column, truncated once at assembly,
     orthonormalized (Cholesky with an SVD fallback), and the symmetrized
-    projected pencil yields the Ritz pairs. A failed (node, column) solve
-    is recorded and skipped; the column is flagged degraded but the solve
+    projected pencil yields the Ritz pairs. A failed BiCGstab cell is
+    recorded and skipped; the column is flagged degraded but the solve
     grid keeps going.
     """
     cfg = solver_cfg if solver_cfg is not None else NodeSolverConfig()
@@ -207,7 +231,7 @@ def contour_eigensolve(A, filt, sk, solver_cfg=None, recompress=None, threads=1)
             f"vs operator ({A.n_hat}, {A.n_til})"
         )
     ell = sk.ell
-    K_hat, K_til, _ = _node_parts(A)
+    K_hat, K_til, couplings = _node_parts(A)
     shared_precond = (
         EigenbasisPreconditioner(K_hat, K_til) if cfg.precond == "eig2" else cfg.precond
     )
@@ -220,28 +244,26 @@ def contour_eigensolve(A, filt, sk, solver_cfg=None, recompress=None, threads=1)
     ) and not np.iscomplexobj(sk.tilde) and not np.iscomplexobj(sk.hat)
     im_floor = 1e-14 * filt.radius
     if real_data:
-        node_ids = [i for i in range(filt.q) if filt.nodes[i].imag > im_floor]
-        real_ids = [i for i in range(filt.q) if abs(filt.nodes[i].imag) <= im_floor]
-        node_ids = sorted(node_ids + real_ids)
+        node_ids = [i for i in range(filt.q) if filt.nodes[i].imag > -im_floor]
     else:
         node_ids = list(range(filt.q))
     dtype = float if real_data else complex
+    F = sk.scale * sk.hat
+    # at tol 1e-10 a basis cut at 1e-13 carried every held-out cell, 1e-11 did not
+    family = TensorGalerkin(K_hat, K_til, couplings, F, sk.tilde, 1e-3 * cfg.tol, real_data)
+    training = _training_cells(node_ids, ell)
 
-    Lacc = [np.zeros((A.n_hat, 0), dtype=dtype) for _ in range(ell)]
-    Racc = [np.zeros((A.n_til, 0), dtype=dtype) for _ in range(ell)]
-    reports = []
-    failures = []
-    degraded = set()
-    rank_history = []
+    def weight(i):
+        """Filter weight of node i; doubled where real data folds in its conjugate."""
+        c = complex(filt.weights[i] / (2.0j * np.pi))
+        return 2.0 * c if real_data and filt.nodes[i].imag > im_floor else c
 
-    def run_cell(i, j):
-        """Solve one (node, column) cell; a KroneigError is returned, not raised."""
-        F = sk.scale * sk.hat[:, j : j + 1]
-        G = sk.tilde[:, j : j + 1].copy()
+    def bicgstab_cell(i, j):
+        """BiCGstab on one (node, column) cell; a KroneigError is returned, not raised."""
         seed = int(np.random.SeedSequence((cfg.seed, i, j)).generate_state(1)[0])
         try:
             return bicgstab_multiterm(
-                node_problem(A, complex(filt.nodes[i]), F, G),
+                node_problem(A, complex(filt.nodes[i]), F[:, j : j + 1], sk.tilde[:, j : j + 1]),
                 precond=shared_precond,
                 tol=cfg.tol,
                 max_iter=cfg.max_iter,
@@ -252,74 +274,85 @@ def contour_eigensolve(A, filt, sk, solver_cfg=None, recompress=None, threads=1)
         except KroneigError as exc:
             return exc
 
-    for i in node_ids:
-        z = complex(filt.nodes[i])
-        c = complex(filt.weights[i] / (2.0j * np.pi))
-        if threads > 1 and ell > 1:
+    def run(fn, cells):
+        """fn over cells in order; lazily on one thread, so each BiCGstab
+        solution is added to the basis before the next is solved."""
+        if threads > 1 and len(cells) > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
-                outcomes = list(pool.map(run_cell, [i] * ell, range(ell)))
-        else:
-            # lazily: each solution is folded in before the next is solved
-            outcomes = map(run_cell, [i] * ell, range(ell))
-        for j, sol in enumerate(outcomes):
-            if isinstance(sol, KroneigError):
-                failures.append((i, j))
-                degraded.add(j)
-                reports.append(
-                    {"node": i, "column": j, "iterations": 0, "residual": math.inf,
-                     "converged": False, "error": str(sol)}
-                )
-                continue
-            reports.append(
-                {"node": i, "column": j, "iterations": sol.iterations,
-                 "residual": sol.achieved_residual, "converged": sol.converged,
-                 "rank": sol.rank}
-            )
-            if not sol.converged:
-                degraded.add(j)
-            if real_data and abs(z.imag) > im_floor:
-                # fold the conjugate node: contribution 2 Re(c X) with
-                # X = Xhat Xtil^T splits as [Re Xhat, Im Xhat] against
-                # [2 Re(c Xtil), -2 Im(c Xtil)]
-                cXt = c * sol.Xtil
-                Ladd = np.hstack([np.real(sol.Xhat), np.imag(sol.Xhat)])
-                Radd = np.hstack([2.0 * np.real(cXt), -2.0 * np.imag(cXt)])
-            elif real_data:
-                Ladd = np.real(sol.Xhat)
-                Radd = np.real(c * sol.Xtil)
+                return list(pool.map(fn, *zip(*cells)))
+        return (fn(i, j) for i, j in cells)
+
+    reports = {}
+    failures = []
+    degraded = set()
+    sigma = np.zeros((ell, 0, 0), dtype=dtype)
+    fallback_cells = []
+    basis_ranks = []
+
+    def bicgstab_cells(cells, misses=None):
+        """BiCGstab on cells: record them, extend the basis, accumulate."""
+        nonlocal sigma
+
+        def solutions():
+            for (i, j), sol in zip(cells, run(bicgstab_cell, cells)):
+                report = {"node": i, "column": j, "method": "bicgstab"}
+                if misses is not None:
+                    report["galerkin_residual"] = misses[j]
+                reports[i, j] = report
+                if isinstance(sol, KroneigError):
+                    failures.append((i, j))
+                    degraded.add(j)
+                    report.update(iterations=0, residual=math.inf, converged=False, error=str(sol))
+                    continue
+                report.update(iterations=sol.iterations, residual=sol.achieved_residual,
+                              converged=sol.converged, rank=sol.rank)
+                if not sol.converged:
+                    degraded.add(j)
+                yield j, weight(i), sol.Xhat, sol.Xtil
+
+        sigma = family.extend(solutions(), sigma)
+        basis_ranks.append(family.ranks)
+
+    def galerkin_cell(i, j):
+        return family.solve(complex(filt.nodes[i]), j, cfg.tol)
+
+    bicgstab_cells(training)
+    for i in node_ids:
+        cells = [(i, j) for j in range(ell) if (i, j) not in training]
+        misses = {}
+        for (_, j), (Y, residual, steps) in zip(cells, run(galerkin_cell, cells)):
+            if residual <= cfg.tol:
+                reports[i, j] = {"node": i, "column": j, "method": "galerkin",
+                                 "iterations": steps, "residual": residual, "converged": True}
+                family.accumulate(sigma, j, weight(i), Y)
             else:
-                Ladd = sol.Xhat
-                Radd = c * sol.Xtil
-            L = np.hstack([Lacc[j], Ladd])
-            R = np.hstack([Racc[j], Radd])
-            Lacc[j], Racc[j] = pair_truncate(L, R, rec.eps, rec.r_max)
-        rank_history.append([Lacc[j].shape[1] for j in range(ell)])
+                misses[j] = residual
+        if misses:
+            fallback_cells += [(i, j) for j in misses]
+            bicgstab_cells([(i, j) for j in misses], misses)
 
     diagnostics = {
-        "node_reports": reports,
+        "node_reports": [reports[key] for key in sorted(reports)],
         "failures": failures,
         "degraded_columns": sorted(degraded),
-        "column_rank_history": rank_history,
         "nodes_solved": node_ids,
         "conjugate_economy": real_data,
         "grid_size": len(node_ids) * ell,
+        "basis": {
+            "training_cells": training,
+            "cut": family.cut,
+            "ranks": basis_ranks,
+            "fallback_cells": fallback_cells,
+            "galerkin_cells": sum(r["method"] == "galerkin" for r in reports.values()),
+        },
     }
 
-    ranks = [L.shape[1] for L in Lacc]
-    if max(ranks, default=0) == 0:
+    if min(family.ranks) == 0:
         empty = BlockLowRank.empty(A.n_hat, A.n_til, 0, dtype=dtype)
         diagnostics["subspace_dim"] = 0
         return EigenResult(np.zeros(0), empty, np.zeros(0), np.zeros(0, dtype=bool), diagnostics)
 
-    r_tot = sum(ranks)
-    U = np.hstack(Lacc)
-    V = np.hstack([np.conj(R) for R in Racc])
-    sigma = np.zeros((ell, r_tot, r_tot), dtype=dtype)
-    off = 0
-    for j, r in enumerate(ranks):
-        sigma[j, off : off + r, off : off + r] = np.eye(r)
-        off += r
-    W = BlockLowRank(U, V, sigma)
+    W = BlockLowRank(family.U, np.conj(family.V), sigma)
     diagnostics["assembled_rank_pre"] = (W.r_hat, W.r_til)
     W = truncate(W, rec.eps, rec.r_max)
     diagnostics["assembled_rank_post"] = (W.r_hat, W.r_til)

@@ -39,6 +39,13 @@ n_hat x n_til matrix (``_pair_fills_matrix``), BiCGstab carries its
 recursion blocks and eig2 its dense output as exact matrices X, in the pair
 form (X, I): one product F @ G.T replaces each QR and SVD. The iterate x
 stays a truncated pair of rank at most the cap.
+
+A family of node equations that differ only in the shift and in which
+right-hand side column they take is solved on one shared tensor basis by
+``TensorGalerkin``: the basis grows from solutions found otherwise (the
+contour's BiCGstab training and fallback cells), each cell is a small
+projected equation, and its residual is a true full-space one. The eig2
+preconditioner then serves only the BiCGstab cells.
 """
 
 from __future__ import annotations
@@ -69,6 +76,7 @@ __all__ = [
     "adi_shifts",
     "fadi_steps",
     "EigenbasisPreconditioner",
+    "TensorGalerkin",
     "bicgstab_multiterm",
 ]
 
@@ -405,6 +413,192 @@ def _make_precond(precond, problem):
     if hasattr(precond, "solve_pair"):
         return precond
     raise OutOfRange(f"bicgstab_multiterm: unknown preconditioner {precond!r}")
+
+
+# ---------------------------------------------------------------------------
+# Galerkin solves of a node-equation family on a shared tensor basis
+
+# iteration cap of the projected GMRES: its Krylov basis holds one r x r
+# array per step, and a cell that needs more steps falls back anyway
+_GMRES_MAX_ITER = 50
+
+
+def _gmres(apply, b, target, max_iter):
+    """Unrestarted GMRES from zero on arrays of any shape.
+
+    Stops once the residual norm is at most ``target`` (absolute) or after
+    max_iter steps. Returns (x, steps).
+    """
+    beta = float(np.linalg.norm(b))
+    if beta <= target:
+        return np.zeros_like(b), 0
+    basis = [b / beta]
+    H = np.zeros((max_iter + 1, max_iter), dtype=complex)
+    rhs = np.zeros(max_iter + 1, dtype=complex)
+    rhs[0] = beta
+    for k in range(max_iter):
+        w = apply(basis[k])
+        for i in range(k + 1):  # modified Gram-Schmidt
+            H[i, k] = np.vdot(basis[i], w)
+            w = w - H[i, k] * basis[i]
+        H[k + 1, k] = np.linalg.norm(w)
+        y = np.linalg.lstsq(H[: k + 2, : k + 1], rhs[: k + 2], rcond=None)[0]
+        if np.linalg.norm(H[: k + 2, : k + 1] @ y - rhs[: k + 2]) <= target or H[k + 1, k] == 0:
+            break
+        basis.append(w / H[k + 1, k])
+    return sum(c * q for c, q in zip(y, basis)), k + 1
+
+
+class TensorGalerkin:
+    """Galerkin solves of a family of node equations on one tensor basis.
+
+    The family is L_z(X) = ((z/2) I - K_hat) X + X ((z/2) I - K_til)^T -
+    sum hat_c X til_c^T = F[:, j] G[:, j]^T over shifts z and right-hand
+    side columns j, the node equations of one contour. Its solutions lie
+    close to one tensor space: X ~ U Y V^T with orthonormal U (n_hat x r_hat)
+    and V (n_til x r_til), grown by ``extend`` from solutions found
+    otherwise (Simoncini, SIAM Review 2016; Kressner & Tobler, SIMAX 2011).
+    A cell projects to the r_hat x r_til equation
+
+        (z/2 - U^H K_hat U) Y + Y (z/2 - V^H K_til V)^T
+            - sum (U^H hat_c U) Y (V^H til_c V)^T = (U^H F_j)(V^H G_j)^T,
+
+    solved by GMRES right-preconditioned with the two-term part. The bases
+    are kept in the eigenbases of U^H K_hat U and V^H K_til V, where that
+    part is the elementwise division by z - lam_hat_i - lam_til_j, so the
+    eigendecompositions are paid once per basis, not per shift.
+
+    ``solve`` returns the true relative residual of U Y V^T in full space:
+    b - L(U Y V^T) = P M Q^T with P = [F, U, K_hat U, hat_c U], Q = [G, V,
+    K_til V, til_c V] and a small core M holding Y and -z Y. P and Q are
+    triangularized once per basis, so the norm is ||Rp M Rq^T||_F, as
+    accurate as the triangular-factor residual of ``bicgstab_multiterm``.
+
+    With ``real`` set (real factors and right-hand sides) U and V are real
+    and span [X, conj X] of every added solution, so the conjugate node's
+    solution conj(U Y V^T) = U conj(Y) V^T lies in the same space. A basis
+    direction is kept when it carries more than ``cut`` of a normalized
+    added solution.
+    """
+
+    def __init__(self, K_hat, K_til, couplings, F, G, cut, real):
+        self.K_hat, self.K_til = as_factor(K_hat), as_factor(K_til)
+        self.couplings = tuple((as_factor(t), as_factor(h)) for t, h in couplings)
+        self.F, self.G = F, G
+        self.cut = cut
+        self.real = real
+        dtype = float if real else complex
+        self.U = np.zeros((F.shape[0], 0), dtype=dtype)
+        self.V = np.zeros((G.shape[0], 0), dtype=dtype)
+        self.lam_hat = self.lam_til = np.zeros(0)
+        self.bnorm = np.linalg.norm(F, axis=0) * np.linalg.norm(G, axis=0)
+
+    @property
+    def ranks(self):
+        return self.U.shape[1], self.V.shape[1]
+
+    def _grow(self, B, W):
+        """B extended by the directions of W's remainder above the cut."""
+        if self.real:
+            W = np.hstack([W.real, W.imag])
+
+        def orthogonalize(W):  # Gram-Schmidt twice keeps W orthogonal to B
+            for _ in range(2):
+                W = W - B @ (B.conj().T @ W)
+            return W
+
+        Q, s, _ = np.linalg.svd(orthogonalize(W), full_matrices=False)
+        # directions kept near the cut are mostly rounding along B: clean them
+        Q = np.linalg.qr(orthogonalize(Q[:, s > self.cut]))[0]
+        return np.hstack([B, Q])
+
+    def accumulate(self, sigma, j, w, Y):
+        """sigma[j] += w Y, in place. With real bases the real part is
+        added: U Re(w Y) V^T is w X plus the conjugate node's conj(w X), halved."""
+        sigma[j] += (w * Y).real if self.real else w * Y
+
+    def extend(self, solutions, sigma):
+        """Add weighted solutions to the basis and to the cores sigma.
+
+        ``solutions`` yields (j, w, Xhat, Xtil) and is consumed one at a
+        time: X = Xhat Xtil^T extends the basis, which then holds it up to
+        the cut, and its core is accumulated into sigma[j] with weight w.
+        ``sigma`` (ell, r_hat, r_til) holds cores on the current bases;
+        returns them on the new bases.
+        """
+        U, V = self.U, self.V
+        for j, w, Xhat, Xtil in solutions:
+            lift_h, Rh = qr_unless_wide(Xhat)
+            lift_t, Rt = qr_unless_wide(Xtil)
+            core = Rh @ Rt.T
+            scale = np.linalg.norm(core)
+            if scale > 0.0:
+                # X / ||X|| = (Qh C)(Qt)^T: Qh C carries X's column space
+                # with its singular values, Qt C^T the row space with the same
+                U = self._grow(U, lift_h(core / scale))
+                V = self._grow(V, lift_t(core.T / scale))
+            # appended directions extend the cores by zeros
+            sigma = np.pad(sigma, ((0, 0), (0, U.shape[1] - sigma.shape[1]),
+                                   (0, V.shape[1] - sigma.shape[2])))
+            self.accumulate(sigma, j, w, (U.conj().T @ Xhat) @ (V.conj().T @ Xtil).T)
+        lam_h, Ph = scipy.linalg.eigh(_hermitian(U.conj().T @ (self.K_hat @ U)))
+        lam_t, Pt = scipy.linalg.eigh(_hermitian(V.conj().T @ (self.K_til @ V)))
+        self.U, self.V = U @ Ph, V @ Pt
+        self.lam_hat, self.lam_til = lam_h, lam_t
+        self._project()
+        # U_old Y V_old^T = U (Ph^H Y conj(Pt)) V^T
+        return Ph.conj().T @ sigma @ Pt.conj()
+
+    def _project(self):
+        U, V = self.U, self.V
+        hats = [h @ U for _, h in self.couplings]
+        tils = [t @ V for t, _ in self.couplings]
+        self.H = [U.conj().T @ hU for hU in hats]
+        self.T = [V.conj().T @ tV for tV in tils]
+        self.f = U.conj().T @ self.F
+        self.g = V.conj().T @ self.G
+        ell = self.F.shape[1]
+        Rp = qr_unless_wide(np.hstack([self.F, U, self.K_hat @ U] + hats))[1]
+        Rq = qr_unless_wide(np.hstack([self.G, V, self.K_til @ V] + tils))[1]
+        self.Rp_rhs, self.Rq_rhs = Rp[:, :ell], Rq[:, :ell]
+        self.Rp_blocks = np.split(Rp[:, ell:], 2 + len(hats), axis=1)
+        self.Rq_blocks = np.split(Rq[:, ell:], 2 + len(tils), axis=1)
+
+    def residual(self, z, j, Y):
+        """True relative residual ||F_j G_j^T - L_z(U Y V^T)||_F / ||F_j G_j^T||_F."""
+        pU, pKU, *pH = self.Rp_blocks
+        qV, qKV, *qT = self.Rq_blocks
+        left = np.hstack([pU @ Y, pKU @ Y] + [p @ Y for p in pH])
+        right = np.hstack([qKV - z * qV, qV] + qT)
+        R = np.outer(self.Rp_rhs[:, j], self.Rq_rhs[:, j]) + left @ right.T
+        return float(np.linalg.norm(R)) / self.bnorm[j]
+
+    def solve(self, z, j, tol):
+        """Galerkin solution of cell (z, j): (Y, true relative residual, steps).
+
+        GMRES stops at a projected residual of tol / 10 relative to the
+        right-hand side; the returned residual is measured in full space.
+        A basis of rank 0, or a shift on the projected two-term spectrum,
+        gives Y = None and residual inf.
+        """
+        if self.bnorm[j] == 0.0:
+            return np.zeros(self.ranks, dtype=complex), 0.0, 0
+        D = z - self.lam_hat[:, None] - self.lam_til[None, :]
+        if D.size == 0 or not np.all(D):
+            return None, math.inf, 0
+        B = np.outer(self.f[:, j], self.g[:, j])
+
+        def apply(W):
+            Y = W / D
+            return W - sum(H @ Y @ T.T for H, T in zip(self.H, self.T))
+
+        W, steps = _gmres(apply, B, 0.1 * tol * self.bnorm[j], _GMRES_MAX_ITER)
+        Y = W / D
+        return Y, self.residual(z, j, Y), steps
+
+
+def _hermitian(M):
+    return 0.5 * (M + M.conj().T)
 
 
 # ---------------------------------------------------------------------------

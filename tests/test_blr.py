@@ -240,6 +240,20 @@ def test_orthonormalize_falls_back_on_singular_gram():
     assert np.allclose(block_inner(Q, Q), np.eye(3), atol=1e-8)
 
 
+def test_orthonormalize_equal_columns_take_the_svd_path():
+    # Two equal columns: the Cholesky factorization of this Gram succeeds
+    # on a pivot that is only roundoff, so the scaled-pivot test has to
+    # catch it, whatever the column scale.
+    rng = np.random.default_rng(5)
+    sigma = rng.standard_normal((5, 4, 4))
+    sigma[4] = sigma[0]
+    for scale in (1.0, 1e-6, 1e6):
+        W = BlockLowRank(rng.standard_normal((12, 4)), rng.standard_normal((11, 4)), scale * sigma)
+        Q, method = orthonormalize(W)
+        assert method == "svd" and Q.ell == 4
+        assert np.allclose(block_inner(Q, Q), np.eye(4), atol=1e-8)
+
+
 def test_residual_block_matches_dense():
     rng = make_rng(48)
     A = random_sym_kron_operator(rng, 5, 4, terms=3)

@@ -9,6 +9,7 @@ import scipy.linalg
 from conftest import bound_instance, make_rng
 from kroneig.contour import (
     NodeSolverConfig,
+    RationalFilter,
     RecompressConfig,
     contour_eigensolve,
     filter_eval,
@@ -17,6 +18,7 @@ from kroneig.contour import (
     tan_angle_B,
     trapezoid_circle,
 )
+from kroneig import contour
 from kroneig.blr import KroneckerSumOperator, to_dense
 from kroneig.errors import (
     DegenerateSubspace,
@@ -34,7 +36,7 @@ from kroneig.problems import (
     schrodinger_kron,
 )
 from kroneig.sketch import KhatriRaoSketch, draw_khatri_rao
-from kroneig.sylvester import EigenbasisPreconditioner
+from kroneig.sylvester import EigenbasisPreconditioner, TensorGalerkin, bicgstab_multiterm
 
 
 def test_trapezoid_circle_geometry():
@@ -165,16 +167,152 @@ def test_contour_result_shapes():
     assert res.diagnostics["grid_size"] == len(res.diagnostics["nodes_solved"]) * 4
 
 
-def test_contour_threads_deterministic():
-    spec, _, center, radius = _zero_potential_window(14)
-    A = schrodinger_kron(spec)
-    filt = trapezoid_circle(center, radius, 8)
-    sk = draw_khatri_rao(14, 14, 4, seed=2)
-    r1 = contour_eigensolve(A, filt, sk, NodeSolverConfig(tol=1e-9, seed=0), threads=1)
-    r2 = contour_eigensolve(A, filt, sk, NodeSolverConfig(tol=1e-9, seed=0), threads=2)
+def _one_column_basis(monkeypatch):
+    """Train the contour's basis on one cell: column 0 at the first node."""
+    monkeypatch.setattr(contour, "_training_cells", lambda node_ids, ell: [(node_ids[0], 0)])
+
+
+def _assert_same_run(r1, r2):
     assert np.array_equal(r1.ritz_values, r2.ritz_values)
     assert np.array_equal(r1.residual_norms, r2.residual_norms)
-    assert r1.diagnostics["column_rank_history"] == r2.diagnostics["column_rank_history"]
+    assert r1.diagnostics["node_reports"] == r2.diagnostics["node_reports"]
+    assert r1.diagnostics["basis"] == r2.diagnostics["basis"]
+    for name in ("U", "V", "sigma"):
+        assert np.array_equal(getattr(r1.ritz_vectors, name), getattr(r2.ritz_vectors, name))
+
+
+def _sum_of_squares_window(n):
+    A = schrodinger_kron(make_spec("sum-of-squares", n))
+    lam = np.linalg.eigvalsh(assemble_dense(A))
+    center = 0.5 * (lam[1] + lam[3])
+    radius = 0.5 * (lam[3] - lam[1]) + 0.3 * (lam[4] - lam[3])
+    return A, lam, center, radius
+
+
+def _threads_agree(A, center, radius):
+    filt = trapezoid_circle(center, radius, 8)
+    sk = draw_khatri_rao(A.n_hat, A.n_til, 4, seed=2)
+    runs = [
+        contour_eigensolve(A, filt, sk, NodeSolverConfig(tol=1e-9, seed=0), threads=t)
+        for t in (1, 2)
+    ]
+    _assert_same_run(*runs)
+    return runs[0]
+
+
+def test_contour_threads_deterministic():
+    spec, _, center, radius = _zero_potential_window(14)
+    res = _threads_agree(schrodinger_kron(spec), center, radius)
+    assert not res.diagnostics["basis"]["fallback_cells"]
+
+
+def test_contour_threads_deterministic_with_enrichment(monkeypatch):
+    # fallback cells extend the basis after their node, in column order,
+    # so threads=2 still gives threads=1's bits
+    A, _, center, radius = _sum_of_squares_window(32)
+    _one_column_basis(monkeypatch)
+    res = _threads_agree(A, center, radius)
+    assert res.diagnostics["basis"]["fallback_cells"]
+
+
+def _trained_family(A, nodes, sk, tol):
+    """A real family whose basis holds the BiCGstab solutions at nodes 0 and 4."""
+    K_hat, K_til, couplings = A.split
+    F = sk.scale * sk.hat
+    family = TensorGalerkin(K_hat, K_til, couplings, F, sk.tilde, 1e-3 * tol, True)
+    sols = [
+        (j, 1.0, s.Xhat, s.Xtil)
+        for i in (0, 4)
+        for j in range(sk.ell)
+        for s in [bicgstab_multiterm(node_problem(A, complex(nodes[i]), F[:, j : j + 1],
+                                                  sk.tilde[:, j : j + 1]), tol=tol)]
+    ]
+    family.extend(sols, np.zeros((sk.ell, 0, 0)))
+    return family
+
+
+def test_galerkin_cell_matches_bicgstab():
+    # A basis from the two training nodes carries a held-out node: the
+    # Galerkin cell and BiCGstab on the same cell agree, and both report a
+    # true residual at most tol, the Galerkin one confirmed densely.
+    n, tol = 64, 1e-6
+    A = schrodinger_kron(make_spec("sum-of-squares", n))
+    filt = trapezoid_circle(12.606, 9.0, 16)
+    sk = draw_khatri_rao(n, n, 3, seed=1)
+    family = _trained_family(A, filt.nodes, sk, tol)
+    assert family.ranks[0] < n
+    for j in range(3):
+        p = node_problem(A, complex(filt.nodes[2]), family.F[:, j : j + 1], sk.tilde[:, j : j + 1])
+        ref = bicgstab_multiterm(p, tol=tol)
+        Y, residual, _ = family.solve(complex(filt.nodes[2]), j, tol)
+        X = family.U @ Y @ family.V.T
+        Xref = ref.Xhat @ ref.Xtil.T
+        b = p.F @ p.G.T
+        dense = np.linalg.norm(b - p.Acoef @ X - X @ p.Bcoef.T
+                               + p.couplings[0][1].dense() @ X @ p.couplings[0][0].dense().T)
+        assert residual <= tol and ref.achieved_residual <= tol
+        assert dense / np.linalg.norm(b) == pytest.approx(residual, rel=1e-3, abs=1e-12)
+        assert np.linalg.norm(X - Xref) <= 1e3 * tol * np.linalg.norm(Xref)
+
+
+def test_contour_one_column_basis_falls_back_and_enriches(monkeypatch):
+    # A basis from one cell cannot carry the other columns: their Galerkin
+    # cells miss, fall back to BiCGstab and extend the basis, and every
+    # cell still ends at the node tolerance.
+    A, lam, center, radius = _sum_of_squares_window(32)
+    filt = trapezoid_circle(center, radius, 16)
+    sk = draw_khatri_rao(32, 32, 3, seed=1)
+    _one_column_basis(monkeypatch)
+    res = contour_eigensolve(A, filt, sk, NodeSolverConfig(tol=1e-8, seed=0))
+    d = res.diagnostics
+    assert d["basis"]["training_cells"] == [(d["nodes_solved"][0], 0)]
+    # one basis from training, then one extension per node with fallbacks
+    assert d["basis"]["fallback_cells"]
+    assert len(d["basis"]["ranks"]) == 1 + len({i for i, _ in d["basis"]["fallback_cells"]})
+    reports = d["node_reports"]
+    assert sorted((r["node"], r["column"]) for r in reports) == [
+        (i, j) for i in d["nodes_solved"] for j in range(3)
+    ]
+    fallbacks = [r for r in reports if "galerkin_residual" in r]
+    assert fallbacks and all(r["method"] == "bicgstab" for r in fallbacks)
+    assert sorted((r["node"], r["column"]) for r in fallbacks) == sorted(d["basis"]["fallback_cells"])
+    assert all(r["converged"] and r["residual"] <= 1e-8 for r in reports)
+    # the same filtered subspace as with the full training set
+    monkeypatch.undo()
+    ref = contour_eigensolve(A, filt, sk, NodeSolverConfig(tol=1e-8, seed=0))
+    assert not ref.diagnostics["basis"]["fallback_cells"]
+    inside = np.sort(res.ritz_values[res.inside_flags])
+    assert len(inside) == 3
+    assert np.max(np.abs(inside - np.sort(ref.ritz_values[ref.inside_flags]))) < 1e-8
+
+
+def test_node_next_to_spectrum_is_checked():
+    # A node 1e-9 off an eigenvalue: the projected equation is nearly
+    # singular there. The Galerkin cell must report its true residual,
+    # and the contour either accepts it under tol or falls back.
+    A, lam, center, radius = _sum_of_squares_window(16)
+    dense = assemble_dense(A)
+    filt = trapezoid_circle(center, radius, 16)
+    nodes = filt.nodes.copy()
+    nodes[2], nodes[13] = lam[2] + 1e-9j, lam[2] - 1e-9j
+    near = RationalFilter(nodes, filt.weights, filt.center, filt.radius)
+    sk = draw_khatri_rao(16, 16, 3, seed=1)
+    tol = 1e-10
+    family = _trained_family(A, nodes, sk, tol)
+    F = family.F
+    for j in range(3):
+        Y, residual, _ = family.solve(complex(nodes[2]), j, tol)
+        x = (family.U @ Y @ family.V.T).reshape(-1, order="F")
+        b = np.kron(sk.tilde[:, j], F[:, j])
+        true = np.linalg.norm(b - (nodes[2] * x - dense @ x)) / np.linalg.norm(b)
+        # both sides round at eps ||A|| ||x||, large next to the spectrum
+        floor = 100 * np.finfo(float).eps * np.abs(lam).max() * np.linalg.norm(x) / np.linalg.norm(b)
+        assert abs(true - residual) <= 1e-2 * true + floor
+    res = contour_eigensolve(A, near, sk, NodeSolverConfig(tol=tol, seed=0))
+    for r in res.diagnostics["node_reports"]:
+        assert r["method"] == "bicgstab" or (r["converged"] and r["residual"] <= tol)
+        if r["method"] == "galerkin" or "galerkin_residual" in r:
+            assert (r["node"], r["column"]) not in res.diagnostics["basis"]["training_cells"]
 
 
 def test_contour_gram_breakdown_falls_back_to_svd():
@@ -196,6 +334,22 @@ def test_contour_gram_breakdown_falls_back_to_svd():
     assert res.diagnostics["subspace_dim"] == 4
     assert ref.diagnostics["orthonormalization"] == "cholesky"
     assert np.allclose(res.ritz_values, ref.ritz_values, rtol=1e-10, atol=0.0)
+
+
+def test_contour_duplicated_sketch_column_falls_back_to_svd():
+    # Column 4 of the sketch repeats column 0, so the filtered block has a
+    # dependent column whose Cholesky pivot is only roundoff: the SVD path
+    # must drop it instead of passing a spurious Ritz pair on.
+    A, lam, _, _ = _sum_of_squares_window(20)
+    center = 0.5 * (lam[2] + lam[4])
+    radius = 0.5 * (lam[4] - lam[2]) + 0.3 * (lam[5] - lam[4])
+    sk = draw_khatri_rao(20, 20, 5, seed=5)
+    hat, tilde = sk.hat.copy(), sk.tilde.copy()
+    hat[:, 4], tilde[:, 4] = hat[:, 0], tilde[:, 0]
+    res = contour_eigensolve(A, trapezoid_circle(center, radius, 32),
+                             KhatriRaoSketch(tilde, hat, sk.scale), NodeSolverConfig(tol=1e-10, seed=0))
+    assert res.diagnostics["orthonormalization"] == "svd"
+    assert res.diagnostics["subspace_dim"] == 4
 
 
 class _FailOnce:

@@ -92,3 +92,33 @@ def test_round_counts_are_reported_and_mismatches_flagged():
     # a crashed change run has no round count and cannot differ
     assert rows["change"]["rounds"] == [2, 3]
     assert rows["rounds_differ"] == [7]
+
+
+def test_failed_pairs_are_attributed_to_inputs():
+    pairs = _load_pairs()
+    stderr = [
+        "contour-tight round 0: eigenpair lambda=12.47516387 failed: residual 6.667e-06 above target",
+        "unrelated line",
+        "contour-tight round 2: eigenpair lambda=20.01299688 failed: residual 4.077e-06 above target",
+    ]
+    assert pairs.failed_pairs(stderr) == [[0, "lambda=12.47516387"], [2, "lambda=20.01299688"]]
+
+    def run(rounds, failed):
+        record = _run(5.0, len(failed), rounds=rounds)
+        record["failed_pairs"] = failed
+        return record
+
+    runs = [
+        # seed 1: both sides ran rounds 0-1, the change also round 2
+        {"workload": "w", "seed": 1, "base": run(2, [[0, "a"], [1, "b"]]),
+         "change": run(3, [[0, "a"], [2, "c"]])},
+        # seed 2: only the base ran round 1
+        {"workload": "w", "seed": 2, "base": run(2, [[1, "d"]]), "change": run(1, [])},
+        # a crashed change run has no inputs to compare
+        {"workload": "w", "seed": 3, "base": run(1, [[0, "e"]]), "change": {"returncode": 1}},
+    ]
+    rows = pairs.build_report({"workloads": ["w"]}, runs, {"solve_s": "lower"})["summary"]["w"]
+    assert rows["failed_pairs"] == {
+        "same_inputs": {"base": [[1, 0, "a"], [1, 1, "b"]], "change": [[1, 0, "a"]]},
+        "one_side": {"base": [[2, 1, "d"]], "change": [[1, 2, "c"]]},
+    }

@@ -20,7 +20,10 @@ operations and solver rounds per run, and every run's result and env
 record. A run fits as many rounds into --seconds as it expects to finish,
 each on other inputs, so "rounds_differ" lists the seeds whose two sides
 ran different round counts: there the peak_rss_mb and ritz_entries
-medians cover different inputs. A metric's "gain"
+medians cover different inputs. "failed_pairs" lists every failed
+eigenpair as [seed, round, label], split into rounds that both sides ran
+(the same inputs, so a changed result) and rounds that only one side ran
+(other inputs). A metric's "gain"
 also needs the change to fail no larger share of its operations than the
 base. Metric directions come from BENCHMARK.json's end-to-end metrics.
 When src/ or bench/ differ from HEAD, the sha256 of that diff names the
@@ -33,6 +36,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import shutil
 import statistics
 import subprocess
@@ -42,6 +46,8 @@ import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# bench/run.py's report of a wanted eigenpair that failed its checks
+FAILED_PAIR = re.compile(r"round (\d+): eigenpair (\S+) failed")
 
 
 def quartiles(values):
@@ -112,12 +118,39 @@ def run_once(tree, workload, seed, seconds):
     t0 = time.monotonic()
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
+    stderr = proc.stderr.strip().splitlines()
     record = {"returncode": proc.returncode, "wall_s": time.monotonic() - t0,
-              "stderr": proc.stderr.strip().splitlines()[-40:]}
+              "stderr": stderr[-40:], "failed_pairs": failed_pairs(stderr)}
     if proc.returncode == 0 and len(lines) >= 2:
         record["env"] = json.loads(lines[-2])["env"]
         record["result"] = json.loads(lines[-1])
     return record
+
+
+def failed_pairs(stderr_lines):
+    """[round, eigenpair label] of every "round i: eigenpair ... failed" line."""
+    found = (FAILED_PAIR.search(line) for line in stderr_lines)
+    return [[int(m.group(1)), m.group(2)] for m in found if m]
+
+
+def attribute_failures(done):
+    """Failed pairs of both sides as [seed, round, label], split by inputs.
+
+    Round i of a seed solves the same inputs on both sides, so a failure
+    on a round that both sides ran ("same_inputs") comes from a changed
+    result; one on a round that only one side ran ("one_side") comes from
+    inputs the other side never saw. Pairs with a crashed run are skipped.
+    """
+    out = {key: {"base": [], "change": []} for key in ("same_inputs", "one_side")}
+    for r in done:
+        if "result" not in r["change"]:
+            continue
+        shared = min(len(r[side]["env"]["solve_s"]) for side in ("base", "change"))
+        for side in ("base", "change"):
+            for rnd, label in r[side].get("failed_pairs", []):
+                key = "same_inputs" if rnd < shared else "one_side"
+                out[key][side].append([r["seed"], rnd, label])
+    return out
 
 
 def failed_share(results):
@@ -153,6 +186,7 @@ def build_report(meta, runs, directions):
             r["seed"] for r in done if "result" in r["change"]
             and len(r["base"]["env"]["solve_s"]) != len(r["change"]["env"]["solve_s"])
         ]
+        rows["failed_pairs"] = attribute_failures(done)
         fails_more = rows["change"]["failed_share"] > rows["base"]["failed_share"]
         for name in directions:
             base = [r["base"]["result"]["metrics"][name]["value"] for r in done]
