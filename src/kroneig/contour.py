@@ -10,18 +10,19 @@ is the Khatri-Rao column; it matricizes to a three-term Sylvester
 equation. The node equations of a run are one family in the shift with
 the same right-hand sides, and their solutions lie close to one small
 tensor basis U (x) V (``sylvester.TensorGalerkin``). The training cells
-(every column at two nodes) are solved by the truncated BiCGstab of
-.sylvester and span that basis; every other cell is solved by Galerkin
-projection onto it, and its true residual is checked in full space. A
-cell that misses the node tolerance falls back to BiCGstab, and its
-solution extends the basis after its node. The filter is accumulated
-exactly on the shared basis, one core per sketch column (for real data
-the basis is real, so a conjugate node pair folds into one real
-contribution), truncated once at assembly, and the Ritz pairs come from
-the Rayleigh-Ritz step shared with LOBPCG (``blr.orthonormalize``,
-``blr.rayleigh_ritz_3block``, ``blr.residual_block``). A node problem
-holds the operator's own typed factors and z, so no n x n coefficient is
-formed per cell.
+(every column at the first node) build that basis from eig2 two-term
+solves: of their right-hand sides first, then of the coupling images of
+those that still miss the node tolerance. Every other cell is solved by
+Galerkin projection onto the basis, and its true residual is checked in
+full space. A cell that misses the node tolerance falls back to the
+truncated BiCGstab of .sylvester, and its solution extends the basis
+after its node. The filter is accumulated exactly on the shared basis,
+one core per sketch column (for real data the basis is real, so a
+conjugate node pair folds into one real contribution), truncated once at
+assembly, and the Ritz pairs come from the Rayleigh-Ritz step shared with
+LOBPCG (``blr.orthonormalize``, ``blr.rayleigh_ritz_3block``,
+``blr.residual_block``). A node problem holds the operator's own typed
+factors and z, so no n x n coefficient is formed per cell.
 
 Desk-scale evaluators quantify the subspace quality independently of the
 solver: structural_bound evaluates the angle bound driven by the filter
@@ -55,7 +56,6 @@ from .errors import (
     OutOfRange,
     PoleHit,
     RankDeficient,
-    RankOverflow,
     SizeOverflow,
     StructureMismatch,
 )
@@ -146,11 +146,13 @@ def filter_eval(filt, lam):
 
 @dataclass(frozen=True)
 class NodeSolverConfig:
-    """Settings for the per-node BiCGstab solves.
+    """Settings for the node solves.
 
     ``precond`` is "eig2" (one eigenbasis preconditioner shared by every
-    node and column), None (unpreconditioned) or an object with a
-    ``solve_pair`` method.
+    node and column), None or an object with a ``solve_pair`` method. It
+    makes the two-term solves that build the shared basis and
+    preconditions the BiCGstab fallbacks; with None the fallbacks run
+    unpreconditioned and the basis comes from an eig2 built for it.
     """
 
     tol: float = 1e-10
@@ -198,9 +200,9 @@ def node_problem(A, z, F, G):
 
 
 def _training_cells(node_ids, ell):
-    """Cells solved by BiCGstab before any Galerkin solve: every column at
-    the first solved node and at the middle one."""
-    return [(i, j) for i in sorted({node_ids[0], node_ids[len(node_ids) // 2]}) for j in range(ell)]
+    """Cells that build the shared basis before any held-out cell is
+    solved: every column at the first solved node."""
+    return [(node_ids[0], j) for j in range(ell)]
 
 
 def contour_eigensolve(A, filt, sk, solver_cfg=None, recompress=None, threads=1):
@@ -209,19 +211,23 @@ def contour_eigensolve(A, filt, sk, solver_cfg=None, recompress=None, threads=1)
     Every quadrature node i and sketch column j make one cell, the shifted
     system (z_i - A) x = sketch column j in factored form; for real data
     only the upper half-plane nodes are solved and each contributes the
-    folded real part of its conjugate pair. The cells of the training
-    nodes (the first solved node and the middle one) are solved by
-    BiCGstab, and their solutions span the shared tensor basis of a
-    ``TensorGalerkin`` family. Every other cell is solved on that basis,
-    and its true residual is checked in full space: a cell that misses
-    the node tolerance falls back to BiCGstab, and after each node the
-    fallback solutions extend the basis in column order (the greedy
-    reduced-basis loop). The filter is accumulated exactly on the shared
-    basis, one core per column, truncated once at assembly,
-    orthonormalized (Cholesky with an SVD fallback), and the symmetrized
-    projected pencil yields the Ritz pairs. A failed BiCGstab cell is
-    recorded and skipped; the column is flagged degraded but the solve
-    grid keeps going.
+    folded real part of its conjugate pair. The training cells (every
+    column at the first solved node) build the shared tensor basis of a
+    ``TensorGalerkin`` family without BiCGstab: each seeds it with the
+    eig2 two-term solve of its right-hand side, and the family then grows
+    it by the two-term solves of the coupling images of the training
+    cells that still miss the node tolerance (``TensorGalerkin.enrich``),
+    round by round, until they reach it or a round fails to halve the
+    worst residual. Every other cell is solved on that basis, and its true
+    residual is checked in full space. A cell that misses the node
+    tolerance, training cells left over by the enrichment included, falls
+    back to BiCGstab, and after each node the fallback solutions extend
+    the basis in column order (the greedy reduced-basis loop). The filter
+    is accumulated exactly on the shared basis, one core per column,
+    truncated once at assembly, orthonormalized (Cholesky with an SVD
+    fallback), and the symmetrized projected pencil yields the Ritz pairs.
+    A failed seed solve or BiCGstab cell is recorded and skipped; the
+    column is flagged degraded but the solve grid keeps going.
     """
     cfg = solver_cfg if solver_cfg is not None else NodeSolverConfig()
     rec = recompress if recompress is not None else RecompressConfig()
@@ -238,6 +244,9 @@ def contour_eigensolve(A, filt, sk, solver_cfg=None, recompress=None, threads=1)
     # an unknown name would otherwise fail every cell one by one
     if shared_precond is not None and not hasattr(shared_precond, "solve_pair"):
         raise OutOfRange(f"contour_eigensolve: unknown preconditioner {cfg.precond!r}")
+    # the two-term solves that build the basis need a preconditioner even
+    # when the BiCGstab fallbacks run without one
+    seed_precond = shared_precond or EigenbasisPreconditioner(K_hat, K_til)
 
     real_data = not any(
         np.iscomplexobj(t) for pair in A.terms for t in pair
@@ -258,8 +267,31 @@ def contour_eigensolve(A, filt, sk, solver_cfg=None, recompress=None, threads=1)
         c = complex(filt.weights[i] / (2.0j * np.pi))
         return 2.0 * c if real_data and filt.nodes[i].imag > im_floor else c
 
-    def bicgstab_cell(i, j):
+    def two_term(z, j, Fs, Gs):
+        """The two-term solve of Fs Gs^T at node z, to 1e-3 tol."""
+        problem = node_problem(A, z, F[:, j : j + 1], sk.tilde[:, j : j + 1])
+        rng = np.random.default_rng((cfg.seed, j))
+        return seed_precond.solve_pair(problem, Fs, Gs, 1e-3 * cfg.tol, cfg.rank_cap, rng)
+
+    def seed_cell(cell):
+        """The two-term solve of a training cell's right-hand side; a
+        KroneigError is returned, not raised."""
+        i, j = cell
+        try:
+            return two_term(complex(filt.nodes[i]), j, F[:, j : j + 1], sk.tilde[:, j : j + 1])
+        except KroneigError as exc:
+            return exc
+
+    def enrichment(z, j, Fs, Gs):
+        """The two-term solve of a coupling image; None when it fails."""
+        try:
+            return two_term(z, j, Fs, Gs)
+        except KroneigError:
+            return None
+
+    def bicgstab_cell(cell):
         """BiCGstab on one (node, column) cell; a KroneigError is returned, not raised."""
+        i, j = cell
         seed = int(np.random.SeedSequence((cfg.seed, i, j)).generate_state(1)[0])
         try:
             return bicgstab_multiterm(
@@ -274,62 +306,85 @@ def contour_eigensolve(A, filt, sk, solver_cfg=None, recompress=None, threads=1)
         except KroneigError as exc:
             return exc
 
-    def run(fn, cells):
-        """fn over cells in order; lazily on one thread, so each BiCGstab
+    def pmap(fn, items):
+        """fn over items in order; lazily on one thread, so each BiCGstab
         solution is added to the basis before the next is solved."""
-        if threads > 1 and len(cells) > 1:
+        if threads > 1 and len(items) > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
-                return list(pool.map(fn, *zip(*cells)))
-        return (fn(i, j) for i, j in cells)
+                return list(pool.map(fn, items))
+        return map(fn, items)
 
     reports = {}
     failures = []
     degraded = set()
-    sigma = np.zeros((ell, 0, 0), dtype=dtype)
     fallback_cells = []
     basis_ranks = []
 
-    def bicgstab_cells(cells, misses=None):
-        """BiCGstab on cells: record them, extend the basis, accumulate."""
-        nonlocal sigma
+    def fail(cell, exc):
+        """Record a cell whose solve raised."""
+        failures.append(cell)
+        degraded.add(cell[1])
+        reports[cell].update(iterations=0, residual=math.inf, converged=False, error=str(exc))
+
+    def bicgstab_cells(misses, sigma):
+        """BiCGstab on the cells that missed: record them, extend the basis,
+        accumulate; returns sigma on the extended basis."""
 
         def solutions():
-            for (i, j), sol in zip(cells, run(bicgstab_cell, cells)):
-                report = {"node": i, "column": j, "method": "bicgstab"}
-                if misses is not None:
-                    report["galerkin_residual"] = misses[j]
-                reports[i, j] = report
+            for (i, j), sol in zip(misses, pmap(bicgstab_cell, list(misses))):
+                reports[i, j] = {"node": i, "column": j, "method": "bicgstab",
+                                 "galerkin_residual": misses[i, j]}
                 if isinstance(sol, KroneigError):
-                    failures.append((i, j))
-                    degraded.add(j)
-                    report.update(iterations=0, residual=math.inf, converged=False, error=str(sol))
+                    fail((i, j), sol)
                     continue
-                report.update(iterations=sol.iterations, residual=sol.achieved_residual,
-                              converged=sol.converged, rank=sol.rank)
+                reports[i, j].update(iterations=sol.iterations, residual=sol.achieved_residual,
+                                     converged=sol.converged, rank=sol.rank)
                 if not sol.converged:
                     degraded.add(j)
                 yield j, weight(i), sol.Xhat, sol.Xtil
 
+        fallback_cells.extend(misses)
         sigma = family.extend(solutions(), sigma)
         basis_ranks.append(family.ranks)
+        return sigma
 
-    def galerkin_cell(i, j):
-        return family.solve(complex(filt.nodes[i]), j, cfg.tol)
-
-    bicgstab_cells(training)
-    for i in node_ids:
-        cells = [(i, j) for j in range(ell) if (i, j) not in training]
+    def settle(cells, results, method, sigma):
+        """Accumulate the cells whose Galerkin solution reached the node
+        tolerance; the others fall back to BiCGstab. Returns sigma."""
         misses = {}
-        for (_, j), (Y, residual, steps) in zip(cells, run(galerkin_cell, cells)):
+        for (i, j), (Y, residual, steps) in zip(cells, results):
             if residual <= cfg.tol:
-                reports[i, j] = {"node": i, "column": j, "method": "galerkin",
+                reports[i, j] = {"node": i, "column": j, "method": method,
                                  "iterations": steps, "residual": residual, "converged": True}
                 family.accumulate(sigma, j, weight(i), Y)
             else:
-                misses[j] = residual
-        if misses:
-            fallback_cells += [(i, j) for j in misses]
-            bicgstab_cells([(i, j) for j in misses], misses)
+                misses[i, j] = residual
+        return bicgstab_cells(misses, sigma) if misses else sigma
+
+    def seeds():
+        """The training cells' seed pairs, one at a time; a failed seed is recorded."""
+        for cell, pair in zip(training, pmap(seed_cell, training)):
+            if isinstance(pair, KroneigError):
+                reports[cell] = {"node": cell[0], "column": cell[1], "method": "enriched"}
+                fail(cell, pair)
+            else:
+                seeded.append(cell)
+                yield pair
+
+    def galerkin_cell(cell):
+        i, j = cell
+        return family.solve(complex(filt.nodes[i]), j, cfg.tol)
+
+    seeded = []
+    family.grow(seeds())
+    results, rounds = family.enrich(
+        [(complex(filt.nodes[i]), j) for i, j in seeded], enrichment, cfg.tol, pmap
+    )
+    basis_ranks.append(family.ranks)
+    sigma = settle(seeded, results, "enriched", np.zeros((ell, *family.ranks), dtype=dtype))
+    for i in node_ids:
+        cells = [(i, j) for j in range(ell) if (i, j) not in training]
+        sigma = settle(cells, pmap(galerkin_cell, cells), "galerkin", sigma)
 
     diagnostics = {
         "node_reports": [reports[key] for key in sorted(reports)],
@@ -342,6 +397,7 @@ def contour_eigensolve(A, filt, sk, solver_cfg=None, recompress=None, threads=1)
             "training_cells": training,
             "cut": family.cut,
             "ranks": basis_ranks,
+            "enrichment_rounds": rounds,
             "fallback_cells": fallback_cells,
             "galerkin_cells": sum(r["method"] == "galerkin" for r in reports.values()),
         },
@@ -356,8 +412,6 @@ def contour_eigensolve(A, filt, sk, solver_cfg=None, recompress=None, threads=1)
     diagnostics["assembled_rank_pre"] = (W.r_hat, W.r_til)
     W = truncate(W, rec.eps, rec.r_max)
     diagnostics["assembled_rank_post"] = (W.r_hat, W.r_til)
-    if W.r_hat > rec.r_max or W.r_til > rec.r_max:
-        raise RankOverflow("contour_eigensolve: assembly exceeded the rank cap")
 
     W, diagnostics["orthonormalization"] = orthonormalize(W)
     diagnostics["subspace_dim"] = W.ell

@@ -55,10 +55,6 @@ class PoleHit(KroneigError):
     """Rational filter evaluated exactly at a quadrature node."""
 
 
-class RankOverflow(KroneigError):
-    """Accumulated factor ranks exceed the configured caps after truncation."""
-
-
 class RankDeficient(KroneigError):
     """A matrix required to have full rank is rank-deficient."""
 

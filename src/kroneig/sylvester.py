@@ -42,10 +42,11 @@ stays a truncated pair of rank at most the cap.
 
 A family of node equations that differ only in the shift and in which
 right-hand side column they take is solved on one shared tensor basis by
-``TensorGalerkin``: the basis grows from solutions found otherwise (the
-contour's BiCGstab training and fallback cells), each cell is a small
-projected equation, and its residual is a true full-space one. The eig2
-preconditioner then serves only the BiCGstab cells.
+``TensorGalerkin``: the basis grows from two-term solves (the eig2 solves
+of the right-hand sides, then of the coupling images of cells that miss
+their tolerance) and from solutions found otherwise (the contour's
+BiCGstab fallback cells), each cell is a small projected equation, and its
+residual is a true full-space one.
 """
 
 from __future__ import annotations
@@ -456,9 +457,13 @@ class TensorGalerkin:
     sum hat_c X til_c^T = F[:, j] G[:, j]^T over shifts z and right-hand
     side columns j, the node equations of one contour. Its solutions lie
     close to one tensor space: X ~ U Y V^T with orthonormal U (n_hat x r_hat)
-    and V (n_til x r_til), grown by ``extend`` from solutions found
-    otherwise (Simoncini, SIAM Review 2016; Kressner & Tobler, SIMAX 2011).
-    A cell projects to the r_hat x r_til equation
+    and V (n_til x r_til) (Simoncini, SIAM Review 2016; Kressner & Tobler,
+    SIMAX 2011). The basis grows three ways: ``grow`` adds given pairs
+    (the contour's two-term seed solves), ``enrich`` adds the two-term
+    solves of the coupling images of cells that miss their tolerance until
+    they reach it, and ``extend`` adds solutions found otherwise (BiCGstab
+    fallbacks) and accumulates them. A cell projects to the r_hat x r_til
+    equation
 
         (z/2 - U^H K_hat U) Y + Y (z/2 - V^H K_til V)^T
             - sum (U^H hat_c U) Y (V^H til_c V)^T = (U^H F_j)(V^H G_j)^T,
@@ -476,7 +481,8 @@ class TensorGalerkin:
 
     With ``real`` set (real factors and right-hand sides) U and V are real
     and span [X, conj X] of every added solution, so the conjugate node's
-    solution conj(U Y V^T) = U conj(Y) V^T lies in the same space. A basis
+    solution conj(U Y V^T) = U conj(Y) V^T lies in the same space, and the
+    projected products with a complex Y run as real GEMMs. A basis
     direction is kept when it carries more than ``cut`` of a normalized
     added solution.
     """
@@ -512,6 +518,33 @@ class TensorGalerkin:
         Q = np.linalg.qr(orthogonalize(Q[:, s > self.cut]))[0]
         return np.hstack([B, Q])
 
+    def _add(self, U, V, Xhat, Xtil):
+        """U and V extended until they hold X = Xhat Xtil^T up to the cut."""
+        lift_h, Rh = qr_unless_wide(Xhat)
+        lift_t, Rt = qr_unless_wide(Xtil)
+        core = Rh @ Rt.T
+        scale = np.linalg.norm(core)
+        if scale == 0.0:
+            return U, V
+        # X / ||X|| = (Qh C)(Qt)^T: Qh C carries X's column space with its
+        # singular values, Qt C^T the row space with the same
+        return self._grow(U, lift_h(core / scale)), self._grow(V, lift_t(core.T / scale))
+
+    def _rebase(self, U, V, cores):
+        """Take the bases U, V (holding the current ones as leading columns)
+        in the eigenbases of their projected K; returns cores (m, r_hat,
+        r_til) on the old bases carried onto the new ones."""
+        lam_h, Ph = scipy.linalg.eigh(_hermitian(U.conj().T @ (self.K_hat @ U)))
+        lam_t, Pt = scipy.linalg.eigh(_hermitian(V.conj().T @ (self.K_til @ V)))
+        self.U, self.V = U @ Ph, V @ Pt
+        self.lam_hat, self.lam_til = lam_h, lam_t
+        self._project()
+        # appended directions extend the cores by zeros, and
+        # U_old Y V_old^T = U (Ph^H Y conj(Pt)) V^T
+        cores = np.pad(cores, ((0, 0), (0, Ph.shape[0] - cores.shape[1]),
+                               (0, Pt.shape[0] - cores.shape[2])))
+        return Ph.conj().T @ cores @ Pt.conj()
+
     def accumulate(self, sigma, j, w, Y):
         """sigma[j] += w Y, in place. With real bases the real part is
         added: U Re(w Y) V^T is w X plus the conjugate node's conj(w X), halved."""
@@ -528,47 +561,102 @@ class TensorGalerkin:
         """
         U, V = self.U, self.V
         for j, w, Xhat, Xtil in solutions:
-            lift_h, Rh = qr_unless_wide(Xhat)
-            lift_t, Rt = qr_unless_wide(Xtil)
-            core = Rh @ Rt.T
-            scale = np.linalg.norm(core)
-            if scale > 0.0:
-                # X / ||X|| = (Qh C)(Qt)^T: Qh C carries X's column space
-                # with its singular values, Qt C^T the row space with the same
-                U = self._grow(U, lift_h(core / scale))
-                V = self._grow(V, lift_t(core.T / scale))
-            # appended directions extend the cores by zeros
+            U, V = self._add(U, V, Xhat, Xtil)
             sigma = np.pad(sigma, ((0, 0), (0, U.shape[1] - sigma.shape[1]),
                                    (0, V.shape[1] - sigma.shape[2])))
             self.accumulate(sigma, j, w, (U.conj().T @ Xhat) @ (V.conj().T @ Xtil).T)
-        lam_h, Ph = scipy.linalg.eigh(_hermitian(U.conj().T @ (self.K_hat @ U)))
-        lam_t, Pt = scipy.linalg.eigh(_hermitian(V.conj().T @ (self.K_til @ V)))
-        self.U, self.V = U @ Ph, V @ Pt
-        self.lam_hat, self.lam_til = lam_h, lam_t
-        self._project()
-        # U_old Y V_old^T = U (Ph^H Y conj(Pt)) V^T
-        return Ph.conj().T @ sigma @ Pt.conj()
+        return self._rebase(U, V, sigma)
+
+    def grow(self, pairs, cores=None):
+        """Add the pairs (Xhat, Xtil) to the basis, accumulating nothing.
+
+        ``cores`` (m, r_hat, r_til), cores on the current bases, come back
+        on the new ones.
+        """
+        U, V = self.U, self.V
+        for Xhat, Xtil in pairs:
+            U, V = self._add(U, V, Xhat, Xtil)
+        if cores is None:
+            cores = np.zeros((0, *self.ranks))
+        return self._rebase(U, V, cores)
+
+    def enrich(self, cells, two_term, tol, pmap=map):
+        """Galerkin solutions of the cells (z, j), the basis grown until they
+        reach tol.
+
+        Round by round every pending cell is solved on the basis; each cell
+        above tol passes the coupling image of its solution, sum hat_c (U Y)
+        (til_c V)^T as a pair, to ``two_term(z, j, Fc, Gc)``, which returns a
+        pair approximating the two-term solve of it (None adds nothing).
+        With the seed L2^-1(F_j G_j^T) and U Y V^T already in the basis,
+        that is the preconditioned residual's new direction, a tensor-Krylov
+        step (Kressner & Tobler, SIMAX 2011). The pairs grow the basis in
+        cell order. The loop ends when no cell is left, when a round adds
+        no direction or when it fails to halve the worst residual.
+        ``pmap(fn, items)`` maps the per-cell work of a round.
+
+        Returns (results, rounds): results[k] = (Y, residual, steps) of cell
+        k, with Y on the final basis or None for a cell left above tol, and
+        the number of rounds that grew the basis.
+        """
+        results = [None] * len(cells)
+        pending, kept, cores = list(range(len(cells))), [], np.zeros((0, *self.ranks))
+        worst_before, rounds = math.inf, 0
+
+        def solve(k):
+            return self.solve(*cells[k], tol)
+
+        def direction(k):
+            z, j = cells[k]
+            return None if misses[k] is None else two_term(z, j, *self._coupling_image(misses[k]))
+
+        while True:
+            misses = {}
+            for k, (Y, residual, steps) in zip(pending, pmap(solve, pending)):
+                results[k] = (None, residual, steps)
+                if residual <= tol:
+                    kept.append(k)
+                    cores = np.concatenate([cores, Y[None]])
+                else:
+                    misses[k] = Y
+            worst = max((results[k][1] for k in misses), default=0.0)
+            if not misses or not self.couplings or not worst < 0.5 * worst_before:
+                break
+            pairs = [pair for pair in pmap(direction, list(misses)) if pair is not None]
+            before = self.ranks
+            cores = self.grow(pairs, cores)
+            if self.ranks == before:
+                break
+            rounds += 1
+            pending, worst_before = list(misses), worst
+        for k, Y in zip(kept, cores):
+            results[k] = (Y,) + results[k][1:]
+        return results, rounds
+
+    def _coupling_image(self, Y):
+        """Pair (hat_c U Y, til_c V), stacked over the couplings."""
+        return (np.hstack([_real_matmul(hU, Y) for hU in self.hat_U]), np.hstack(self.til_V))
 
     def _project(self):
         U, V = self.U, self.V
-        hats = [h @ U for _, h in self.couplings]
-        tils = [t @ V for t, _ in self.couplings]
-        self.H = [U.conj().T @ hU for hU in hats]
-        self.T = [V.conj().T @ tV for tV in tils]
+        self.hat_U = [h @ U for _, h in self.couplings]
+        self.til_V = [t @ V for t, _ in self.couplings]
+        self.H = [U.conj().T @ hU for hU in self.hat_U]
+        self.T = [V.conj().T @ tV for tV in self.til_V]
         self.f = U.conj().T @ self.F
         self.g = V.conj().T @ self.G
         ell = self.F.shape[1]
-        Rp = qr_unless_wide(np.hstack([self.F, U, self.K_hat @ U] + hats))[1]
-        Rq = qr_unless_wide(np.hstack([self.G, V, self.K_til @ V] + tils))[1]
+        Rp = qr_unless_wide(np.hstack([self.F, U, self.K_hat @ U] + self.hat_U))[1]
+        Rq = qr_unless_wide(np.hstack([self.G, V, self.K_til @ V] + self.til_V))[1]
         self.Rp_rhs, self.Rq_rhs = Rp[:, :ell], Rq[:, :ell]
-        self.Rp_blocks = np.split(Rp[:, ell:], 2 + len(hats), axis=1)
-        self.Rq_blocks = np.split(Rq[:, ell:], 2 + len(tils), axis=1)
+        self.Rp_blocks = np.split(Rp[:, ell:], 2 + len(self.hat_U), axis=1)
+        self.Rq_blocks = np.split(Rq[:, ell:], 2 + len(self.til_V), axis=1)
 
     def residual(self, z, j, Y):
         """True relative residual ||F_j G_j^T - L_z(U Y V^T)||_F / ||F_j G_j^T||_F."""
         pU, pKU, *pH = self.Rp_blocks
         qV, qKV, *qT = self.Rq_blocks
-        left = np.hstack([pU @ Y, pKU @ Y] + [p @ Y for p in pH])
+        left = np.hstack([_real_matmul(p, Y) for p in [pU, pKU] + pH])
         right = np.hstack([qKV - z * qV, qV] + qT)
         R = np.outer(self.Rp_rhs[:, j], self.Rq_rhs[:, j]) + left @ right.T
         return float(np.linalg.norm(R)) / self.bnorm[j]
@@ -590,7 +678,8 @@ class TensorGalerkin:
 
         def apply(W):
             Y = W / D
-            return W - sum(H @ Y @ T.T for H, T in zip(self.H, self.T))
+            # H Y T^T as (T (H Y)^T)^T: real GEMMs when H and T are real
+            return W - sum(_real_matmul(T, _real_matmul(H, Y).T).T for H, T in zip(self.H, self.T))
 
         W, steps = _gmres(apply, B, 0.1 * tol * self.bnorm[j], _GMRES_MAX_ITER)
         Y = W / D

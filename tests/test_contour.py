@@ -208,8 +208,9 @@ def test_contour_threads_deterministic():
 
 def test_contour_threads_deterministic_with_enrichment(monkeypatch):
     # fallback cells extend the basis after their node, in column order,
-    # so threads=2 still gives threads=1's bits
-    A, _, center, radius = _sum_of_squares_window(32)
+    # so threads=2 still gives threads=1's bits; at n=32 one enriched cell
+    # spans the whole space and nothing falls back
+    A, _, center, radius = _sum_of_squares_window(48)
     _one_column_basis(monkeypatch)
     res = _threads_agree(A, center, radius)
     assert res.diagnostics["basis"]["fallback_cells"]
@@ -253,6 +254,27 @@ def test_galerkin_cell_matches_bicgstab():
         assert residual <= tol and ref.achieved_residual <= tol
         assert dense / np.linalg.norm(b) == pytest.approx(residual, rel=1e-3, abs=1e-12)
         assert np.linalg.norm(X - Xref) <= 1e3 * tol * np.linalg.norm(Xref)
+
+
+def test_galerkin_real_gemms_match_complex_gemms():
+    # Real data keeps H, T and the residual's triangular blocks real, so
+    # their products with a complex Y run as real GEMMs; cast to complex
+    # they take numpy's complex GEMM and must give the same cell.
+    n, tol = 64, 1e-6
+    A = schrodinger_kron(make_spec("sum-of-squares", n))
+    filt = trapezoid_circle(12.606, 9.0, 16)
+    sk = draw_khatri_rao(n, n, 3, seed=1)
+    family = _trained_family(A, filt.nodes, sk, tol)
+    z = complex(filt.nodes[2])
+    assert not any(np.iscomplexobj(M) for M in family.H + family.T + family.Rp_blocks)
+    cells = [family.solve(z, j, tol) for j in range(3)]
+    for name in ("H", "T", "Rp_blocks"):
+        setattr(family, name, [M.astype(complex) for M in getattr(family, name)])
+    for j, (Y, residual, steps) in enumerate(cells):
+        Yc, residual_c, steps_c = family.solve(z, j, tol)
+        assert steps == steps_c
+        assert np.linalg.norm(Y - Yc) <= 1e-13 * np.linalg.norm(Yc)
+        assert residual == pytest.approx(residual_c, rel=1e-13)
 
 
 def test_contour_one_column_basis_falls_back_and_enriches(monkeypatch):
@@ -386,6 +408,116 @@ def test_contour_failed_cell_is_degraded_not_fatal():
     # window (the degraded column may cost one direction).
     assert res.diagnostics["inside_count"] >= 2
     assert len(res.ritz_values) == res.diagnostics["subspace_dim"]
+
+
+def test_training_cells_are_enriched_only_when_coupled():
+    # Zero potential: the node equation is the two-term one, so the seeds
+    # solve the training cells and no enrichment round runs. Sum of
+    # squares: the seeds miss the coupling, and at least one round of
+    # coupling images carries the training cells to the node tolerance.
+    spec, _, center, radius = _zero_potential_window(20)
+    zero = contour_eigensolve(schrodinger_kron(spec), trapezoid_circle(center, radius, 16),
+                              draw_khatri_rao(20, 20, 3, seed=3), NodeSolverConfig(tol=1e-10))
+    # (at n=32 the seeds alone span the whole space)
+    A, _, center, radius = _sum_of_squares_window(48)
+    coupled = contour_eigensolve(A, trapezoid_circle(center, radius, 16),
+                                 draw_khatri_rao(48, 48, 3, seed=1), NodeSolverConfig(tol=1e-10))
+    assert zero.diagnostics["basis"]["enrichment_rounds"] == 0
+    assert coupled.diagnostics["basis"]["enrichment_rounds"] >= 1
+    for res in (zero, coupled):
+        d = res.diagnostics
+        assert d["basis"]["training_cells"] == [(d["nodes_solved"][0], j) for j in range(3)]
+        # one basis from the whole training phase, no fallback anywhere
+        assert len(d["basis"]["ranks"]) == 1 and not d["basis"]["fallback_cells"]
+        trained = [r for r in d["node_reports"] if r["method"] == "enriched"]
+        assert [(r["node"], r["column"]) for r in trained] == d["basis"]["training_cells"]
+        assert all(r["converged"] and r["residual"] <= 1e-10 for r in trained)
+
+
+class _StallAfterSeeds:
+    """Preconditioner wrapper whose solves after the seeds return zeros
+    until ``stall`` is cleared."""
+
+    def __init__(self, inner, seeds):
+        self.inner, self.seeds = inner, seeds
+        self.calls = 0
+        self.stall = True
+
+    def solve_pair(self, problem, F, G, tol, r_max, rng):
+        self.calls += 1
+        if self.stall and self.calls > self.seeds:
+            return np.zeros_like(F), np.zeros_like(G)
+        return self.inner.solve_pair(problem, F, G, tol, r_max, rng)
+
+
+def test_stalled_enrichment_falls_back_to_bicgstab(monkeypatch):
+    # Coupling images that add nothing leave the training cells above the
+    # node tolerance: they go to BiCGstab (here with the real
+    # preconditioner) and end at the tolerance like any fallback cell.
+    A, _, center, radius = _sum_of_squares_window(48)
+    K_hat, K_til, _ = A.split
+    precond = _StallAfterSeeds(EigenbasisPreconditioner(K_hat, K_til), seeds=3)
+    bicgstab = contour.bicgstab_multiterm
+
+    def unstalled(*args, **kwargs):
+        precond.stall = False
+        return bicgstab(*args, **kwargs)
+
+    monkeypatch.setattr(contour, "bicgstab_multiterm", unstalled)
+    tol = 1e-10
+    res = contour_eigensolve(A, trapezoid_circle(center, radius, 16),
+                             draw_khatri_rao(48, 48, 3, seed=1),
+                             NodeSolverConfig(tol=tol, precond=precond))
+    d = res.diagnostics
+    training = d["basis"]["training_cells"]
+    assert d["basis"]["enrichment_rounds"] == 0
+    assert set(training) <= set(d["basis"]["fallback_cells"])
+    reports = {(r["node"], r["column"]): r for r in d["node_reports"]}
+    for cell in training:
+        assert reports[cell]["method"] == "bicgstab"
+        assert reports[cell]["galerkin_residual"] > tol
+    assert all(r["converged"] and r["residual"] <= tol for r in reports.values())
+
+
+def test_unpreconditioned_run_seeds_from_eig2(monkeypatch):
+    # precond=None leaves only the BiCGstab fallbacks unpreconditioned: the
+    # seeds and coupling images come from an eig2 built for them.
+    built, preconds = [], []
+
+    class Counting(EigenbasisPreconditioner):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.calls = 0
+            built.append(self)
+
+        def solve_pair(self, *args):
+            self.calls += 1
+            return super().solve_pair(*args)
+
+    def recording(problem, precond, **kwargs):
+        preconds.append(precond)
+        return bicgstab_multiterm(problem, precond, **kwargs)
+
+    monkeypatch.setattr(contour, "EigenbasisPreconditioner", Counting)
+    monkeypatch.setattr(contour, "bicgstab_multiterm", recording)
+    _one_column_basis(monkeypatch)
+    A, _, center, radius = _sum_of_squares_window(48)
+    res = contour_eigensolve(A, trapezoid_circle(center, radius, 8),
+                             draw_khatri_rao(48, 48, 4, seed=2),
+                             NodeSolverConfig(tol=1e-9, precond=None))
+    assert len(built) == 1 and built[0].calls >= 1 + res.diagnostics["basis"]["enrichment_rounds"]
+    assert res.diagnostics["basis"]["fallback_cells"]
+    assert preconds and all(p is None for p in preconds)
+
+
+def test_assembly_truncates_to_the_rank_cap():
+    A, _, center, radius = _sum_of_squares_window(16)
+    filt = trapezoid_circle(center, radius, 16)
+    sk = draw_khatri_rao(16, 16, 5, seed=1)
+    res = contour_eigensolve(A, filt, sk, NodeSolverConfig(tol=1e-10), RecompressConfig(r_max=3))
+    assert min(res.diagnostics["assembled_rank_pre"]) > 3
+    assert res.diagnostics["assembled_rank_post"] == (3, 3)
+    assert res.ritz_vectors.U.shape[1] <= 3 and res.ritz_vectors.V.shape[1] <= 3
 
 
 def test_contour_rejects_unsupported_input():

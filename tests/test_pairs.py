@@ -122,3 +122,30 @@ def test_failed_pairs_are_attributed_to_inputs():
         "same_inputs": {"base": [[1, 0, "a"], [1, 1, "b"]], "change": [[1, 0, "a"]]},
         "one_side": {"base": [[2, 1, "d"]], "change": [[1, 2, "c"]]},
     }
+
+
+def test_same_input_failed_share_counts_shared_rounds_only():
+    pairs = _load_pairs()
+
+    def run(node_failures, failed_pairs, wanted=4, solves=10):
+        rounds = len(node_failures)
+        record = _run(5.0, sum(node_failures) + len(failed_pairs),
+                      attempted=rounds * (solves + wanted), rounds=rounds)
+        record["env"]["rounds"] = [{"node_solves": solves, "node_failures": f}
+                                   for f in node_failures]
+        record["failed_pairs"] = failed_pairs
+        return record
+
+    runs = [
+        # both sides ran rounds 0-1; the change's round 2 (two failed node
+        # solves and a failed eigenpair) solved inputs the base never saw
+        {"workload": "w", "seed": 1, "base": run([1, 0], [[0, "a"], [1, "b"]]),
+         "change": run([0, 0, 2], [[0, "a"], [2, "c"]])},
+        {"workload": "w", "seed": 2, "base": run([0], [[0, "d"]]), "change": {"returncode": 1}},
+    ]
+    rows = pairs.build_report({"workloads": ["w"]}, runs, {"solve_s": "lower"})["summary"]["w"]
+    # each side attempted 2 x (10 node solves + 4 wanted pairs) on the shared rounds
+    assert rows["base"]["same_input_failed_share"] == pytest.approx(3 / 28)
+    assert rows["change"]["same_input_failed_share"] == pytest.approx(1 / 28)
+    # the whole-run share counts the change's extra round
+    assert rows["change"]["failed_share"] == pytest.approx(4 / 42)

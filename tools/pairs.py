@@ -23,7 +23,8 @@ ran different round counts: there the peak_rss_mb and ritz_entries
 medians cover different inputs. "failed_pairs" lists every failed
 eigenpair as [seed, round, label], split into rounds that both sides ran
 (the same inputs, so a changed result) and rounds that only one side ran
-(other inputs). A metric's "gain"
+(other inputs), and each side's "same_input_failed_share" is its
+failed_share over the rounds both sides ran. A metric's "gain"
 also needs the change to fail no larger share of its operations than the
 base. Metric directions come from BENCHMARK.json's end-to-end metrics.
 When src/ or bench/ differ from HEAD, the sha256 of that diff names the
@@ -159,6 +160,30 @@ def failed_share(results):
     return sum(res["failed"] for res in results) / attempted if attempted else 0.0
 
 
+def same_input_failed_share(done, side):
+    """failed_share of one side over only the rounds both sides ran.
+
+    A round attempts its node solves (env "rounds"[i]["node_solves"]) and
+    its wanted eigenpairs, which are the same in every round of a run: the
+    run's attempted count less its node solves, over its rounds. It fails
+    its failed node solves and its failed-eigenpair lines. Pairs with a
+    crashed run are skipped.
+    """
+    failed = attempted = 0
+    for r in done:
+        if "result" not in r["change"]:
+            continue
+        shared = min(len(r[s]["env"]["solve_s"]) for s in ("base", "change"))
+        run = r[side]
+        rounds = run["env"].get("rounds", [])
+        solves = [rnd.get("node_solves", 0) for rnd in rounds]
+        wanted = (run["result"]["attempted"] - sum(solves)) / len(run["env"]["solve_s"])
+        attempted += sum(solves[:shared]) + shared * wanted
+        failed += sum(rnd.get("node_failures", 0) for rnd in rounds[:shared])
+        failed += sum(1 for rnd, _ in run.get("failed_pairs", []) if rnd < shared)
+    return failed / attempted if attempted else 0.0
+
+
 def build_report(meta, runs, directions):
     """The BENCH file: meta, a summary per workload and metric, all runs.
 
@@ -180,6 +205,7 @@ def build_report(meta, runs, directions):
                 "failed": [res["failed"] for res in results],
                 "attempted": [res["attempted"] for res in results],
                 "failed_share": failed_share(results),
+                "same_input_failed_share": same_input_failed_share(done, side),
                 "rounds": [len(r[side]["env"]["solve_s"]) for r in done if "result" in r[side]],
             }
         rows["rounds_differ"] = [
