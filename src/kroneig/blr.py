@@ -18,7 +18,7 @@ untouched. Everything here returns new values; blocks are never mutated
 in place.
 
 Both eigensolvers end in the Rayleigh-Ritz step defined here once:
-``orthonormalize`` (Cholesky of the Gram, SVD fallback on a singular one),
+``orthonormalize_svd`` (one SVD of the block's cores, never of a Gram),
 ``rayleigh_ritz_3block`` (project onto up to three stacked blocks and
 solve the small pencil) and ``residual_block`` (A W - W diag(theta)),
 whose ``column_norms`` are the reported residuals. ``EigenResult`` holds
@@ -31,10 +31,9 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
-from .dense import cholesky, eig_sym_gen, qr_unless_wide, svd_trunc_left
-from .errors import DimensionMismatch, GramNotSPD, OutOfRange, SizeOverflow
+from .dense import eig_sym_gen, qr_unless_wide, svd_trunc, svd_trunc_left
+from .errors import DimensionMismatch, OutOfRange, SizeOverflow
 from .factors import Identity, as_factor
 
 __all__ = [
@@ -48,9 +47,7 @@ __all__ = [
     "column_norms",
     "right_multiply",
     "truncate",
-    "orthonormalize_cholesky",
     "orthonormalize_svd",
-    "orthonormalize",
     "rayleigh_ritz_3block",
     "residual_block",
     "EigenResult",
@@ -343,61 +340,29 @@ def truncate(W, eps, r_max=None):
     return BlockLowRank(lift_u(U1), lift_v(U2), new_core, orthonormal=True)
 
 
-def orthonormalize_cholesky(W):
-    """Column-orthonormalize a block through its Gram matrix.
+def orthonormalize_svd(W, eps=0.0):
+    """Orthonormal columns spanning a block's columns, from its cores.
 
-    Returns (Worth, L) with L the lower Cholesky factor of block_inner(W, W)
-    and Worth = W L^{-H}, so block_inner(Worth, Worth) = I. Raises
-    GramNotSPD when the Gram is numerically rank-deficient: when the
-    factorization fails, or when a pivot of the Jacobi-scaled Gram D^-1 G
-    D^-1 (D the column norms), (L_kk / D_k)^2, is at roundoff level, which
-    does not depend on column scale. Callers fall back to an SVD-based
-    cleanup.
+    The column-mode counterpart of ``truncate``. Once both bases are
+    orthonormal (``truncate(W, 0.0)`` unless ``W.orthonormal``), the
+    columns' inner products are those of the vectorized cores, so the
+    left singular vectors of the (r_hat r_til) x ell unfolding, taken
+    back as cores on the same bases, are orthonormal columns with W's
+    span. No Gram matrix is formed, which would square the column
+    condition number: a direction is kept down to roundoff, and the kept
+    columns are orthonormal to roundoff whatever the conditioning. One
+    drop rule: ``svd_trunc``'s relative tail cut at eps, floored at
+    max(shape) eps_mach s_max. Returns a block of at most ell columns
+    (none when W is zero) with ``block_inner`` the identity.
     """
-    G = block_inner(W, W)
-    G = 0.5 * (G + G.conj().T)
-    try:
-        L = cholesky(G)
-    except Exception as exc:
-        raise GramNotSPD(f"orthonormalize_cholesky: {exc}") from exc
-    pivots = (np.abs(np.diagonal(L)) ** 2 / np.real(np.diagonal(G)))
-    if np.min(pivots, initial=1.0) <= G.shape[0] * np.finfo(float).eps:
-        raise GramNotSPD("orthonormalize_cholesky: scaled Gram pivot at roundoff level")
-    # W L^{-H}: columns of the inverse conjugate-transposed factor
-    Linv = scipy.linalg.solve_triangular(L, np.eye(L.shape[0], dtype=L.dtype), lower=True)
-    return right_multiply(W, Linv.conj().T), L
-
-
-def orthonormalize_svd(W, tol=1e-12):
-    """Gram-eigendecomposition orthonormalization dropping null directions.
-
-    Fallback for orthonormalize_cholesky when the Gram is numerically
-    singular: keeps the eigendirections with eigenvalue > tol * max
-    eigenvalue and rescales them to unit length. Returns (Worth, kept);
-    Worth has kept <= ell columns (possibly zero when W itself is zero)
-    with block_inner(Worth, Worth) = I on the kept part.
-    """
-    G = block_inner(W, W)
-    G = 0.5 * (G + G.conj().T)
-    lam, Q = scipy.linalg.eigh(G)
-    lmax = lam[-1] if lam.size else 0.0
-    if lmax <= 0.0:
-        return right_multiply(W, np.zeros((W.ell, 0))), 0
-    keep = lam > tol * lmax
-    B = Q[:, keep] / np.sqrt(lam[keep])
-    return right_multiply(W, B), int(np.count_nonzero(keep))
-
-
-def orthonormalize(W):
-    """Cholesky orthonormalization with the SVD fallback on a singular Gram.
-
-    Returns (Worth, method), method "cholesky" or "svd"; the column count
-    shrinks when the fallback drops numerically dependent directions.
-    """
-    try:
-        return orthonormalize_cholesky(W)[0], "cholesky"
-    except GramNotSPD:
-        return orthonormalize_svd(W)[0], "svd"
+    if not W.orthonormal:
+        W = truncate(W, 0.0)
+    ell, rh, rt = W.sigma.shape
+    M = W.sigma.reshape(ell, rh * rt).T
+    Q, s, _ = svd_trunc(M, eps)
+    floor = max(M.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
+    Q = Q[:, s > floor]
+    return BlockLowRank(W.U, W.V, Q.T.reshape(Q.shape[1], rh, rt), orthonormal=True)
 
 
 def rayleigh_ritz_3block(S1, S2, S3, A):

@@ -20,7 +20,7 @@ after its node. The filter is accumulated exactly on the shared basis,
 one core per sketch column (for real data the basis is real, so a
 conjugate node pair folds into one real contribution), truncated once at
 assembly, and the Ritz pairs come from the Rayleigh-Ritz step shared with
-LOBPCG (``blr.orthonormalize``, ``blr.rayleigh_ritz_3block``,
+LOBPCG (``blr.orthonormalize_svd``, ``blr.rayleigh_ritz_3block``,
 ``blr.residual_block``). A node problem holds the operator's own typed
 factors and z, so no n x n coefficient is formed per cell.
 
@@ -42,7 +42,7 @@ from .blr import (
     BlockLowRank,
     EigenResult,
     column_norms,
-    orthonormalize,
+    orthonormalize_svd,
     rayleigh_ritz_3block,
     residual_block,
     right_multiply,
@@ -165,7 +165,8 @@ class NodeSolverConfig:
 
 @dataclass(frozen=True)
 class RecompressConfig:
-    """Assembly truncation of the filtered block: relative eps, hard rank cap."""
+    """Assembly truncation of the filtered block: relative eps, hard rank
+    cap. eps cuts all three modes: the two bases and the columns."""
 
     eps: float = 1e-10
     r_max: int = 90
@@ -224,8 +225,9 @@ def contour_eigensolve(A, filt, sk, solver_cfg=None, recompress=None, threads=1)
     back to BiCGstab, and after each node the fallback solutions extend
     the basis in column order (the greedy reduced-basis loop). The filter
     is accumulated exactly on the shared basis, one core per column,
-    truncated once at assembly, orthonormalized (Cholesky with an SVD
-    fallback), and the symmetrized projected pencil yields the Ritz pairs.
+    truncated once at assembly, orthonormalized from its cores with the
+    column mode cut at the same eps (``orthonormalize_svd``), and the
+    symmetrized projected pencil yields the Ritz pairs.
     A failed seed solve or BiCGstab cell is recorded and skipped; the
     column is flagged degraded but the solve grid keeps going.
     """
@@ -413,7 +415,7 @@ def contour_eigensolve(A, filt, sk, solver_cfg=None, recompress=None, threads=1)
     W = truncate(W, rec.eps, rec.r_max)
     diagnostics["assembled_rank_post"] = (W.r_hat, W.r_til)
 
-    W, diagnostics["orthonormalization"] = orthonormalize(W)
+    W = orthonormalize_svd(W, rec.eps)
     diagnostics["subspace_dim"] = W.ell
     if W.ell == 0:
         return EigenResult(np.zeros(0), W, np.zeros(0), np.zeros(0, dtype=bool), diagnostics)

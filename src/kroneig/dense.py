@@ -166,8 +166,7 @@ def cholesky(G):
     Raises
     ------
     NotPositiveDefinite
-        when the factorization fails; callers use this as the signal to
-        switch to their SVD-based fallback.
+        when the factorization fails.
     """
     G = np.asarray(G)
     try:

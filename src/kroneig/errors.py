@@ -31,10 +31,6 @@ class NotPositiveDefinite(KroneigError):
     """Cholesky factorization failed; the matrix is not numerically SPD."""
 
 
-class GramNotSPD(NotPositiveDefinite):
-    """Gram matrix of a block is not SPD; caller should fall back to SVD."""
-
-
 class BtilNotSPD(NotPositiveDefinite):
     """Right-hand matrix of a generalized symmetric eigenproblem not SPD."""
 

@@ -37,7 +37,7 @@ from .blr import (
     add,
     apply_vec,
     column_norms,
-    orthonormalize,
+    orthonormalize_svd,
     rayleigh_ritz_3block,
     residual_block,
     right_multiply,
@@ -187,13 +187,14 @@ def lobpcg_lowrank(A, cfg, X0):
     """Smallest eigenpairs of a symmetric Kronecker-sum operator.
 
     Starts from the ell-column block X0, orthonormalizes, and iterates:
-    preconditioned residual block, Cholesky orthonormalization of R and P
-    (SVD fallback), three-block Rayleigh-Ritz, then the P and X updates,
-    truncating after every block recombination: R and P at trunc_eps, X at
-    min(trunc_eps, max residual of the k wanted columns / ||A||_est) with
-    ||A||_est a power-method estimate taken once per run. Stops when the k
-    smallest pairs have residuals below the threshold, else after max_iter
-    with the best visited state flagged unconverged. Reported residuals are
+    preconditioned residual block, orthonormalization of R and P from
+    their cores (``orthonormalize_svd``), three-block Rayleigh-Ritz, then
+    the P and X updates, truncating after every block recombination: R
+    and P at trunc_eps, X at min(trunc_eps, max residual of the k wanted
+    columns / ||A||_est) with ||A||_est a power-method estimate taken once
+    per run. Stops when the k smallest pairs have residuals below the
+    threshold, else after max_iter with the best visited state flagged
+    unconverged. Reported residuals are
     ||A x - theta x||_2 per column in block low-rank arithmetic.
     """
     if X0.ell != cfg.ell:
@@ -206,7 +207,7 @@ def lobpcg_lowrank(A, cfg, X0):
     scale = 1.0 if cfg.conv_scale == "absolute" else anorm
     threshold = cfg.conv_tol * scale
 
-    state = LobpcgState(X=orthonormalize(X0)[0])
+    state = LobpcgState(X=orthonormalize_svd(X0))
     C1, _, _, theta = rayleigh_ritz_3block(state.X, None, None, Aw)
     state.X = right_multiply(state.X, C1)
     state.theta = theta
@@ -231,11 +232,11 @@ def lobpcg_lowrank(A, cfg, X0):
 
         R = truncate(Rraw, cfg.trunc_eps, cfg.r_max)
         R = precond_apply(precond, R)
-        R = orthonormalize(R)[0]
+        R = orthonormalize_svd(R)
         if R.ell == 0:
             break
         if P is not None and P.ell > 0:
-            P = orthonormalize(P)[0]
+            P = orthonormalize_svd(P)
         try:
             C1, C2, C3, theta = rayleigh_ritz_3block(state.X, R, P, Aw)
         except BtilNotSPD:

@@ -365,8 +365,9 @@ class EigenbasisPreconditioner:
     """
 
     def __init__(self, K_hat, K_til=None):
+        K_hat = as_factor(K_hat)
         self.lam_hat, self.Q_hat = scipy.linalg.eigh(np.asarray(K_hat))
-        if K_til is None or K_til is K_hat or np.array_equal(K_til, K_hat):
+        if K_til is None or K_til is K_hat or as_factor(K_til).equals(K_hat):
             self.lam_til, self.Q_til = self.lam_hat, self.Q_hat
         else:
             self.lam_til, self.Q_til = scipy.linalg.eigh(np.asarray(K_til))
@@ -664,8 +665,9 @@ class TensorGalerkin:
     def solve(self, z, j, tol):
         """Galerkin solution of cell (z, j): (Y, true relative residual, steps).
 
-        GMRES stops at a projected residual of tol / 10 relative to the
-        right-hand side; the returned residual is measured in full space.
+        GMRES stops at a projected residual of tol / 100 relative to the
+        right-hand side, so that its own error leaves the cell well inside
+        tol; the returned residual is measured in full space.
         A basis of rank 0, or a shift on the projected two-term spectrum,
         gives Y = None and residual inf.
         """
@@ -681,7 +683,7 @@ class TensorGalerkin:
             # H Y T^T as (T (H Y)^T)^T: real GEMMs when H and T are real
             return W - sum(_real_matmul(T, _real_matmul(H, Y).T).T for H, T in zip(self.H, self.T))
 
-        W, steps = _gmres(apply, B, 0.1 * tol * self.bnorm[j], _GMRES_MAX_ITER)
+        W, steps = _gmres(apply, B, 0.01 * tol * self.bnorm[j], _GMRES_MAX_ITER)
         Y = W / D
         return Y, self.residual(z, j, Y), steps
 

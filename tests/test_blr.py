@@ -12,8 +12,6 @@ from kroneig.blr import (
     block_inner,
     column_norms,
     from_khatri_rao,
-    orthonormalize,
-    orthonormalize_cholesky,
     orthonormalize_svd,
     residual_block,
     right_multiply,
@@ -197,20 +195,22 @@ def test_truncate_wide_bases(ranks, complex_):
     assert (Z.U.shape, Z.V.shape, Z.sigma.shape) == ((n_hat, 0), (n_til, 0), (ell, 0, 0))
 
 
-def test_orthonormalize_cholesky():
+def test_orthonormalize_svd_keeps_span():
     rng = make_rng(43)
     W = random_block(rng, 8, 7, 4, 3, 3)
-    Q, L = orthonormalize_cholesky(W)
+    Q = orthonormalize_svd(W)
     G = block_inner(Q, Q)
     assert np.allclose(G, np.eye(4), atol=1e-8)
-    # Q L^T recovers the original columns (L is the lower Gram factor).
-    assert np.allclose(to_dense(right_multiply(Q, L.T)), to_dense(W), atol=1e-9)
-    # Scaled identity Gram: columns 3x an orthonormal set give L = 3I.
+    # The original columns project onto Q exactly.
+    D, QD = to_dense(W), to_dense(Q)
+    assert np.allclose(QD @ (QD.conj().T @ D), D, atol=1e-9)
+    # Scaled identity Gram: columns 3x an orthonormal set have Q^H W = 3
+    # times a unitary.
     base = truncate(random_block(rng, 8, 7, 3, 2, 2), 0.0)
-    ortho, _ = orthonormalize_cholesky(base)
+    ortho = orthonormalize_svd(base)
     scaled = right_multiply(ortho, 3.0 * np.eye(3))
-    _, L3 = orthonormalize_cholesky(scaled)
-    assert np.allclose(L3, 3.0 * np.eye(3), atol=1e-10)
+    B = block_inner(orthonormalize_svd(scaled), scaled)
+    assert np.allclose(B.conj().T @ B, 9.0 * np.eye(3), atol=1e-10)
 
 
 def test_orthonormalize_svd_drops_null_columns():
@@ -218,8 +218,8 @@ def test_orthonormalize_svd_drops_null_columns():
     W = random_block(rng, 8, 7, 3, 3, 3)
     # Duplicate a column: the 6-column block has numerical rank 3 wrt columns.
     WW = BlockLowRank(W.U, W.V, np.concatenate([W.sigma, W.sigma], axis=0))
-    Q, kept = orthonormalize_svd(WW)
-    assert kept == 3 and Q.ell == 3
+    Q = orthonormalize_svd(WW)
+    assert Q.ell == 3
     G = block_inner(Q, Q)
     assert np.allclose(G, np.eye(Q.ell), atol=1e-8)
     # Span is preserved: original columns project onto Q exactly.
@@ -227,31 +227,49 @@ def test_orthonormalize_svd_drops_null_columns():
     assert np.allclose(QD @ (QD.conj().T @ D), D, atol=1e-8)
 
 
-def test_orthonormalize_falls_back_on_singular_gram():
+def test_orthonormalize_svd_drops_zero_column():
     rng = make_rng(47)
     W = random_block(rng, 8, 7, 4, 3, 3)
-    Q, method = orthonormalize(W)
-    assert method == "cholesky" and Q.ell == 4
+    Q = orthonormalize_svd(W)
+    assert Q.ell == 4
     assert np.allclose(block_inner(Q, Q), np.eye(4), atol=1e-8)
-    # A zero column makes the Gram singular: the SVD path drops it.
+    # A zero column makes the Gram singular: it is dropped.
     Z = BlockLowRank(W.U, W.V, np.concatenate([W.sigma[:3], 0.0 * W.sigma[3:]]))
-    Q, method = orthonormalize(Z)
-    assert method == "svd" and Q.ell == 3
+    Q = orthonormalize_svd(Z)
+    assert Q.ell == 3
     assert np.allclose(block_inner(Q, Q), np.eye(3), atol=1e-8)
+    assert orthonormalize_svd(right_multiply(W, np.zeros((4, 4)))).ell == 0
 
 
-def test_orthonormalize_equal_columns_take_the_svd_path():
-    # Two equal columns: the Cholesky factorization of this Gram succeeds
-    # on a pivot that is only roundoff, so the scaled-pivot test has to
-    # catch it, whatever the column scale.
+def test_orthonormalize_svd_drops_equal_columns():
+    # Two equal columns span one direction, whatever the column scale, so
+    # one of them is dropped.
     rng = np.random.default_rng(5)
     sigma = rng.standard_normal((5, 4, 4))
     sigma[4] = sigma[0]
     for scale in (1.0, 1e-6, 1e6):
         W = BlockLowRank(rng.standard_normal((12, 4)), rng.standard_normal((11, 4)), scale * sigma)
-        Q, method = orthonormalize(W)
-        assert method == "svd" and Q.ell == 4
+        Q = orthonormalize_svd(W)
+        assert Q.ell == 4
         assert np.allclose(block_inner(Q, Q), np.eye(4), atol=1e-8)
+
+
+def test_orthonormalize_svd_keeps_ill_conditioned_columns():
+    # Column singular values down to 1e-7: a Gram-based orthonormalization
+    # squares them to 1e-14 and either loses orthogonality (Cholesky) or
+    # drops the small directions (a 1e-12 Gram cut). From the cores every
+    # column stays, orthonormal to roundoff, with the span kept.
+    rng = make_rng(49)
+    ell = 6
+    B = orthonormalize_svd(random_block(rng, 9, 8, ell, 4, 4))
+    left = np.linalg.qr(rng.standard_normal((ell, ell)))[0]
+    right = np.linalg.qr(rng.standard_normal((ell, ell)))[0]
+    W = right_multiply(B, left @ np.diag(np.logspace(0, -7, ell)) @ right)
+    Q = orthonormalize_svd(W)
+    assert Q.ell == ell
+    assert np.linalg.norm(block_inner(Q, Q) - np.eye(ell)) <= 1e-12
+    D, QD = to_dense(W), to_dense(Q)
+    assert np.linalg.norm(QD @ (QD.T @ D) - D) <= 1e-12 * np.linalg.norm(D)
 
 
 def test_residual_block_matches_dense():

@@ -153,10 +153,10 @@ def test_rayleigh_ritz_3block_matches_dense():
     Ad = kron_dense(A)
     import scipy.linalg
 
-    from kroneig.blr import orthonormalize_cholesky
+    from kroneig.blr import orthonormalize_svd
 
-    S1, _ = orthonormalize_cholesky(random_block(rng, 7, 7, 3, 2, 2))
-    S2, _ = orthonormalize_cholesky(random_block(rng, 7, 7, 2, 2, 2))
+    S1 = orthonormalize_svd(random_block(rng, 7, 7, 3, 2, 2))
+    S2 = orthonormalize_svd(random_block(rng, 7, 7, 2, 2, 2))
     C1, C2, C3, theta = rayleigh_ritz_3block(S1, S2, None, A)
     S = np.hstack([to_dense(S1), to_dense(S2)])
     H = S.T @ Ad @ S

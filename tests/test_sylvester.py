@@ -159,6 +159,21 @@ def test_eigenbasis_preconditioner_pole():
         M.solve_pair(p, p.F, p.G, tol=1e-10, r_max=10, rng=rng)
 
 
+def test_eigenbasis_preconditioner_compares_factors_without_densifying(monkeypatch):
+    # Two equal banded factors share one eigenbasis; only K_hat is made
+    # dense, for its eigendecomposition, not both for the comparison.
+    from kroneig.factors import Banded
+
+    band = np.diag(2.0 * np.ones(30)) - np.diag(np.ones(29), 1) - np.diag(np.ones(29), -1)
+    K_hat, K_til = Banded(band), Banded(band)
+    densified = []
+    dense = Banded.dense
+    monkeypatch.setattr(Banded, "dense", lambda self: densified.append(self) or dense(self))
+    M = EigenbasisPreconditioner(K_hat, K_til)
+    assert M.Q_til is M.Q_hat
+    assert densified == [K_hat]
+
+
 def test_eigenbasis_preconditioner_real_products_any_layout():
     # solve_pair multiplies its real eigenbases into complex factors as real
     # GEMMs on the interleaved view; Fortran-ordered and strided factors
