@@ -17,12 +17,18 @@ blocks without ever forming A; an identity factor passes a basis through
 untouched. Everything here returns new values; blocks are never mutated
 in place.
 
+Truncation comes in two halves: ``fold_bases`` QR-factors the bases and
+folds the triangular factors into the cores, losslessly, and ``truncate``
+cuts the folded cores (folding first unless the block is already
+orthonormal), so one QR can serve both a block's column norms and its cut.
+
 Both eigensolvers end in the Rayleigh-Ritz step defined here once:
 ``orthonormalize_svd`` (one SVD of the block's cores, never of a Gram),
-``rayleigh_ritz_3block`` (project onto up to three stacked blocks and
-solve the small pencil) and ``residual_block`` (A W - W diag(theta)),
-whose ``column_norms`` are the reported residuals. ``EigenResult`` holds
-what they return.
+``rayleigh_ritz_3block`` (project onto up to three stacked blocks, one
+operator term at a time, and solve the small pencil) and
+``residual_block`` (A W - W diag(theta), on the bases of A W where A's
+identity terms already hold W's), whose ``column_norms`` are the reported
+residuals. ``EigenResult`` holds what they return.
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ __all__ = [
     "block_inner",
     "column_norms",
     "right_multiply",
+    "fold_bases",
     "truncate",
     "orthonormalize_svd",
     "rayleigh_ritz_3block",
@@ -197,12 +204,15 @@ def from_khatri_rao(sk):
     return BlockLowRank(Qh, np.conj(Qt), sigma)
 
 
+def _dtype(W):
+    return complex if W.is_complex else float
+
+
 def to_dense(W, cap=DENSE_CAP):
     """Materialize the represented (n, ell) matrix; desk-scale oracle only."""
     if W.n * max(W.ell, 1) > cap:
         raise SizeOverflow(f"to_dense: {W.n} x {W.ell} exceeds cap of {cap} entries")
-    dtype = complex if W.is_complex else float
-    out = np.zeros((W.n, W.ell), dtype=dtype)
+    out = np.zeros((W.n, W.ell), dtype=_dtype(W))
     Vh = W.V.conj().T
     for j in range(W.ell):
         out[:, j] = (W.U @ W.sigma[j] @ Vh).reshape(-1, order="F")
@@ -262,27 +272,52 @@ def block_inner(W1, W2):
         return np.conj(S) @ S.T
     Gu = W1.U.conj().T @ W2.U
     Gv = W2.V.conj().T @ W1.V
-    mid = np.einsum("ab,jbc,cd->jad", Gu, W2.sigma, Gv, optimize=True)
-    return np.einsum("iad,jad->ij", np.conj(W1.sigma), mid, optimize=True)
+    mid = (Gu @ W2.sigma @ Gv).reshape(W2.ell, -1)
+    return np.conj(W1.sigma.reshape(W1.ell, -1)) @ mid.T
+
+
+def _fold(W):
+    """(lift_u, lift_v, core): QR factors of both bases, the triangular
+    ones folded into the cores, C(j) = Ru Sigma(j) Rv^H, and the maps
+    that carry a small left factor back to each basis (``qr_unless_wide``).
+    W's columns are lift_u(I) C(j) lift_v(I)^H; the bases need r >= 1."""
+    lift_u, Ru = qr_unless_wide(W.U)
+    lift_v, Rv = qr_unless_wide(W.V)
+    return lift_u, lift_v, Ru @ W.sigma @ Rv.conj().T
+
+
+def fold_bases(W):
+    """The same columns on orthonormal bases: the lossless half of ``truncate``.
+
+    QR-factors both bases and folds the triangular factors into the cores,
+    so one factorization serves the column norms (``column_norms`` of the
+    result reads its cores) and a later cut (``truncate`` of the result
+    skips the QR). A block that is already ``orthonormal`` comes back as
+    it is; one of rank 0 on either side as the rank-0 block.
+    """
+    if W.orthonormal:
+        return W
+    if W.r_hat == 0 or W.r_til == 0:
+        return BlockLowRank.empty(W.n_hat, W.n_til, W.ell, dtype=_dtype(W))
+    lift_u, lift_v, core = _fold(W)
+    _, rh, rt = core.shape
+    return BlockLowRank(lift_u(np.eye(rh)), lift_v(np.eye(rt)), core, orthonormal=True)
 
 
 def column_norms(W):
     """Per-column 2-norms computed from orthogonal-invariant cores.
 
-    QR-reduces both bases and measures ||R_u Sigma(j) R_v^H||_F. Unlike
-    the diagonal of block_inner this stays accurate when the represented
-    columns are tiny differences of large factors (residual blocks): the
-    cancellation happens inside backward-stable products instead of
-    between O(||factor||^2) Gram entries.
+    On orthonormal bases a column's norm is ||Sigma(j)||_F; other blocks
+    are folded first (``fold_bases``' QR) and measure ||Ru Sigma(j) Rv^H||_F.
+    Unlike the diagonal of block_inner this stays accurate when the
+    represented columns are tiny differences of large factors (residual
+    blocks): the cancellation happens inside backward-stable products
+    instead of between O(||factor||^2) Gram entries.
     """
     if W.r_hat == 0 or W.r_til == 0 or W.ell == 0:
         return np.zeros(W.ell)
-    Ru = np.linalg.qr(W.U, mode="r")
-    Rv = np.linalg.qr(W.V, mode="r")
-    Rvh = Rv.conj().T
-    return np.array(
-        [np.linalg.norm(Ru @ W.sigma[j] @ Rvh) for j in range(W.ell)]
-    )
+    core = W.sigma if W.orthonormal else _fold(W)[2]
+    return np.linalg.norm(core.reshape(W.ell, -1), axis=1)
 
 
 def right_multiply(W, B):
@@ -294,15 +329,16 @@ def right_multiply(W, B):
     B = np.asarray(B)
     if B.ndim != 2 or B.shape[0] != W.ell:
         raise DimensionMismatch(f"right_multiply: B has {B.shape}, block has ell={W.ell}")
-    sigma = np.einsum("ji,jab->iab", B, W.sigma, optimize=True)
+    sigma = (B.T @ W.sigma.reshape(W.ell, -1)).reshape(B.shape[1], *W.sigma.shape[1:])
     return replace(W, sigma=sigma)
 
 
 def truncate(W, eps, r_max=None):
     """Rank reduction by two-sided core compression.
 
-    QR-factors both bases, folds the R factors into the cores C(j) =
-    Ru Sigma(j) Rv^H, then cuts each mode independently: the hat rank by
+    Folds the bases' triangular QR factors into the cores, C(j) = Ru
+    Sigma(j) Rv^H (``fold_bases``; an ``orthonormal`` block skips the QR and
+    cuts its own cores), then cuts each mode independently: the hat rank by
     the left singular vectors of the horizontal stack [C(0), ..., C(ell-1)],
     the tilde rank by those of the stack of conjugate-transposed slices —
     both taken from the same folded cores, each with relative tail
@@ -319,11 +355,11 @@ def truncate(W, eps, r_max=None):
     if r_max is not None and r_max < 1:
         raise OutOfRange("truncate: r_max must be >= 1")
     if W.ell == 0 or W.r_hat == 0 or W.r_til == 0:
-        dtype = complex if W.is_complex else float
-        return BlockLowRank.empty(W.n_hat, W.n_til, W.ell, dtype=dtype)
-    lift_u, Ru = qr_unless_wide(W.U)
-    lift_v, Rv = qr_unless_wide(W.V)
-    core = np.einsum("ab,jbc,dc->jad", Ru, W.sigma, np.conj(Rv), optimize=True)
+        return BlockLowRank.empty(W.n_hat, W.n_til, W.ell, dtype=_dtype(W))
+    if W.orthonormal:
+        lift_u, lift_v, core = (lambda X: W.U @ X), (lambda X: W.V @ X), W.sigma
+    else:
+        lift_u, lift_v, core = _fold(W)
     ell, rh, rt = core.shape
     tol = eps / np.sqrt(2.0)
     # mode 1: rows indexed by the hat rank
@@ -334,9 +370,8 @@ def truncate(W, eps, r_max=None):
     unf2 = np.conj(np.swapaxes(core, 0, 2)).reshape(rt, ell * rh)
     U2, s2 = svd_trunc_left(unf2, tol, r_max)
     if s1.size == 0 or s2.size == 0:
-        dtype = complex if W.is_complex else float
-        return BlockLowRank.empty(W.n_hat, W.n_til, W.ell, dtype=dtype)
-    new_core = np.einsum("ba,jbc,cd->jad", np.conj(U1), core, U2, optimize=True)
+        return BlockLowRank.empty(W.n_hat, W.n_til, W.ell, dtype=_dtype(W))
+    new_core = U1.conj().T @ core @ U2
     return BlockLowRank(lift_u(U1), lift_v(U2), new_core, orthonormal=True)
 
 
@@ -368,18 +403,36 @@ def orthonormalize_svd(W, eps=0.0):
 def rayleigh_ritz_3block(S1, S2, S3, A):
     """Projected eigenproblem on the stacked blocks [S1 S2 S3].
 
-    Assembles the blockwise projected operator and Gram matrices,
-    symmetrizes both, and solves for the S1.ell smallest eigenpairs. S2/S3
-    may be None or empty (the iteration-1 case). Returns (C1, C2, C3,
-    theta) with the eigenvector matrix partitioned by block rows; missing
-    blocks get zero-width factors. Raises BtilNotSPD when the combined
-    Gram is numerically singular (caller drops a block and retries).
+    Assembles the blockwise projected operator and Gram matrices term by
+    term, H_ij = sum over A's terms (til, hat) of S_i^H (hat U_j, conj(til)
+    V_j, Sigma_j), so every product is between two rank-r blocks, never
+    against the s-fold ``apply_operator`` image. Only the blocks with
+    i <= j are computed; those below the diagonal are their conjugate
+    transposes. Symmetrizes both, and solves for the S1.ell smallest
+    eigenpairs. S2/S3 may be None or empty (the iteration-1 case). Returns
+    (C1, C2, C3, theta) with the eigenvector matrix partitioned by block
+    rows; missing blocks get zero-width factors. Raises BtilNotSPD when
+    the combined Gram is numerically singular (caller drops a block and
+    retries).
     """
     blocks = [S for S in (S1, S2, S3) if S is not None and S.ell > 0]
     widths = [S.ell for S in blocks]
-    AS = [apply_operator(A, S) for S in blocks]
-    H = np.block([[block_inner(Si, ASj) for ASj in AS] for Si in blocks])
-    G = np.block([[block_inner(Si, Sj) for Sj in blocks] for Si in blocks])
+    images = [
+        [BlockLowRank(hat @ S.U, til.conj() @ S.V, S.sigma) for til, hat in A.terms]
+        for S in blocks
+    ]
+    m = len(blocks)
+    Hb = [[None] * m for _ in range(m)]
+    Gb = [[None] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            Hb[i][j] = sum(block_inner(blocks[i], T) for T in images[j])
+            Gb[i][j] = block_inner(blocks[i], blocks[j])
+            if j > i:
+                Hb[j][i] = Hb[i][j].conj().T
+                Gb[j][i] = Gb[i][j].conj().T
+    H = np.block(Hb)
+    G = np.block(Gb)
     H = 0.5 * (H + H.conj().T)
     G = 0.5 * (G + G.conj().T)
     theta, C = eig_sym_gen(H, G, S1.ell)
@@ -396,8 +449,26 @@ def rayleigh_ritz_3block(S1, S2, S3, A):
 
 
 def residual_block(A, W, theta):
-    """Residual block A W - W diag(theta), in block low-rank form."""
-    return add(apply_operator(A, W), right_multiply(W, np.diag(-theta)))
+    """Residual block A W - W diag(theta), in block low-rank form.
+
+    A term whose hat factor is an ``Identity`` puts U itself in the hat
+    basis of ``apply_operator``'s image, and one whose tilde factor is an
+    ``Identity`` puts V in the tilde basis; the shift then enters as
+    -theta_j Sigma(j) in the core block that pairs those two, and the
+    residual keeps the image's s-fold rank. An operator that lacks either
+    term gets W's bases appended instead (``add``), rank (s + 1)-fold.
+    """
+    AW = apply_operator(A, W)
+    i_hat = next((i for i, (_, hat) in enumerate(A.terms) if isinstance(hat, Identity)), None)
+    i_til = next((i for i, (til, _) in enumerate(A.terms) if isinstance(til, Identity)), None)
+    if i_hat is None or i_til is None:
+        return add(AW, right_multiply(W, np.diag(-theta)))
+    rh, rt = W.r_hat, W.r_til
+    sigma = AW.sigma.astype(np.result_type(AW.sigma, theta), copy=False)
+    sigma[:, i_hat * rh : (i_hat + 1) * rh, i_til * rt : (i_til + 1) * rt] -= (
+        np.asarray(theta)[:, None, None] * W.sigma
+    )
+    return BlockLowRank(AW.U, AW.V, sigma)
 
 
 @dataclass

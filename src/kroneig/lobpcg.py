@@ -21,13 +21,17 @@ The shifted solves are factored once at construction and reused every
 iteration.
 
 Orthonormalization, the three-block Rayleigh-Ritz step and the residual
-block are ``blr``'s, shared with the contour solver.
+block are ``blr``'s, shared with the contour solver. The residual keeps
+the rank of A X (3r on the Schrodinger operators: the shift lands on the
+bases A's identity terms already put there), its bases are QR-factored
+once per iteration (``blr.fold_bases``) for both its norms and its cut,
+and Rayleigh-Ritz projects one operator term at a time.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,6 +41,7 @@ from .blr import (
     add,
     apply_vec,
     column_norms,
+    fold_bases,
     orthonormalize_svd,
     rayleigh_ritz_3block,
     residual_block,
@@ -49,10 +54,8 @@ from .sylvester import adi_shifts, fadi_steps
 
 __all__ = [
     "LobpcgConfig",
-    "LobpcgState",
     "AdiBlockPreconditioner",
     "lobpcg_lowrank",
-    "precond_apply",
 ]
 
 
@@ -92,20 +95,6 @@ class LobpcgConfig:
             raise OutOfRange("LobpcgConfig: r_max must be >= 1")
         if self.conv_scale not in ("absolute", "anorm"):
             raise OutOfRange(f"LobpcgConfig: unknown conv_scale {self.conv_scale!r}")
-
-
-@dataclass
-class LobpcgState:
-    """One iteration snapshot: blocks, Ritz values, histories."""
-
-    X: BlockLowRank
-    R: BlockLowRank = None
-    P: BlockLowRank = None
-    theta: np.ndarray = None
-    iteration: int = 0
-    residual_history: list = field(default_factory=list)
-    ritz_history: list = field(default_factory=list)
-    rank_history: list = field(default_factory=list)
 
 
 class AdiBlockPreconditioner:
@@ -161,13 +150,6 @@ class AdiBlockPreconditioner:
         return out
 
 
-def precond_apply(precond, W):
-    """Apply a block preconditioner; None means the identity map."""
-    if precond is None:
-        return W
-    return precond.apply_block(W)
-
-
 def _norm_estimate(A, iters=20, seed=0):
     """Power-method estimate of ||A||_2 on the Kronecker-sum operator."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
@@ -207,44 +189,44 @@ def lobpcg_lowrank(A, cfg, X0):
     scale = 1.0 if cfg.conv_scale == "absolute" else anorm
     threshold = cfg.conv_tol * scale
 
-    state = LobpcgState(X=orthonormalize_svd(X0))
-    C1, _, _, theta = rayleigh_ritz_3block(state.X, None, None, Aw)
-    state.X = right_multiply(state.X, C1)
-    state.theta = theta
+    X = orthonormalize_svd(X0)
+    C1, _, _, theta = rayleigh_ritz_3block(X, None, None, Aw)
+    X = right_multiply(X, C1)
     P = None
     converged = False
-    best = (math.inf, state.X, theta, None)
+    best = (math.inf, X, theta, None)
     res = np.full(cfg.ell, math.inf)
+    it = 0
+    residual_history, ritz_history, rank_history = [], [], []
 
     for it in range(1, cfg.max_iter + 1):
-        state.iteration = it
-        Rraw = residual_block(Aw, state.X, theta)
+        # one QR per side serves the residual norms and the R cut
+        Rraw = fold_bases(residual_block(Aw, X, theta))
         res = column_norms(Rraw)
-        state.residual_history.append([float(r) for r in res])
-        state.ritz_history.append([float(t - cfg.shift) for t in theta])
+        residual_history.append([float(r) for r in res])
+        ritz_history.append([float(t - cfg.shift) for t in theta])
         worst = float(np.max(res[: cfg.k]))
         if worst < best[0]:
-            best = (worst, state.X, theta.copy(), res.copy())
+            best = (worst, X, theta.copy(), res.copy())
         if worst <= threshold:
             converged = True
-            state.rank_history.append(_ranks(state.X, None, P))
+            rank_history.append(_ranks(X, None, P))
             break
 
         R = truncate(Rraw, cfg.trunc_eps, cfg.r_max)
-        R = precond_apply(precond, R)
-        R = orthonormalize_svd(R)
+        R = orthonormalize_svd(precond.apply_block(R))
         if R.ell == 0:
             break
         if P is not None and P.ell > 0:
             P = orthonormalize_svd(P)
         try:
-            C1, C2, C3, theta = rayleigh_ritz_3block(state.X, R, P, Aw)
+            C1, C2, C3, theta = rayleigh_ritz_3block(X, R, P, Aw)
         except BtilNotSPD:
             try:
-                C1, C2, C3, theta = rayleigh_ritz_3block(state.X, R, None, Aw)
+                C1, C2, C3, theta = rayleigh_ritz_3block(X, R, None, Aw)
                 P = None
             except BtilNotSPD:
-                C1, _, _, theta = rayleigh_ritz_3block(state.X, None, None, Aw)
+                C1, _, _, theta = rayleigh_ritz_3block(X, None, None, Aw)
                 C2 = np.zeros((R.ell, cfg.ell))
                 C3 = np.zeros((0, cfg.ell))
                 P = None
@@ -252,37 +234,35 @@ def lobpcg_lowrank(A, cfg, X0):
         if P is not None and P.ell > 0 and C3.shape[0] == P.ell:
             Pnew = add(Pnew, right_multiply(P, C3))
         Pnew = truncate(Pnew, cfg.trunc_eps, cfg.r_max)
-        Xnew = add(right_multiply(state.X, C1), Pnew)
+        Xnew = add(right_multiply(X, C1), Pnew)
         pre_rank = max(Xnew.r_hat, Xnew.r_til)
         # a fixed relative cut re-injects ~eps*||A|| into the residual every
         # update; tighten it with the residual so it never dominates
         Xnew = truncate(Xnew, min(cfg.trunc_eps, worst / anorm), cfg.r_max)
-        state.rank_history.append(_ranks(Xnew, R, Pnew, pre=pre_rank))
-        state.X = Xnew
-        state.theta = theta
+        rank_history.append(_ranks(Xnew, R, Pnew, pre=pre_rank))
+        X = Xnew
         P = Pnew
 
     if not converged:
         # the final update was never residual-tested; evaluate it so the
         # returned triple (X, theta, res) is consistent, then keep the best
-        res = column_norms(residual_block(Aw, state.X, theta))
+        res = column_norms(residual_block(Aw, X, theta))
         if float(np.max(res[: cfg.k])) < best[0]:
-            best = (float(np.max(res[: cfg.k])), state.X, theta.copy(), res.copy())
-        _, Xb, theta, res = best
-        state.X = Xb
+            best = (float(np.max(res[: cfg.k])), X, theta.copy(), res.copy())
+        _, X, theta, res = best
     keep = np.eye(cfg.ell)[:, : cfg.k]
     diagnostics = {
         "converged": converged,
-        "iterations": state.iteration,
+        "iterations": it,
         "threshold": threshold,
         "scale": scale,
-        "residual_history": state.residual_history,
-        "ritz_history": state.ritz_history,
-        "rank_history": state.rank_history,
+        "residual_history": residual_history,
+        "ritz_history": ritz_history,
+        "rank_history": rank_history,
     }
     return EigenResult(
         np.asarray(theta[: cfg.k]) - cfg.shift,
-        right_multiply(state.X, keep),
+        right_multiply(X, keep),
         res[: cfg.k],
         res[: cfg.k] <= threshold,
         diagnostics,

@@ -657,9 +657,12 @@ class TensorGalerkin:
         """True relative residual ||F_j G_j^T - L_z(U Y V^T)||_F / ||F_j G_j^T||_F."""
         pU, pKU, *pH = self.Rp_blocks
         qV, qKV, *qT = self.Rq_blocks
-        left = np.hstack([_real_matmul(p, Y) for p in [pU, pKU] + pH])
-        right = np.hstack([qKV - z * qV, qV] + qT)
-        R = np.outer(self.Rp_rhs[:, j], self.Rq_rhs[:, j]) + left @ right.T
+        # -z Y folds into the left blocks, so the right ones stay real:
+        # pU Y (qKV - z qV)^T + pKU Y qV^T = pU Y qKV^T + (pKU Y - z pU Y) qV^T
+        pUY = _real_matmul(pU, Y)
+        left = np.hstack([pUY, _real_matmul(pKU, Y) - z * pUY] + [_real_matmul(p, Y) for p in pH])
+        right = np.hstack([qKV, qV] + qT)
+        R = np.outer(self.Rp_rhs[:, j], self.Rq_rhs[:, j]) + _real_matmul(right, left.T).T
         return float(np.linalg.norm(R)) / self.bnorm[j]
 
     def solve(self, z, j, tol):

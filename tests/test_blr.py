@@ -6,19 +6,24 @@ import pytest
 from conftest import kron_dense, make_rng, random_block, random_sym_kron_operator
 from kroneig.blr import (
     BlockLowRank,
+    KroneckerSumOperator,
     add,
     apply_operator,
     apply_vec,
     block_inner,
     column_norms,
+    fold_bases,
     from_khatri_rao,
     orthonormalize_svd,
+    rayleigh_ritz_3block,
     residual_block,
     right_multiply,
     to_dense,
     truncate,
 )
+from kroneig.dense import eig_sym_gen
 from kroneig.errors import DimensionMismatch, SizeOverflow
+from kroneig.problems import make_spec, schrodinger_kron
 from kroneig.sketch import draw_khatri_rao, khatri_rao_dense
 
 
@@ -280,6 +285,87 @@ def test_residual_block_matches_dense():
     D = to_dense(W)
     ref = kron_dense(A) @ D - D @ np.diag(theta)
     assert np.allclose(to_dense(residual_block(A, W, theta)), ref, atol=1e-11)
+    # no identity factor anywhere: W's bases are appended, rank (s + 1) r
+    R = residual_block(A, W, theta)
+    assert (R.r_hat, R.r_til) == (4 * 2, 4 * 3)
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_residual_block_on_shared_bases(complex_):
+    # The Schrodinger operator's identity terms already hold U and V in the
+    # image's bases, so the shift costs no rank: 3r, not 4r.
+    rng = make_rng(49)
+    A = schrodinger_kron(make_spec("sum-of-squares", 6))
+    W = random_block(rng, 6, 6, 3, 2, 3, complex_=complex_)
+    theta = 10.0 * rng.standard_normal(3)
+    R = residual_block(A, W, theta)
+    assert (R.r_hat, R.r_til) == (3 * 2, 3 * 3)
+    D = to_dense(W)
+    ref = kron_dense(A) @ D - D @ np.diag(theta)
+    assert np.allclose(to_dense(R), ref, atol=1e-10 * np.linalg.norm(ref))
+    assert np.allclose(column_norms(R), np.linalg.norm(ref, axis=0), rtol=1e-10)
+    # one identity side only: still exact, through the appended bases
+    K = A.terms[0][1]
+    one_sided = KroneckerSumOperator((A.terms[0], (K, K)))
+    D1 = kron_dense(one_sided) @ D - D @ np.diag(theta)
+    R1 = residual_block(one_sided, W, theta)
+    assert (R1.r_hat, R1.r_til) == (3 * 2, 3 * 3)
+    assert np.allclose(to_dense(R1), D1, atol=1e-10 * np.linalg.norm(D1))
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_fold_bases_is_lossless(complex_):
+    rng = make_rng(50)
+    W = random_block(rng, 7, 6, 4, 3, 2, complex_=complex_)
+    F = fold_bases(W)
+    assert F.orthonormal and (F.r_hat, F.r_til) == (3, 2)
+    assert np.allclose(F.U.conj().T @ F.U, np.eye(3), atol=1e-14)
+    assert np.allclose(F.V.conj().T @ F.V, np.eye(2), atol=1e-14)
+    assert np.allclose(to_dense(F), to_dense(W), atol=1e-12)
+    # the norms read the folded cores, and agree with the unfolded block's
+    assert np.allclose(column_norms(F), column_norms(W), rtol=1e-13)
+    assert np.allclose(column_norms(F), np.linalg.norm(to_dense(W), axis=0), rtol=1e-12)
+    assert fold_bases(F) is F
+    # a wide basis (more columns than rows) folds in whole
+    wide = random_block(rng, 3, 6, 2, 5, 2)
+    Fw = fold_bases(wide)
+    assert Fw.r_hat == 3 and np.allclose(to_dense(Fw), to_dense(wide), atol=1e-12)
+    zero = fold_bases(random_block(rng, 5, 4, 2, 0, 2))
+    assert (zero.r_hat, zero.r_til, zero.ell) == (0, 0, 2)
+
+
+def test_truncate_of_folded_block_matches():
+    # truncate skips the QR of an orthonormal block and cuts its cores:
+    # folding first does not change what it keeps
+    rng = make_rng(51)
+    W = random_block(rng, 12, 11, 3, 6, 5)
+    direct = truncate(W, 1e-2, r_max=4)
+    folded = truncate(fold_bases(W), 1e-2, r_max=4)
+    assert (folded.r_hat, folded.r_til) == (direct.r_hat, direct.r_til)
+    assert np.allclose(to_dense(folded), to_dense(direct), atol=1e-12)
+
+
+def test_rayleigh_ritz_per_term_matches_full_images():
+    # Per-term products on the upper blocks only equal the projection on
+    # the s-fold apply_operator images with every block computed.
+    rng = make_rng(52)
+    A = random_sym_kron_operator(rng, 7, 6, terms=3, spd_shift=8.0)
+    S = [
+        orthonormalize_svd(random_block(rng, 7, 6, ell, 3, 3, complex_=True))
+        for ell in (3, 2, 2)
+    ]
+    C1, C2, C3, theta = rayleigh_ritz_3block(*S, A)
+    AS = [apply_operator(A, Sj) for Sj in S]
+    H = np.block([[block_inner(Si, ASj) for ASj in AS] for Si in S])
+    G = np.block([[block_inner(Si, Sj) for Sj in S] for Si in S])
+    H = 0.5 * (H + H.conj().T)
+    G = 0.5 * (G + G.conj().T)
+    ref, _ = eig_sym_gen(H, G, 3)
+    scale = np.linalg.norm(H, 2)
+    assert np.max(np.abs(theta - ref)) <= 1e-12 * scale
+    C = np.vstack([C1, C2, C3])
+    assert np.max(np.abs(C.conj().T @ G @ C - np.eye(3))) <= 1e-12
+    assert np.max(np.abs(C.conj().T @ H @ C - np.diag(theta))) <= 1e-12 * scale
 
 
 def test_apply_vec_matches_dense():

@@ -10,12 +10,16 @@ from conftest import (
     make_rng,
     random_block,
 )
+import kroneig.blr
+import kroneig.lobpcg
 from kroneig.blr import (
     BlockLowRank,
     KroneckerSumOperator,
     block_inner,
+    column_norms,
     from_khatri_rao,
     rayleigh_ritz_3block,
+    residual_block,
     to_dense,
 )
 from kroneig.errors import DimensionMismatch, OutOfRange, StructureMismatch
@@ -23,7 +27,6 @@ from kroneig.lobpcg import (
     AdiBlockPreconditioner,
     LobpcgConfig,
     lobpcg_lowrank,
-    precond_apply,
 )
 from kroneig.problems import (
     gershgorin_interval,
@@ -86,7 +89,7 @@ def test_adi_block_preconditioner_matches_dense_fadi():
     K_til = A.terms[1][0]
     pre = AdiBlockPreconditioner(A, iterations=6, trunc_eps=0.0, r_max=None)
     W = random_block(rng, 9, 8, 3, 2, 2)
-    out = precond_apply(pre, W)
+    out = pre.apply_block(W)
     D = to_dense(W)
     shifts = adi_shifts(gershgorin_interval(K_hat), gershgorin_interval(K_til), 6)
     for j in range(3):
@@ -94,7 +97,6 @@ def test_adi_block_preconditioner_matches_dense_fadi():
         ref = dense_fadi_apply(K_hat, K_til, shifts, C)
         got = to_dense(out)[:, j].reshape((9, 8), order="F")
         assert np.linalg.norm(got - ref) < 1e-10 * max(np.linalg.norm(ref), 1.0)
-    assert precond_apply(None, W) is W
 
 
 def test_adi_block_preconditioner_streamed_truncation():
@@ -138,7 +140,7 @@ def test_adi_preconditioner_inverts_two_term():
     K_til = A.terms[1][0]
     pre = AdiBlockPreconditioner(A, iterations=20, trunc_eps=0.0, r_max=None)
     W = random_block(rng, 10, 10, 2, 2, 2)
-    out = to_dense(precond_apply(pre, W))
+    out = to_dense(pre.apply_block(W))
     M = kron_dense(KroneckerSumOperator(A.terms[:2]))
     # 20 geometric shifts drive the two-term inverse below 1e-4.
     err = np.linalg.norm(M @ out - to_dense(W)) / np.linalg.norm(to_dense(W))
@@ -316,3 +318,43 @@ def test_lobpcg_truncation_does_not_floor_residual():
     assert res.diagnostics["converged"]
     assert res.diagnostics["iterations"] <= 100
     assert np.max(res.residual_norms) <= 1e-6
+
+
+def test_lobpcg_reports_block_residuals_with_one_qr_per_side(monkeypatch):
+    # The reported residuals are column_norms of the residual block of the
+    # returned pairs. Each residual has rank 3r on the Schrodinger operator,
+    # and its two bases are QR-factored once: its norms and its cut share
+    # that factorization.
+    residuals = []
+    factored = []
+
+    def recording_residual(A, W, theta):
+        R = residual_block(A, W, theta)
+        residuals.append((R, W))
+        return R
+
+    def counting(qr):
+        def wrapper(M, *args, **kwargs):
+            factored.append(M)
+            return qr(M, *args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(kroneig.lobpcg, "residual_block", recording_residual)
+    monkeypatch.setattr(kroneig.blr, "qr_unless_wide", counting(kroneig.blr.qr_unless_wide))
+    monkeypatch.setattr(np.linalg, "qr", counting(np.linalg.qr))
+    n = 24
+    A = schrodinger_kron(make_spec("sum-of-squares", n))
+    cfg = LobpcgConfig(
+        k=2, ell=4, trunc_eps=1e-7, r_max=30, max_iter=60, conv_tol=1e-6, seed=0
+    )
+    res = lobpcg_lowrank(A, cfg, from_khatri_rao(draw_khatri_rao(n, n, 4, seed=5)))
+    monkeypatch.undo()
+    assert res.diagnostics["converged"]
+    assert len(residuals) == res.diagnostics["iterations"]
+    for R, W in residuals:
+        assert (R.r_hat, R.r_til) == (3 * W.r_hat, 3 * W.r_til)
+        for basis in (R.U, R.V):
+            assert sum(1 for M in factored if M is basis) == 1
+    check = column_norms(residual_block(A, res.ritz_vectors, res.ritz_values))
+    assert np.allclose(check, res.residual_norms, rtol=1e-12, atol=0.0)
