@@ -81,7 +81,6 @@ DEFAULTS = {
         "center": 12.606,
         "radius": 9.0,
         "tol": 1e-10,
-        "max_iter": 200,
         "rank_cap": 90,
         "recompress_eps": 1e-10,
         "recompress_rmax": 90,
@@ -304,7 +303,6 @@ def cmd_contour(cfg):
     sk = draw_khatri_rao(A.n_til, A.n_hat, cfg["ell"], seed=cfg["seed"])
     solver = NodeSolverConfig(
         tol=cfg["tol"],
-        max_iter=cfg["max_iter"],
         rank_cap=cfg["rank_cap"],
         seed=cfg["seed"],
     )
@@ -318,10 +316,10 @@ def cmd_contour(cfg):
     out = _outdir(cfg)
     _write_csv(
         os.path.join(out, "contour_nodes.csv"),
-        ["node", "z_re", "z_im", "column", "method", "iterations", "residual", "converged"],
+        ["node", "z_re", "z_im", "column", "rounds", "iterations", "residual", "converged"],
         [
             [r["node"], filt.nodes[r["node"]].real, filt.nodes[r["node"]].imag,
-             r["column"], r["method"], r["iterations"], r["residual"], r["converged"]]
+             r["column"], r["rounds"], r["iterations"], r["residual"], r["converged"]]
             for r in diag["node_reports"]
         ],
     )

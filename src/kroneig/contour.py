@@ -9,20 +9,19 @@ sketch column make one cell, a shifted linear solve whose right-hand side
 is the Khatri-Rao column; it matricizes to a three-term Sylvester
 equation. The node equations of a run are one family in the shift with
 the same right-hand sides, and their solutions lie close to one small
-tensor basis U (x) V (``sylvester.TensorGalerkin``). The training cells
-(every column at the first node) build that basis from eig2 two-term
-solves: of their right-hand sides first, then of the coupling images of
-those that still miss the node tolerance. Every other cell is solved by
-Galerkin projection onto the basis, and its true residual is checked in
-full space. A cell that misses the node tolerance falls back to the
-truncated BiCGstab of .sylvester, and its solution extends the basis
-after its node. The filter is accumulated exactly on the shared basis,
-one core per sketch column (for real data the basis is real, so a
-conjugate node pair folds into one real contribution), truncated once at
-assembly, and the Ritz pairs come from the Rayleigh-Ritz step shared with
-LOBPCG (``blr.orthonormalize_svd``, ``blr.rayleigh_ritz_3block``,
-``blr.residual_block``). A node problem holds the operator's own typed
-factors and z, so no n x n coefficient is formed per cell.
+tensor basis U (x) V (``sylvester.TensorGalerkin``). Every node runs the
+same loop on that basis: its cells are solved by Galerkin projection and
+their true residuals checked in full space, and a cell that misses the
+node tolerance grows the basis by the eig2 two-term solves of its
+right-hand side and of its solution's coupling image. The basis starts
+empty, so the first node's first round is the seed round. The filter is
+accumulated exactly on the shared basis, one core per sketch column (for
+real data the basis is real, so a conjugate node pair folds into one real
+contribution), truncated once at assembly, and the Ritz pairs come from
+the Rayleigh-Ritz step shared with LOBPCG (``blr.orthonormalize_svd``,
+``blr.rayleigh_ritz_3block``, ``blr.residual_block``). A node problem
+holds the operator's own typed factors and z, so no n x n coefficient is
+formed per cell.
 
 Desk-scale evaluators quantify the subspace quality independently of the
 solver: structural_bound evaluates the angle bound driven by the filter
@@ -60,12 +59,7 @@ from .errors import (
     StructureMismatch,
 )
 from .factors import Identity
-from .sylvester import (
-    EigenbasisPreconditioner,
-    MultitermSylvester,
-    TensorGalerkin,
-    bicgstab_multiterm,
-)
+from .sylvester import EigenbasisPreconditioner, MultitermSylvester, TensorGalerkin
 
 __all__ = [
     "RationalFilter",
@@ -149,16 +143,13 @@ class NodeSolverConfig:
     """Settings for the node solves.
 
     ``precond`` is "eig2" (one eigenbasis preconditioner shared by every
-    node and column), None or an object with a ``solve_pair`` method. It
-    makes the two-term solves that build the shared basis and
-    preconditions the BiCGstab fallbacks; with None the fallbacks run
-    unpreconditioned and the basis comes from an eig2 built for it.
+    node and column) or an object with a ``solve_pair`` method; it makes
+    the two-term solves that grow the shared basis, to 1e-3 tol and at
+    most ``rank_cap``.
     """
 
     tol: float = 1e-10
-    max_iter: int = 200
     rank_cap: int = 90
-    trunc_tol: float = 1e-15
     precond: str = "eig2"
     seed: int = 0
 
@@ -200,36 +191,29 @@ def node_problem(A, z, F, G):
     return MultitermSylvester(K_hat, K_til, couplings, F, G, z=z)
 
 
-def _training_cells(node_ids, ell):
-    """Cells that build the shared basis before any held-out cell is
-    solved: every column at the first solved node."""
-    return [(node_ids[0], j) for j in range(ell)]
-
-
 def contour_eigensolve(A, filt, sk, solver_cfg=None, recompress=None, threads=1):
     """Filtered-subspace eigensolver: solve, accumulate, assemble, project.
 
     Every quadrature node i and sketch column j make one cell, the shifted
     system (z_i - A) x = sketch column j in factored form; for real data
     only the upper half-plane nodes are solved and each contributes the
-    folded real part of its conjugate pair. The training cells (every
-    column at the first solved node) build the shared tensor basis of a
-    ``TensorGalerkin`` family without BiCGstab: each seeds it with the
-    eig2 two-term solve of its right-hand side, and the family then grows
-    it by the two-term solves of the coupling images of the training
-    cells that still miss the node tolerance (``TensorGalerkin.enrich``),
-    round by round, until they reach it or a round fails to halve the
-    worst residual. Every other cell is solved on that basis, and its true
-    residual is checked in full space. A cell that misses the node
-    tolerance, training cells left over by the enrichment included, falls
-    back to BiCGstab, and after each node the fallback solutions extend
-    the basis in column order (the greedy reduced-basis loop). The filter
-    is accumulated exactly on the shared basis, one core per column,
-    truncated once at assembly, orthonormalized from its cores with the
-    column mode cut at the same eps (``orthonormalize_svd``), and the
-    symmetrized projected pencil yields the Ritz pairs.
-    A failed seed solve or BiCGstab cell is recorded and skipped; the
-    column is flagged degraded but the solve grid keeps going.
+    folded real part of its conjugate pair. The nodes are solved in order,
+    each by ``TensorGalerkin.enrich`` on one shared tensor basis: its cells
+    are Galerkin cells with a true full-space residual, and a cell that
+    misses the node tolerance adds the eig2 two-term solve of its
+    right-hand side (once) and of its solution's coupling image, round by
+    round, in column order. The basis starts empty, so at the first node
+    every cell misses and the first round seeds it. When a round adds
+    nothing or fails to halve the worst residual, one last round keeps
+    every direction above cut / 100. A cell still above the tolerance is
+    accumulated with its Galerkin solution, reported unconverged with its
+    true residual, and its column flagged degraded. A two-term solve that
+    raises is recorded under ``failures`` and adds nothing. The filter is
+    accumulated exactly on the shared basis, one core per column, carried
+    through every basis change, truncated once at assembly,
+    orthonormalized from its cores with the column mode cut at the same
+    eps (``orthonormalize_svd``), and the symmetrized projected pencil
+    yields the Ritz pairs.
     """
     cfg = solver_cfg if solver_cfg is not None else NodeSolverConfig()
     rec = recompress if recompress is not None else RecompressConfig()
@@ -240,15 +224,10 @@ def contour_eigensolve(A, filt, sk, solver_cfg=None, recompress=None, threads=1)
         )
     ell = sk.ell
     K_hat, K_til, couplings = _node_parts(A)
-    shared_precond = (
-        EigenbasisPreconditioner(K_hat, K_til) if cfg.precond == "eig2" else cfg.precond
-    )
+    precond = EigenbasisPreconditioner(K_hat, K_til) if cfg.precond == "eig2" else cfg.precond
     # an unknown name would otherwise fail every cell one by one
-    if shared_precond is not None and not hasattr(shared_precond, "solve_pair"):
+    if not hasattr(precond, "solve_pair"):
         raise OutOfRange(f"contour_eigensolve: unknown preconditioner {cfg.precond!r}")
-    # the two-term solves that build the basis need a preconditioner even
-    # when the BiCGstab fallbacks run without one
-    seed_precond = shared_precond or EigenbasisPreconditioner(K_hat, K_til)
 
     real_data = not any(
         np.iscomplexobj(t) for pair in A.terms for t in pair
@@ -262,147 +241,53 @@ def contour_eigensolve(A, filt, sk, solver_cfg=None, recompress=None, threads=1)
     F = sk.scale * sk.hat
     # at tol 1e-10 a basis cut at 1e-13 carried every held-out cell, 1e-11 did not
     family = TensorGalerkin(K_hat, K_til, couplings, F, sk.tilde, 1e-3 * cfg.tol, real_data)
-    training = _training_cells(node_ids, ell)
 
     def weight(i):
         """Filter weight of node i; doubled where real data folds in its conjugate."""
         c = complex(filt.weights[i] / (2.0j * np.pi))
         return 2.0 * c if real_data and filt.nodes[i].imag > im_floor else c
 
-    def two_term(z, j, Fs, Gs):
-        """The two-term solve of Fs Gs^T at node z, to 1e-3 tol."""
-        problem = node_problem(A, z, F[:, j : j + 1], sk.tilde[:, j : j + 1])
-        rng = np.random.default_rng((cfg.seed, j))
-        return seed_precond.solve_pair(problem, Fs, Gs, 1e-3 * cfg.tol, cfg.rank_cap, rng)
-
-    def seed_cell(cell):
-        """The two-term solve of a training cell's right-hand side; a
-        KroneigError is returned, not raised."""
-        i, j = cell
-        try:
-            return two_term(complex(filt.nodes[i]), j, F[:, j : j + 1], sk.tilde[:, j : j + 1])
-        except KroneigError as exc:
-            return exc
-
-    def enrichment(z, j, Fs, Gs):
-        """The two-term solve of a coupling image; None when it fails."""
-        try:
-            return two_term(z, j, Fs, Gs)
-        except KroneigError:
-            return None
-
-    def bicgstab_cell(cell):
-        """BiCGstab on one (node, column) cell; a KroneigError is returned, not raised."""
-        i, j = cell
-        seed = int(np.random.SeedSequence((cfg.seed, i, j)).generate_state(1)[0])
-        try:
-            return bicgstab_multiterm(
-                node_problem(A, complex(filt.nodes[i]), F[:, j : j + 1], sk.tilde[:, j : j + 1]),
-                precond=shared_precond,
-                tol=cfg.tol,
-                max_iter=cfg.max_iter,
-                rank_cap=cfg.rank_cap,
-                trunc_tol=cfg.trunc_tol,
-                seed=seed,
-            )
-        except KroneigError as exc:
-            return exc
-
     def pmap(fn, items):
-        """fn over items in order; lazily on one thread, so each BiCGstab
-        solution is added to the basis before the next is solved."""
+        """fn over items, in order."""
         if threads > 1 and len(items) > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
                 return list(pool.map(fn, items))
-        return map(fn, items)
+        return list(map(fn, items))
 
-    reports = {}
-    failures = []
-    degraded = set()
-    fallback_cells = []
-    basis_ranks = []
-
-    def fail(cell, exc):
-        """Record a cell whose solve raised."""
-        failures.append(cell)
-        degraded.add(cell[1])
-        reports[cell].update(iterations=0, residual=math.inf, converged=False, error=str(exc))
-
-    def bicgstab_cells(misses, sigma):
-        """BiCGstab on the cells that missed: record them, extend the basis,
-        accumulate; returns sigma on the extended basis."""
-
-        def solutions():
-            for (i, j), sol in zip(misses, pmap(bicgstab_cell, list(misses))):
-                reports[i, j] = {"node": i, "column": j, "method": "bicgstab",
-                                 "galerkin_residual": misses[i, j]}
-                if isinstance(sol, KroneigError):
-                    fail((i, j), sol)
-                    continue
-                reports[i, j].update(iterations=sol.iterations, residual=sol.achieved_residual,
-                                     converged=sol.converged, rank=sol.rank)
-                if not sol.converged:
-                    degraded.add(j)
-                yield j, weight(i), sol.Xhat, sol.Xtil
-
-        fallback_cells.extend(misses)
-        sigma = family.extend(solutions(), sigma)
-        basis_ranks.append(family.ranks)
-        return sigma
-
-    def settle(cells, results, method, sigma):
-        """Accumulate the cells whose Galerkin solution reached the node
-        tolerance; the others fall back to BiCGstab. Returns sigma."""
-        misses = {}
-        for (i, j), (Y, residual, steps) in zip(cells, results):
-            if residual <= cfg.tol:
-                reports[i, j] = {"node": i, "column": j, "method": method,
-                                 "iterations": steps, "residual": residual, "converged": True}
-                family.accumulate(sigma, j, weight(i), Y)
-            else:
-                misses[i, j] = residual
-        return bicgstab_cells(misses, sigma) if misses else sigma
-
-    def seeds():
-        """The training cells' seed pairs, one at a time; a failed seed is recorded."""
-        for cell, pair in zip(training, pmap(seed_cell, training)):
-            if isinstance(pair, KroneigError):
-                reports[cell] = {"node": cell[0], "column": cell[1], "method": "enriched"}
-                fail(cell, pair)
-            else:
-                seeded.append(cell)
-                yield pair
-
-    def galerkin_cell(cell):
-        i, j = cell
-        return family.solve(complex(filt.nodes[i]), j, cfg.tol)
-
-    seeded = []
-    family.grow(seeds())
-    results, rounds = family.enrich(
-        [(complex(filt.nodes[i]), j) for i, j in seeded], enrichment, cfg.tol, pmap
-    )
-    basis_ranks.append(family.ranks)
-    sigma = settle(seeded, results, "enriched", np.zeros((ell, *family.ranks), dtype=dtype))
+    reports, errors, basis_ranks, rounds = [], {}, [], 0
+    sigma = np.zeros((ell, 0, 0), dtype=dtype)
     for i in node_ids:
-        cells = [(i, j) for j in range(ell) if (i, j) not in training]
-        sigma = settle(cells, pmap(galerkin_cell, cells), "galerkin", sigma)
+
+        def two_term(z, j, Fs, Gs, i=i):
+            """The two-term solve of Fs Gs^T at node z, to 1e-3 tol; None
+            (the error recorded) when it raises."""
+            problem = node_problem(A, z, F[:, j : j + 1], sk.tilde[:, j : j + 1])
+            rng = np.random.default_rng((cfg.seed, j))
+            try:
+                return precond.solve_pair(problem, Fs, Gs, 1e-3 * cfg.tol, cfg.rank_cap, rng)
+            except KroneigError as exc:
+                errors.setdefault((i, j), str(exc))
+                return None
+
+        cells = [(complex(filt.nodes[i]), j, weight(i)) for j in range(ell)]
+        results, grown, sigma = family.enrich(cells, two_term, cfg.tol, sigma, pmap)
+        if grown:
+            rounds += grown
+            basis_ranks.append((i, *family.ranks))
+        for j, (residual, steps, enriched) in enumerate(results):
+            reports.append({"node": i, "column": j, "rounds": enriched, "iterations": steps,
+                            "residual": residual, "converged": residual <= cfg.tol})
+            if (i, j) in errors:
+                reports[-1]["error"] = errors[i, j]
 
     diagnostics = {
-        "node_reports": [reports[key] for key in sorted(reports)],
-        "failures": failures,
-        "degraded_columns": sorted(degraded),
+        "node_reports": reports,
+        "failures": sorted(errors),
+        "degraded_columns": sorted({r["column"] for r in reports if not r["converged"]}),
         "nodes_solved": node_ids,
         "conjugate_economy": real_data,
         "grid_size": len(node_ids) * ell,
-        "basis": {
-            "training_cells": training,
-            "cut": family.cut,
-            "ranks": basis_ranks,
-            "enrichment_rounds": rounds,
-            "fallback_cells": fallback_cells,
-            "galerkin_cells": sum(r["method"] == "galerkin" for r in reports.values()),
-        },
+        "basis": {"cut": family.cut, "ranks": basis_ranks, "enrichment_rounds": rounds},
     }
 
     if min(family.ranks) == 0:

@@ -15,16 +15,17 @@ factored pairs: a rank-r matrix is a pair (F, G) of n_hat x r and n_til x
 r blocks with X = F @ G.T. The transpose is PLAIN, also for complex data;
 wherever an adjoint is meant the conjugation is written out.
 
-The BiCGstab iteration is preconditioned by "eig2" (default), which
-inverts the two-term part in the eigenbasis of K: one symmetric
+The two-term solver is "eig2", which inverts the two-term part in the
+eigenbasis of K: it makes the two-term solves that grow the contour's
+tensor basis and is BiCGstab's default preconditioner. It takes one symmetric
 eigendecomposition per coefficient matrix, shared across nodes/columns when
 the caller constructs the preconditioner once. It is sound at every node of
 a contour, including nodes whose real part falls inside the sum-spectrum of
 the operator. At a nonreal node it solves a low-rank input to the
 requested tolerance by factored ADI (``fadi_steps``, the library's one
 fADI recurrence) and draws no random numbers. ``precond=None`` runs
-unpreconditioned; any object with a ``solve_pair`` method can stand in for
-eig2.
+BiCGstab unpreconditioned; any object with a ``solve_pair`` method can
+stand in for eig2.
 
 BiCGstab recursion residuals drift away from true residuals once iterates
 are truncated, so the solver recomputes the true factored residual
@@ -42,11 +43,11 @@ stays a truncated pair of rank at most the cap.
 
 A family of node equations that differ only in the shift and in which
 right-hand side column they take is solved on one shared tensor basis by
-``TensorGalerkin``: the basis grows from two-term solves (the eig2 solves
-of the right-hand sides, then of the coupling images of cells that miss
-their tolerance) and from solutions found otherwise (the contour's
-BiCGstab fallback cells), each cell is a small projected equation, and its
-residual is a true full-space one.
+``TensorGalerkin``: each cell is a small projected equation, its residual
+is a true full-space one, and a cell that misses its tolerance grows the
+basis by two-term solves (the eig2 solves of its right-hand side and of
+its solution's coupling image). The contour solves every node this way;
+BiCGstab serves the ``sylvester-bench`` comparison.
 """
 
 from __future__ import annotations
@@ -421,7 +422,7 @@ def _make_precond(precond, problem):
 # Galerkin solves of a node-equation family on a shared tensor basis
 
 # iteration cap of the projected GMRES: its Krylov basis holds one r x r
-# array per step, and a cell that needs more steps falls back anyway
+# array per step, and a cell that needs more steps enriches the basis instead
 _GMRES_MAX_ITER = 50
 
 
@@ -459,12 +460,10 @@ class TensorGalerkin:
     side columns j, the node equations of one contour. Its solutions lie
     close to one tensor space: X ~ U Y V^T with orthonormal U (n_hat x r_hat)
     and V (n_til x r_til) (Simoncini, SIAM Review 2016; Kressner & Tobler,
-    SIMAX 2011). The basis grows three ways: ``grow`` adds given pairs
-    (the contour's two-term seed solves), ``enrich`` adds the two-term
-    solves of the coupling images of cells that miss their tolerance until
-    they reach it, and ``extend`` adds solutions found otherwise (BiCGstab
-    fallbacks) and accumulates them. A cell projects to the r_hat x r_til
-    equation
+    SIMAX 2011). ``enrich`` grows the basis from an empty one by two-term
+    solves: of the right-hand side of each cell that misses its tolerance,
+    and of its solution's coupling image, until the cells reach it; ``grow``
+    adds given pairs. A cell projects to the r_hat x r_til equation
 
         (z/2 - U^H K_hat U) Y + Y (z/2 - V^H K_til V)^T
             - sum (U^H hat_c U) Y (V^H til_c V)^T = (U^H F_j)(V^H G_j)^T,
@@ -504,7 +503,7 @@ class TensorGalerkin:
     def ranks(self):
         return self.U.shape[1], self.V.shape[1]
 
-    def _grow(self, B, W):
+    def _grow(self, B, W, cut):
         """B extended by the directions of W's remainder above the cut."""
         if self.real:
             W = np.hstack([W.real, W.imag])
@@ -516,10 +515,10 @@ class TensorGalerkin:
 
         Q, s, _ = np.linalg.svd(orthogonalize(W), full_matrices=False)
         # directions kept near the cut are mostly rounding along B: clean them
-        Q = np.linalg.qr(orthogonalize(Q[:, s > self.cut]))[0]
+        Q = np.linalg.qr(orthogonalize(Q[:, s > cut]))[0]
         return np.hstack([B, Q])
 
-    def _add(self, U, V, Xhat, Xtil):
+    def _add(self, U, V, Xhat, Xtil, cut):
         """U and V extended until they hold X = Xhat Xtil^T up to the cut."""
         lift_h, Rh = qr_unless_wide(Xhat)
         lift_t, Rt = qr_unless_wide(Xtil)
@@ -529,7 +528,7 @@ class TensorGalerkin:
             return U, V
         # X / ||X|| = (Qh C)(Qt)^T: Qh C carries X's column space with its
         # singular values, Qt C^T the row space with the same
-        return self._grow(U, lift_h(core / scale)), self._grow(V, lift_t(core.T / scale))
+        return self._grow(U, lift_h(core / scale), cut), self._grow(V, lift_t(core.T / scale), cut)
 
     def _rebase(self, U, V, cores):
         """Take the bases U, V (holding the current ones as leading columns)
@@ -551,88 +550,89 @@ class TensorGalerkin:
         added: U Re(w Y) V^T is w X plus the conjugate node's conj(w X), halved."""
         sigma[j] += (w * Y).real if self.real else w * Y
 
-    def extend(self, solutions, sigma):
-        """Add weighted solutions to the basis and to the cores sigma.
-
-        ``solutions`` yields (j, w, Xhat, Xtil) and is consumed one at a
-        time: X = Xhat Xtil^T extends the basis, which then holds it up to
-        the cut, and its core is accumulated into sigma[j] with weight w.
-        ``sigma`` (ell, r_hat, r_til) holds cores on the current bases;
-        returns them on the new bases.
-        """
-        U, V = self.U, self.V
-        for j, w, Xhat, Xtil in solutions:
-            U, V = self._add(U, V, Xhat, Xtil)
-            sigma = np.pad(sigma, ((0, 0), (0, U.shape[1] - sigma.shape[1]),
-                                   (0, V.shape[1] - sigma.shape[2])))
-            self.accumulate(sigma, j, w, (U.conj().T @ Xhat) @ (V.conj().T @ Xtil).T)
-        return self._rebase(U, V, sigma)
-
-    def grow(self, pairs, cores=None):
-        """Add the pairs (Xhat, Xtil) to the basis, accumulating nothing.
+    def grow(self, pairs, cores, cut=None):
+        """Add the pairs (Xhat, Xtil) to the basis, in order, keeping the
+        directions above ``cut`` (default: the family's).
 
         ``cores`` (m, r_hat, r_til), cores on the current bases, come back
-        on the new ones.
+        on the new ones; a basis that gains no direction is left as it is.
         """
         U, V = self.U, self.V
         for Xhat, Xtil in pairs:
-            U, V = self._add(U, V, Xhat, Xtil)
-        if cores is None:
-            cores = np.zeros((0, *self.ranks))
+            U, V = self._add(U, V, Xhat, Xtil, self.cut if cut is None else cut)
+        if (U.shape[1], V.shape[1]) == self.ranks:
+            return cores
         return self._rebase(U, V, cores)
 
-    def enrich(self, cells, two_term, tol, pmap=map):
-        """Galerkin solutions of the cells (z, j), the basis grown until they
-        reach tol.
+    def enrich(self, cells, two_term, tol, sigma, pmap=map):
+        """Solve the cells (z, j, w) on the basis, grown until they reach
+        tol, and accumulate w Y into sigma[j].
 
-        Round by round every pending cell is solved on the basis; each cell
-        above tol passes the coupling image of its solution, sum hat_c (U Y)
-        (til_c V)^T as a pair, to ``two_term(z, j, Fc, Gc)``, which returns a
-        pair approximating the two-term solve of it (None adds nothing).
-        With the seed L2^-1(F_j G_j^T) and U Y V^T already in the basis,
-        that is the preconditioned residual's new direction, a tensor-Krylov
-        step (Kressner & Tobler, SIMAX 2011). The pairs grow the basis in
-        cell order. The loop ends when no cell is left, when a round adds
-        no direction or when it fails to halve the worst residual.
-        ``pmap(fn, items)`` maps the per-cell work of a round.
+        Round by round every pending cell is solved on the basis. A cell
+        above tol passes to ``two_term(z, j, Fs, Gs)``, which returns a pair
+        approximating the two-term solve of Fs Gs^T (None adds nothing), its
+        own right-hand side F_j G_j^T once and the coupling image of its
+        solution, sum hat_c (U Y) (til_c V)^T, every round. With L2^-1(F_j
+        G_j^T) and U Y V^T in the basis, the latter is the preconditioned
+        residual's new direction, a tensor-Krylov step (Kressner & Tobler,
+        SIMAX 2011). On an empty basis every cell misses with Y = 0, so the
+        first round solves the right-hand sides alone. The pairs grow the
+        basis in cell order. When a round adds no direction or fails to
+        halve the worst residual, one last round runs that keeps every
+        direction above cut / 100; a cell still above tol after it is
+        accumulated with its Galerkin solution. ``sigma`` (ell, r_hat,
+        r_til) holds cores on the current bases and is carried through every
+        basis change. ``pmap(fn, items)`` maps the per-cell work of a round.
 
-        Returns (results, rounds): results[k] = (Y, residual, steps) of cell
-        k, with Y on the final basis or None for a cell left above tol, and
-        the number of rounds that grew the basis.
+        Returns (results, rounds, sigma): results[k] = (residual, steps,
+        misses) of cell k, the true residual of its accumulated solution,
+        its GMRES steps and the rounds in which it missed tol and grew the
+        basis; rounds is the number of rounds that grew it.
         """
         results = [None] * len(cells)
-        pending, kept, cores = list(range(len(cells))), [], np.zeros((0, *self.ranks))
-        worst_before, rounds = math.inf, 0
+        enriched = [0] * len(cells)
+        pending, seeded = list(range(len(cells))), set()
+        worst_before, rounds, last = math.inf, 0, False
 
         def solve(k):
-            return self.solve(*cells[k], tol)
+            z, j, _ = cells[k]
+            return self.solve(z, j, tol)
 
-        def direction(k):
-            z, j = cells[k]
-            return None if misses[k] is None else two_term(z, j, *self._coupling_image(misses[k]))
+        def directions(k):
+            z, j, _ = cells[k]
+            rhs = [] if k in seeded else [(self.F[:, j : j + 1], self.G[:, j : j + 1])]
+            image = [self._coupling_image(misses[k])] if self.couplings and misses[k].any() else []
+            pairs = (two_term(z, j, *pair) for pair in rhs + image)
+            return [pair for pair in pairs if pair is not None]
 
         while True:
             misses = {}
             for k, (Y, residual, steps) in zip(pending, pmap(solve, pending)):
-                results[k] = (None, residual, steps)
+                results[k] = (residual, steps, enriched[k])
                 if residual <= tol:
-                    kept.append(k)
-                    cores = np.concatenate([cores, Y[None]])
+                    self.accumulate(sigma, cells[k][1], cells[k][2], Y)
                 else:
                     misses[k] = Y
-            worst = max((results[k][1] for k in misses), default=0.0)
-            if not misses or not self.couplings or not worst < 0.5 * worst_before:
+            if not misses or last:
                 break
-            pairs = [pair for pair in pmap(direction, list(misses)) if pair is not None]
+            worst = max(results[k][0] for k in misses)
+            last = not worst < 0.5 * worst_before
+            pairs = [pair for found in pmap(directions, list(misses)) for pair in found]
+            seeded.update(misses)
             before = self.ranks
-            cores = self.grow(pairs, cores)
+            sigma = self.grow(pairs, sigma, self.cut / 100 if last else None)
+            if self.ranks == before and not last:
+                last = True
+                sigma = self.grow(pairs, sigma, self.cut / 100)
             if self.ranks == before:
                 break
             rounds += 1
+            for k in misses:
+                enriched[k] += 1
             pending, worst_before = list(misses), worst
-        for k, Y in zip(kept, cores):
-            results[k] = (Y,) + results[k][1:]
-        return results, rounds
+        for k, Y in misses.items():
+            self.accumulate(sigma, cells[k][1], cells[k][2], Y)
+        return results, rounds, sigma
 
     def _coupling_image(self, Y):
         """Pair (hat_c U Y, til_c V), stacked over the couplings."""
@@ -663,7 +663,7 @@ class TensorGalerkin:
         left = np.hstack([pUY, _real_matmul(pKU, Y) - z * pUY] + [_real_matmul(p, Y) for p in pH])
         right = np.hstack([qKV, qV] + qT)
         R = np.outer(self.Rp_rhs[:, j], self.Rq_rhs[:, j]) + _real_matmul(right, left.T).T
-        return float(np.linalg.norm(R)) / self.bnorm[j]
+        return float(np.linalg.norm(R) / self.bnorm[j])
 
     def solve(self, z, j, tol):
         """Galerkin solution of cell (z, j): (Y, true relative residual, steps).
@@ -672,13 +672,13 @@ class TensorGalerkin:
         right-hand side, so that its own error leaves the cell well inside
         tol; the returned residual is measured in full space.
         A basis of rank 0, or a shift on the projected two-term spectrum,
-        gives Y = None and residual inf.
+        gives Y = 0, whose residual is 1.
         """
         if self.bnorm[j] == 0.0:
             return np.zeros(self.ranks, dtype=complex), 0.0, 0
         D = z - self.lam_hat[:, None] - self.lam_til[None, :]
         if D.size == 0 or not np.all(D):
-            return None, math.inf, 0
+            return np.zeros(self.ranks, dtype=complex), 1.0, 0
         B = np.outer(self.f[:, j], self.g[:, j])
 
         def apply(W):

@@ -220,7 +220,7 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert cfg["n"] == 12          # from file
     assert cfg["q"] == 12          # flag beats file
     assert cfg["tol"] == 1e-6      # from file
-    assert cfg["max_iter"] == 200  # default
+    assert cfg["rank_cap"] == 90   # default
 
 
 def test_exit_code_2_on_config_errors(tmp_path, capsys):

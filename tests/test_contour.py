@@ -168,8 +168,62 @@ def test_contour_result_shapes():
 
 
 def _one_column_basis(monkeypatch):
-    """Train the contour's basis on one cell: column 0 at the first node."""
-    monkeypatch.setattr(contour, "_training_cells", lambda node_ids, ell: [(node_ids[0], 0)])
+    """Build the contour's basis from one cell, column 0 at the first node,
+    before that node's cells are solved on it (with weight 0, so that cell
+    is accumulated once, with the others)."""
+    enrich = TensorGalerkin.enrich
+
+    def first_column_first(self, cells, two_term, tol, sigma, pmap=map):
+        if self.ranks == (0, 0):
+            z, j, _ = cells[0]
+            sigma = enrich(self, [(z, j, 0.0)], two_term, tol, sigma, pmap)[2]
+        return enrich(self, cells, two_term, tol, sigma, pmap)
+
+    monkeypatch.setattr(TensorGalerkin, "enrich", first_column_first)
+
+
+def _coarse_cut(monkeypatch, cut):
+    """Give the contour's basis family a fixed, coarser cut."""
+
+    class Coarse(TensorGalerkin):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.cut = cut
+
+    monkeypatch.setattr(contour, "TensorGalerkin", Coarse)
+
+
+def _accumulated(monkeypatch):
+    """Record each solution the filter accumulates, as (column, weight,
+    U Y V^T) on the basis of the moment it is added."""
+    seen = []
+    accumulate = TensorGalerkin.accumulate
+
+    def recording(self, sigma, j, w, Y):
+        seen.append((j, w, self.U @ Y @ self.V.T))
+        accumulate(self, sigma, j, w, Y)
+
+    monkeypatch.setattr(TensorGalerkin, "accumulate", recording)
+    return seen
+
+
+def _dense_residuals(A, filt, sk, seen):
+    """{(node, column): (true relative residual, ||x|| / ||b||)} of the
+    recorded solutions; a solution's node is the one whose folded filter
+    weight it carries."""
+    dense = assemble_dense(A)
+    upper = [i for i in range(filt.q) if filt.nodes[i].imag > 0]
+    weights = {i: 2.0 * complex(filt.weights[i] / (2.0j * np.pi)) for i in upper}
+    F = sk.scale * sk.hat
+    out = {}
+    for j, w, X in seen:
+        i = min(upper, key=lambda i: abs(weights[i] - w))
+        x = X.reshape(-1, order="F")
+        b = np.kron(sk.tilde[:, j], F[:, j])
+        assert (i, j) not in out
+        bnorm = np.linalg.norm(b)
+        out[i, j] = np.linalg.norm(b - (filt.nodes[i] * x - dense @ x)) / bnorm, np.linalg.norm(x) / bnorm
+    return out
 
 
 def _assert_same_run(r1, r2):
@@ -203,17 +257,20 @@ def _threads_agree(A, center, radius):
 def test_contour_threads_deterministic():
     spec, _, center, radius = _zero_potential_window(14)
     res = _threads_agree(schrodinger_kron(spec), center, radius)
-    assert not res.diagnostics["basis"]["fallback_cells"]
+    assert all(r["converged"] for r in res.diagnostics["node_reports"])
 
 
 def test_contour_threads_deterministic_with_enrichment(monkeypatch):
-    # fallback cells extend the basis after their node, in column order,
-    # so threads=2 still gives threads=1's bits; at n=32 one enriched cell
-    # spans the whole space and nothing falls back
+    # the cells of a round are solved across threads, but their two-term
+    # solves grow the basis in column order after the round, so threads=2
+    # still gives threads=1's bits; the coarse cut makes later nodes miss
+    # and enrich the basis too
     A, _, center, radius = _sum_of_squares_window(48)
-    _one_column_basis(monkeypatch)
+    _coarse_cut(monkeypatch, 1e-5)
     res = _threads_agree(A, center, radius)
-    assert res.diagnostics["basis"]["fallback_cells"]
+    d = res.diagnostics
+    assert any(r["rounds"] and r["node"] != d["nodes_solved"][0] for r in d["node_reports"])
+    assert len(d["basis"]["ranks"]) > 1
 
 
 def _trained_family(A, nodes, sk, tol):
@@ -222,13 +279,12 @@ def _trained_family(A, nodes, sk, tol):
     F = sk.scale * sk.hat
     family = TensorGalerkin(K_hat, K_til, couplings, F, sk.tilde, 1e-3 * tol, True)
     sols = [
-        (j, 1.0, s.Xhat, s.Xtil)
+        bicgstab_multiterm(node_problem(A, complex(nodes[i]), F[:, j : j + 1],
+                                        sk.tilde[:, j : j + 1]), tol=tol)
         for i in (0, 4)
         for j in range(sk.ell)
-        for s in [bicgstab_multiterm(node_problem(A, complex(nodes[i]), F[:, j : j + 1],
-                                                  sk.tilde[:, j : j + 1]), tol=tol)]
     ]
-    family.extend(sols, np.zeros((sk.ell, 0, 0)))
+    family.grow([(s.Xhat, s.Xtil) for s in sols], np.zeros((0, 0, 0)))
     return family
 
 
@@ -277,41 +333,54 @@ def test_galerkin_real_gemms_match_complex_gemms():
         assert residual == pytest.approx(residual_c, rel=1e-13)
 
 
-def test_contour_one_column_basis_falls_back_and_enriches(monkeypatch):
-    # A basis from one cell cannot carry the other columns: their Galerkin
-    # cells miss, fall back to BiCGstab and extend the basis, and every
-    # cell still ends at the node tolerance.
+def test_contour_one_column_basis_enriches_at_each_node(monkeypatch):
+    # A basis from one cell cannot carry the other columns: their cells
+    # miss and grow the basis at their own node, and every cell still ends
+    # at the node tolerance, with threads=2 giving threads=1's bits.
     A, lam, center, radius = _sum_of_squares_window(32)
     filt = trapezoid_circle(center, radius, 16)
     sk = draw_khatri_rao(32, 32, 3, seed=1)
+    cfg = NodeSolverConfig(tol=1e-8, seed=0)
     _one_column_basis(monkeypatch)
-    res = contour_eigensolve(A, filt, sk, NodeSolverConfig(tol=1e-8, seed=0))
-    d = res.diagnostics
-    assert d["basis"]["training_cells"] == [(d["nodes_solved"][0], 0)]
-    # one basis from training, then one extension per node with fallbacks
-    assert d["basis"]["fallback_cells"]
-    assert len(d["basis"]["ranks"]) == 1 + len({i for i, _ in d["basis"]["fallback_cells"]})
-    reports = d["node_reports"]
+    runs = [contour_eigensolve(A, filt, sk, cfg, threads=t) for t in (1, 2)]
+    _assert_same_run(*runs)
+    res = runs[0]
+    reports = res.diagnostics["node_reports"]
     assert sorted((r["node"], r["column"]) for r in reports) == [
-        (i, j) for i in d["nodes_solved"] for j in range(3)
+        (i, j) for i in res.diagnostics["nodes_solved"] for j in range(3)
     ]
-    fallbacks = [r for r in reports if "galerkin_residual" in r]
-    assert fallbacks and all(r["method"] == "bicgstab" for r in fallbacks)
-    assert sorted((r["node"], r["column"]) for r in fallbacks) == sorted(d["basis"]["fallback_cells"])
+    first = res.diagnostics["nodes_solved"][0]
+    assert [r["rounds"] > 0 for r in reports if r["node"] == first] == [False, True, True]
     assert all(r["converged"] and r["residual"] <= 1e-8 for r in reports)
-    # the same filtered subspace as with the full training set
+    # the same filtered subspace as when every column builds the basis
     monkeypatch.undo()
-    ref = contour_eigensolve(A, filt, sk, NodeSolverConfig(tol=1e-8, seed=0))
-    assert not ref.diagnostics["basis"]["fallback_cells"]
+    ref = contour_eigensolve(A, filt, sk, cfg)
     inside = np.sort(res.ritz_values[res.inside_flags])
     assert len(inside) == 3
     assert np.max(np.abs(inside - np.sort(ref.ritz_values[ref.inside_flags]))) < 1e-8
 
 
-def test_node_next_to_spectrum_is_checked():
+def test_last_round_keeps_directions_above_a_hundredth_of_the_cut(monkeypatch):
+    # With a cut 100 times the node tolerance, the rounds at the family's
+    # cut stall above the tolerance. The last round keeps the directions
+    # above cut / 100 and carries every cell to the tolerance; at the plain
+    # cut every cell would stay at 6e-8 to 2e-6.
+    A, _, center, radius = _sum_of_squares_window(32)
+    tol = 1e-8
+    _coarse_cut(monkeypatch, 100 * tol)
+    res = contour_eigensolve(A, trapezoid_circle(center, radius, 16),
+                             draw_khatri_rao(32, 32, 3, seed=1), NodeSolverConfig(tol=tol, seed=0))
+    d = res.diagnostics
+    assert d["basis"]["cut"] == 100 * tol
+    assert d["basis"]["enrichment_rounds"] >= 3
+    assert all(r["converged"] and r["residual"] <= tol for r in d["node_reports"])
+
+
+def test_node_next_to_spectrum_is_checked(monkeypatch):
     # A node 1e-9 off an eigenvalue: the projected equation is nearly
-    # singular there. The Galerkin cell must report its true residual,
-    # and the contour either accepts it under tol or falls back.
+    # singular there. Every cell reports the true residual of the solution
+    # the filter accumulates, and it is converged exactly when that
+    # residual is at most tol.
     A, lam, center, radius = _sum_of_squares_window(16)
     dense = assemble_dense(A)
     filt = trapezoid_circle(center, radius, 16)
@@ -322,19 +391,23 @@ def test_node_next_to_spectrum_is_checked():
     tol = 1e-10
     family = _trained_family(A, nodes, sk, tol)
     F = family.F
+    # both sides round at eps ||A|| ||x||, large next to the spectrum
+    floor = 100 * np.finfo(float).eps * np.abs(lam).max()
     for j in range(3):
         Y, residual, _ = family.solve(complex(nodes[2]), j, tol)
         x = (family.U @ Y @ family.V.T).reshape(-1, order="F")
         b = np.kron(sk.tilde[:, j], F[:, j])
         true = np.linalg.norm(b - (nodes[2] * x - dense @ x)) / np.linalg.norm(b)
-        # both sides round at eps ||A|| ||x||, large next to the spectrum
-        floor = 100 * np.finfo(float).eps * np.abs(lam).max() * np.linalg.norm(x) / np.linalg.norm(b)
-        assert abs(true - residual) <= 1e-2 * true + floor
+        assert abs(true - residual) <= 1e-2 * true + floor * np.linalg.norm(x) / np.linalg.norm(b)
+    seen = _accumulated(monkeypatch)
     res = contour_eigensolve(A, near, sk, NodeSolverConfig(tol=tol, seed=0))
-    for r in res.diagnostics["node_reports"]:
-        assert r["method"] == "bicgstab" or (r["converged"] and r["residual"] <= tol)
-        if r["method"] == "galerkin" or "galerkin_residual" in r:
-            assert (r["node"], r["column"]) not in res.diagnostics["basis"]["training_cells"]
+    true = _dense_residuals(A, near, sk, seen)
+    reports = res.diagnostics["node_reports"]
+    assert sorted(true) == sorted((r["node"], r["column"]) for r in reports)
+    for r in reports:
+        assert r["converged"] == (r["residual"] <= tol)
+        dense_residual, scale = true[r["node"], r["column"]]
+        assert abs(dense_residual - r["residual"]) <= 1e-2 * dense_residual + floor * scale
 
 
 def test_contour_gram_breakdown_falls_back_to_svd():
@@ -387,47 +460,61 @@ def test_contour_keeps_weakly_filtered_pairs(seed):
     assert np.all(res.residual_norms[res.inside_flags] <= 1e-6)
 
 
-class _FailOnce:
-    """Preconditioner wrapper whose first call raises a solver error."""
+class _FailWhen:
+    """Preconditioner wrapper whose solves of the problems picked by
+    ``fails(problem)`` raise a solver error."""
 
-    def __init__(self, inner):
-        self.inner = inner
-        self.calls = 0
+    def __init__(self, inner, fails):
+        self.inner, self.fails = inner, fails
 
     def solve_pair(self, problem, F, G, tol, r_max, rng):
-        self.calls += 1
-        if self.calls == 1:
+        if self.fails(problem):
             raise SingularShiftedSolve("injected failure")
         return self.inner.solve_pair(problem, F, G, tol, r_max, rng)
 
 
 def test_contour_failed_cell_is_degraded_not_fatal():
+    # Failed two-term solves are recorded and add nothing; the run goes on.
+    # When column 0's solves fail at the first node, the other columns'
+    # seeds still carry that cell to the tolerance. When every solve there
+    # fails, the basis stays empty at that node, so its cells accumulate
+    # nothing and report the true residual of X = 0, which is 1; their
+    # columns are degraded and the next node seeds the basis.
     spec, _, center, radius = _zero_potential_window(12)
     A = schrodinger_kron(spec)
     filt = trapezoid_circle(center, radius, 8)
     sk = draw_khatri_rao(12, 12, 3, seed=4)
-    K_hat, K_til, _ = A.split
-    precond = _FailOnce(EigenbasisPreconditioner(K_hat, K_til))
-    res = contour_eigensolve(
-        A, filt, sk, NodeSolverConfig(tol=1e-9, seed=0, precond=precond)
-    )
-    assert len(res.diagnostics["failures"]) == 1
-    node, col = res.diagnostics["failures"][0]
-    assert col == 0
-    assert res.diagnostics["degraded_columns"] == [0]
-    bad = [r for r in res.diagnostics["node_reports"] if "error" in r]
-    assert len(bad) == 1 and bad[0]["node"] == node
-    # The run completes; the surviving columns still capture most of the
-    # window (the degraded column may cost one direction).
-    assert res.diagnostics["inside_count"] >= 2
-    assert len(res.ritz_values) == res.diagnostics["subspace_dim"]
+    K_hat, K_til = A.split[:2]
+    z0, F0 = complex(filt.nodes[0]), sk.scale * sk.hat[:, :1]
+    one, every = [
+        contour_eigensolve(A, filt, sk, NodeSolverConfig(
+            tol=1e-9, seed=0, precond=_FailWhen(EigenbasisPreconditioner(K_hat, K_til), fails)))
+        for fails in (lambda p: p.z == z0 and np.array_equal(p.F, F0), lambda p: p.z == z0)
+    ]
+    first = one.diagnostics["nodes_solved"][0]
+    assert one.diagnostics["failures"] == [(first, 0)]
+    assert every.diagnostics["failures"] == [(first, j) for j in range(3)]
+    for res in (one, every):
+        d = res.diagnostics
+        bad = {(r["node"], r["column"]): r for r in d["node_reports"] if "error" in r}
+        assert sorted(bad) == d["failures"]
+        assert all("injected failure" in r["error"] for r in bad.values())
+        assert all(r["converged"] == (r["residual"] <= 1e-9) for r in d["node_reports"])
+        assert d["degraded_columns"] == sorted(
+            {r["column"] for r in d["node_reports"] if not r["converged"]})
+        assert len(res.ritz_values) == d["subspace_dim"] > 0
+    assert one.diagnostics["degraded_columns"] == [] and one.diagnostics["inside_count"] == 3
+    assert every.diagnostics["degraded_columns"] == [0, 1, 2]
+    assert all(r["residual"] == 1.0 for r in every.diagnostics["node_reports"] if "error" in r)
+    assert every.diagnostics["basis"]["ranks"][0][0] == every.diagnostics["nodes_solved"][1]
 
 
 def test_training_cells_are_enriched_only_when_coupled():
-    # Zero potential: the node equation is the two-term one, so the seeds
-    # solve the training cells and no enrichment round runs. Sum of
-    # squares: the seeds miss the coupling, and at least one round of
-    # coupling images carries the training cells to the node tolerance.
+    # The first node's cells train the basis. Zero potential: the node
+    # equation is the two-term one, so the seed round solves them and no
+    # other round runs. Sum of squares: the seeds miss the coupling, and
+    # at least one round of coupling images carries them to the node
+    # tolerance. Later nodes pass on the trained basis.
     spec, _, center, radius = _zero_potential_window(20)
     zero = contour_eigensolve(schrodinger_kron(spec), trapezoid_circle(center, radius, 16),
                               draw_khatri_rao(20, 20, 3, seed=3), NodeSolverConfig(tol=1e-10))
@@ -435,92 +522,57 @@ def test_training_cells_are_enriched_only_when_coupled():
     A, _, center, radius = _sum_of_squares_window(48)
     coupled = contour_eigensolve(A, trapezoid_circle(center, radius, 16),
                                  draw_khatri_rao(48, 48, 3, seed=1), NodeSolverConfig(tol=1e-10))
-    assert zero.diagnostics["basis"]["enrichment_rounds"] == 0
-    assert coupled.diagnostics["basis"]["enrichment_rounds"] >= 1
+    assert zero.diagnostics["basis"]["enrichment_rounds"] == 1
+    assert coupled.diagnostics["basis"]["enrichment_rounds"] >= 2
     for res in (zero, coupled):
         d = res.diagnostics
-        assert d["basis"]["training_cells"] == [(d["nodes_solved"][0], j) for j in range(3)]
-        # one basis from the whole training phase, no fallback anywhere
-        assert len(d["basis"]["ranks"]) == 1 and not d["basis"]["fallback_cells"]
-        trained = [r for r in d["node_reports"] if r["method"] == "enriched"]
-        assert [(r["node"], r["column"]) for r in trained] == d["basis"]["training_cells"]
-        assert all(r["converged"] and r["residual"] <= 1e-10 for r in trained)
+        first = d["nodes_solved"][0]
+        # one basis, grown at the first node only
+        assert [ranks[0] for ranks in d["basis"]["ranks"]] == [first]
+        trained = [r for r in d["node_reports"] if r["rounds"]]
+        assert [(r["node"], r["column"]) for r in trained] == [(first, j) for j in range(3)]
+        assert all(r["converged"] and r["residual"] <= 1e-10 for r in d["node_reports"])
 
 
 class _StallAfterSeeds:
-    """Preconditioner wrapper whose solves after the seeds return zeros
-    until ``stall`` is cleared."""
+    """Preconditioner wrapper whose solves after the seeds return zeros."""
 
     def __init__(self, inner, seeds):
         self.inner, self.seeds = inner, seeds
         self.calls = 0
-        self.stall = True
 
     def solve_pair(self, problem, F, G, tol, r_max, rng):
         self.calls += 1
-        if self.stall and self.calls > self.seeds:
+        if self.calls > self.seeds:
             return np.zeros_like(F), np.zeros_like(G)
         return self.inner.solve_pair(problem, F, G, tol, r_max, rng)
 
 
-def test_stalled_enrichment_falls_back_to_bicgstab(monkeypatch):
-    # Coupling images that add nothing leave the training cells above the
-    # node tolerance: they go to BiCGstab (here with the real
-    # preconditioner) and end at the tolerance like any fallback cell.
+def test_stalled_enrichment_reports_true_residuals(monkeypatch):
+    # Two-term solves that add nothing after the first node's seeds leave
+    # the cells above the node tolerance: each is accumulated with its
+    # Galerkin solution and reported unconverged with the true residual of
+    # that solution, and its column is flagged degraded.
     A, _, center, radius = _sum_of_squares_window(48)
     K_hat, K_til, _ = A.split
     precond = _StallAfterSeeds(EigenbasisPreconditioner(K_hat, K_til), seeds=3)
-    bicgstab = contour.bicgstab_multiterm
-
-    def unstalled(*args, **kwargs):
-        precond.stall = False
-        return bicgstab(*args, **kwargs)
-
-    monkeypatch.setattr(contour, "bicgstab_multiterm", unstalled)
     tol = 1e-10
-    res = contour_eigensolve(A, trapezoid_circle(center, radius, 16),
-                             draw_khatri_rao(48, 48, 3, seed=1),
-                             NodeSolverConfig(tol=tol, precond=precond))
+    filt = trapezoid_circle(center, radius, 16)
+    sk = draw_khatri_rao(48, 48, 3, seed=1)
+    seen = _accumulated(monkeypatch)
+    res = contour_eigensolve(A, filt, sk, NodeSolverConfig(tol=tol, precond=precond))
     d = res.diagnostics
-    training = d["basis"]["training_cells"]
-    assert d["basis"]["enrichment_rounds"] == 0
-    assert set(training) <= set(d["basis"]["fallback_cells"])
-    reports = {(r["node"], r["column"]): r for r in d["node_reports"]}
-    for cell in training:
-        assert reports[cell]["method"] == "bicgstab"
-        assert reports[cell]["galerkin_residual"] > tol
-    assert all(r["converged"] and r["residual"] <= tol for r in reports.values())
-
-
-def test_unpreconditioned_run_seeds_from_eig2(monkeypatch):
-    # precond=None leaves only the BiCGstab fallbacks unpreconditioned: the
-    # seeds and coupling images come from an eig2 built for them.
-    built, preconds = [], []
-
-    class Counting(EigenbasisPreconditioner):
-        def __init__(self, *args):
-            super().__init__(*args)
-            self.calls = 0
-            built.append(self)
-
-        def solve_pair(self, *args):
-            self.calls += 1
-            return super().solve_pair(*args)
-
-    def recording(problem, precond, **kwargs):
-        preconds.append(precond)
-        return bicgstab_multiterm(problem, precond, **kwargs)
-
-    monkeypatch.setattr(contour, "EigenbasisPreconditioner", Counting)
-    monkeypatch.setattr(contour, "bicgstab_multiterm", recording)
-    _one_column_basis(monkeypatch)
-    A, _, center, radius = _sum_of_squares_window(48)
-    res = contour_eigensolve(A, trapezoid_circle(center, radius, 8),
-                             draw_khatri_rao(48, 48, 4, seed=2),
-                             NodeSolverConfig(tol=1e-9, precond=None))
-    assert len(built) == 1 and built[0].calls >= 1 + res.diagnostics["basis"]["enrichment_rounds"]
-    assert res.diagnostics["basis"]["fallback_cells"]
-    assert preconds and all(p is None for p in preconds)
+    assert d["basis"]["enrichment_rounds"] == 1 and d["failures"] == []
+    true = _dense_residuals(A, filt, sk, seen)
+    reports = d["node_reports"]
+    assert sorted(true) == sorted((r["node"], r["column"]) for r in reports)
+    missed = [r for r in reports if not r["converged"]]
+    assert missed and all(r["residual"] > tol for r in missed)
+    assert d["degraded_columns"] == sorted({r["column"] for r in missed})
+    for r in reports:
+        assert r["converged"] == (r["residual"] <= tol)
+        dense_residual, _ = true[r["node"], r["column"]]
+        assert dense_residual == pytest.approx(r["residual"], rel=1e-6, abs=1e-12)
 
 
 def test_assembly_truncates_to_the_rank_cap():
@@ -534,9 +586,9 @@ def test_assembly_truncates_to_the_rank_cap():
 
 
 def test_contour_rejects_unsupported_input():
-    # The node equation has room for one coupling term, and "eig2" (or
-    # None, or an object with solve_pair) is the only node preconditioner;
-    # both are checked before any node is solved.
+    # The node equation has room for one coupling term, and "eig2" (or an
+    # object with solve_pair) is the only node preconditioner; both are
+    # checked before any node is solved.
     spec, _, center, radius = _zero_potential_window(6)
     A = schrodinger_kron(make_spec("sum-of-squares", 6))
     til_c, hat_c = A.terms[2]
@@ -547,8 +599,9 @@ def test_contour_rejects_unsupported_input():
         contour_eigensolve(A2, filt, sk)
     with pytest.raises(StructureMismatch):
         node_problem(A2, 1.0 + 1.0j, sk.hat[:, :1], sk.tilde[:, :1])
-    with pytest.raises(OutOfRange):
-        contour_eigensolve(A, filt, sk, NodeSolverConfig(precond="adi"))
+    for precond in ("adi", None):
+        with pytest.raises(OutOfRange):
+            contour_eigensolve(A, filt, sk, NodeSolverConfig(precond=precond))
 
 
 @pytest.mark.parametrize("family", ["gaussian", "khatri-rao"])
