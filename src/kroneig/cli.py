@@ -1,6 +1,8 @@
 """Batch experiment harness: four subcommands emitting figure-ready CSV/JSON.
 
-Subcommands: ose-stats | contour | lobpcg | sylvester-bench. Parameters
+Subcommands: ose-stats | contour | lobpcg | sylvester-bench; the last
+times the contour's node solver, its Galerkin family on one shared tensor
+basis, at a few sampled nodes. Parameters
 resolve in three layers: built-in defaults, then a plain key=value config
 file ('#' starts a comment), then command-line flags. The fully resolved
 config is echoed into every JSON output so a run can be reproduced from
@@ -27,8 +29,8 @@ from . import blr
 from .contour import (
     NodeSolverConfig,
     RecompressConfig,
+    _node_parts,
     contour_eigensolve,
-    node_problem,
     trapezoid_circle,
 )
 from .errors import ConfigError, KroneigError
@@ -43,14 +45,14 @@ from .problems import (
     square_operator,
 )
 from .sketch import SweepConfig, draw_khatri_rao, ose_trial_sweep
-from .sylvester import EigenbasisPreconditioner, bicgstab_multiterm
+from .sylvester import EigenbasisPreconditioner, TensorGalerkin
 
 SCHEMA_VERSION = 1
 
 
 # Defaults follow the reference experiment settings where one exists
 # (q=40, ell=6, center 12.606, radius 9, truncEps 1e-7, rMax 50, 8 ADI
-# steps, BiCGstab rank cap 90). Grid sizes default to a scale that runs
+# steps, node-solve rank cap 90). Grid sizes default to a scale that runs
 # in minutes on one core; the flagship scale is reached with --n.
 DEFAULTS = {
     "ose-stats": {
@@ -104,7 +106,6 @@ DEFAULTS = {
         "reference": False,
         "reference_iter": 600,
         "seed": 0,
-        "threads": 0,
         "out": ".",
     },
     "sylvester-bench": {
@@ -116,12 +117,10 @@ DEFAULTS = {
         "center": 12.606,
         "radius": 9.0,
         "rank_cap": 90,
-        "max_iter": 200,
         "decay_n": 300,
         "decay_tol": 1e-10,
         "decay_count": 50,
         "seed": 0,
-        "threads": 0,
         "out": ".",
     },
 }
@@ -179,10 +178,11 @@ def _resolve(subcommand, args):
         flag = getattr(args, key, None)
         if flag is not None:
             resolved[key] = flag
-    if resolved["threads"] < 0:
-        raise ConfigError("threads must be >= 0")
-    if resolved["threads"] == 0:
-        resolved["threads"] = os.cpu_count() or 1
+    if "threads" in resolved:
+        if resolved["threads"] < 0:
+            raise ConfigError("threads must be >= 0")
+        if resolved["threads"] == 0:
+            resolved["threads"] = os.cpu_count() or 1
     return resolved
 
 
@@ -469,13 +469,27 @@ def _sparse_operator(A):
     return sum(scipy.sparse.kron(til.matrix, hat.matrix) for til, hat in A.terms).tocsc()
 
 
-def _factored_singvals(Xhat, Xtil, count):
-    _, Rh = np.linalg.qr(Xhat)
-    _, Rt = np.linalg.qr(Xtil)
-    s = np.linalg.svd(Rh @ Rt.T, compute_uv=False)
-    out = np.zeros(count)
-    out[: min(count, s.size)] = s[:count]
-    return out
+def _leading_normalized(s, count):
+    """The leading count singular values s, zero-padded, over the first."""
+    s = np.pad(s[:count], (0, max(count - s.size, 0)))
+    return s / s[0] if s[0] > 0 else s
+
+
+def _rank_one_family(cfg, n, tol):
+    """Operator of size n and the contour's node family for a rank-1
+    Khatri-Rao right-hand side: basis cut 1e-3 tol, real (the named
+    potentials and the sketch are), with its eig2 two-term solver."""
+    A = schrodinger_kron(make_spec(cfg["potential"], n))
+    K_hat, K_til, couplings = _node_parts(A)
+    sk = draw_khatri_rao(A.n_til, A.n_hat, 1, seed=cfg["seed"])
+    family = TensorGalerkin(K_hat, K_til, couplings, sk.scale * sk.hat, sk.tilde, 1e-3 * tol, True)
+    precond = EigenbasisPreconditioner(K_hat, K_til)
+
+    def two_term(z, j, Fs, Gs):
+        rng = np.random.default_rng((cfg["seed"], j))
+        return precond.solve_pair(z, Fs, Gs, 1e-3 * tol, cfg["rank_cap"], rng)
+
+    return A, family, two_term
 
 
 def cmd_sylvester_bench(cfg):
@@ -490,33 +504,23 @@ def cmd_sylvester_bench(cfg):
     stride = max(1, len(upper) // count)
     sample = upper[::stride][:count]
 
+    # as in the contour, the sampled nodes are solved in order on one
+    # basis: the first seeds it, later ones reuse it and grow it
     t_all = time.perf_counter()
     rows = []
     for n in n_values:
-        spec = make_spec(cfg["potential"], n)
-        A = schrodinger_kron(spec)
-        K_hat, K_til, _ = A.split
-        precond = EigenbasisPreconditioner(K_hat, K_til)
-        sk = draw_khatri_rao(A.n_til, A.n_hat, 1, seed=cfg["seed"])
-        F = sk.scale * sk.hat
-        G = sk.tilde
         for tol in tol_values:
+            _, family, two_term = _rank_one_family(cfg, n, tol)
+            sigma = np.zeros((1, 0, 0))
             times, resids, ranks, entries = [], [], [], []
             for z in sample:
-                problem = node_problem(A, z, F, G)
                 t0 = time.perf_counter()
-                sol = bicgstab_multiterm(
-                    problem,
-                    precond=precond,
-                    tol=tol,
-                    max_iter=cfg["max_iter"],
-                    rank_cap=cfg["rank_cap"],
-                    seed=cfg["seed"],
-                )
+                results, _, sigma = family.enrich([(complex(z), 0, 1.0)], two_term, tol, sigma)
                 times.append(time.perf_counter() - t0)
-                resids.append(sol.achieved_residual)
-                ranks.append(sol.rank)
-                entries.append(sol.Xhat.size + sol.Xtil.size)
+                resids.append(results[0][0])
+                r_hat, r_til = family.ranks
+                ranks.append(max(r_hat, r_til))
+                entries.append(family.U.size + family.V.size + r_hat * r_til)
             rows.append([
                 n, tol, len(sample),
                 float(np.mean(times)), float(np.max(resids)),
@@ -527,29 +531,18 @@ def cmd_sylvester_bench(cfg):
     _write_csv(
         os.path.join(out, "sylvester_bench.csv"),
         ["n", "tol", "nodes", "mean_time_s", "worst_residual",
-         "mean_rank", "mean_factor_entries"],
+         "mean_basis_rank", "mean_stored_entries"],
         rows,
     )
 
-    # decay study: one first-quadrant node, rank-one vs dense right-hand side
-    n = cfg["decay_n"]
+    # decay study: one first-quadrant node, rank-one vs dense right-hand
+    # side; U and V are orthonormal, so Y has the singular values of U Y V^T
     z = complex(cfg["center"]) + cfg["radius"] * np.exp(1j * math.pi / 4)
-    spec = make_spec(cfg["potential"], n)
-    A = schrodinger_kron(spec)
-    K_hat, K_til, _ = A.split
-    sk = draw_khatri_rao(A.n_til, A.n_hat, 1, seed=cfg["seed"])
-    problem = node_problem(A, z, sk.scale * sk.hat, sk.tilde)
-    sol = bicgstab_multiterm(
-        problem,
-        precond=EigenbasisPreconditioner(K_hat, K_til),
-        tol=cfg["decay_tol"],
-        max_iter=cfg["max_iter"],
-        rank_cap=cfg["rank_cap"],
-        seed=cfg["seed"],
-    )
+    A, family, two_term = _rank_one_family(cfg, cfg["decay_n"], cfg["decay_tol"])
+    family.enrich([(z, 0, 1.0)], two_term, cfg["decay_tol"], np.zeros((1, 0, 0)))
+    Y = family.solve(z, 0, cfg["decay_tol"])[0]
     kmax = cfg["decay_count"]
-    sv_rank_one = _factored_singvals(sol.Xhat, sol.Xtil, kmax)
-    sv_rank_one /= sv_rank_one[0] if sv_rank_one[0] > 0 else 1.0
+    sv_rank_one = _leading_normalized(np.linalg.svd(Y, compute_uv=False), kmax)
 
     # dense right-hand side has no factored structure: solve the shifted
     # Kronecker system by sparse direct elimination and inspect the
@@ -559,9 +552,8 @@ def cmd_sylvester_bench(cfg):
     C /= np.linalg.norm(C)
     Asp = _sparse_operator(A).astype(complex) - z * scipy.sparse.identity(A.n, format="csc")
     X = scipy.sparse.linalg.spsolve(Asp, C.reshape(-1, order="F"))
-    sv_dense = np.linalg.svd(X.reshape((A.n_hat, A.n_til), order="F"), compute_uv=False)[:kmax]
-    sv_dense = np.pad(sv_dense, (0, kmax - sv_dense.size))
-    sv_dense /= sv_dense[0] if sv_dense[0] > 0 else 1.0
+    sv_dense = _leading_normalized(
+        np.linalg.svd(X.reshape((A.n_hat, A.n_til), order="F"), compute_uv=False), kmax)
 
     _write_csv(
         os.path.join(out, "sylvester_decay.csv"),

@@ -19,9 +19,9 @@ accumulated exactly on the shared basis, one core per sketch column (for
 real data the basis is real, so a conjugate node pair folds into one real
 contribution), truncated once at assembly, and the Ritz pairs come from
 the Rayleigh-Ritz step shared with LOBPCG (``blr.orthonormalize_svd``,
-``blr.rayleigh_ritz_3block``, ``blr.residual_block``). A node problem
-holds the operator's own typed factors and z, so no n x n coefficient is
-formed per cell.
+``blr.rayleigh_ritz_3block``, ``blr.residual_block``). The node equations
+keep the operator's own typed factors, so no n x n coefficient is formed
+per cell.
 
 Desk-scale evaluators quantify the subspace quality independently of the
 solver: structural_bound evaluates the angle bound driven by the filter
@@ -59,7 +59,7 @@ from .errors import (
     StructureMismatch,
 )
 from .factors import Identity
-from .sylvester import EigenbasisPreconditioner, MultitermSylvester, TensorGalerkin
+from .sylvester import EigenbasisPreconditioner, TensorGalerkin
 
 __all__ = [
     "RationalFilter",
@@ -67,7 +67,6 @@ __all__ = [
     "RecompressConfig",
     "trapezoid_circle",
     "filter_eval",
-    "node_problem",
     "contour_eigensolve",
     "structural_bound",
     "tan_angle_B",
@@ -143,9 +142,9 @@ class NodeSolverConfig:
     """Settings for the node solves.
 
     ``precond`` is "eig2" (one eigenbasis preconditioner shared by every
-    node and column) or an object with a ``solve_pair`` method; it makes
-    the two-term solves that grow the shared basis, to 1e-3 tol and at
-    most ``rank_cap``.
+    node and column) or an object with a method ``solve_pair(z, F, G, tol,
+    r_max, rng)``; it makes the two-term solves that grow the shared basis,
+    to 1e-3 tol and at most ``rank_cap``.
     """
 
     tol: float = 1e-10
@@ -178,17 +177,6 @@ def _node_parts(A):
     K_hat = 0.0 * Identity(A.n_hat) if K_hat is None else K_hat
     K_til = 0.0 * Identity(A.n_til) if K_til is None else K_til
     return K_hat, K_til, couplings
-
-
-def node_problem(A, z, F, G):
-    """Matricized shifted system (z I - A) x = vec(F G^T) at one node.
-
-    With A = I (x) K_hat + K_til (x) I + til_c (x) hat_c the system becomes
-    ((z/2) I - K_hat) X + X ((z/2) I - K_til)^T - hat_c X til_c^T = F G^T.
-    The problem holds A's own factors, so a node costs O(1) to set up.
-    """
-    K_hat, K_til, couplings = _node_parts(A)
-    return MultitermSylvester(K_hat, K_til, couplings, F, G, z=z)
 
 
 def contour_eigensolve(A, filt, sk, solver_cfg=None, recompress=None, threads=1):
@@ -261,10 +249,9 @@ def contour_eigensolve(A, filt, sk, solver_cfg=None, recompress=None, threads=1)
         def two_term(z, j, Fs, Gs, i=i):
             """The two-term solve of Fs Gs^T at node z, to 1e-3 tol; None
             (the error recorded) when it raises."""
-            problem = node_problem(A, z, F[:, j : j + 1], sk.tilde[:, j : j + 1])
             rng = np.random.default_rng((cfg.seed, j))
             try:
-                return precond.solve_pair(problem, Fs, Gs, 1e-3 * cfg.tol, cfg.rank_cap, rng)
+                return precond.solve_pair(z, Fs, Gs, 1e-3 * cfg.tol, cfg.rank_cap, rng)
             except KroneigError as exc:
                 errors.setdefault((i, j), str(exc))
                 return None

@@ -43,10 +43,6 @@ class SingularShiftedSolve(KroneigError):
     """A shifted linear solve hit a (numerically) singular matrix."""
 
 
-class Breakdown(KroneigError):
-    """BiCGstab scalar underflow (rho or omega); restart did not help."""
-
-
 class PoleHit(KroneigError):
     """Rational filter evaluated exactly at a quadrature node."""
 

@@ -1,66 +1,49 @@
 """Low-rank solvers for shifted two- and three-term Sylvester equations.
 
-The three-term ("multiterm") equation solved here is
+The three-term node equation solved here is
 
-    ((z/2) I - K_hat) X + X ((z/2) I - K_til)^T - hat_c X til_c^T = F G^T,
+    ((z/2) I - K_hat) X + X ((z/2) I - K_til)^T - sum hat_c X til_c^T = F G^T,
 
 the matricized form of one shifted Kronecker-structured linear system
-(z I - A) x = vec(F G^T) with A = I (x) K_hat + K_til (x) I + til_c (x)
-hat_c (``MultitermSylvester`` takes any number of coupling terms); for the
-Schrodinger problems K is tridiagonal and the coupling factors are the
-two potential diagonals. The problem holds the typed
-factors (``factors``) and the shift z and applies (z/2) X - K X on the
-fly, so it never forms an n x n coefficient. Everything is carried in
-factored pairs: a rank-r matrix is a pair (F, G) of n_hat x r and n_til x
-r blocks with X = F @ G.T. The transpose is PLAIN, also for complex data;
-wherever an adjoint is meant the conjugation is written out.
+(z I - A) x = vec(F G^T) with A = I (x) K_hat + K_til (x) I + sum til_c
+(x) hat_c; for the Schrodinger problems K is tridiagonal and the coupling
+factors are the two potential diagonals. The factors stay typed
+(``factors``), so no n x n coefficient is formed. Low-rank matrices are
+carried in factored pairs: a rank-r matrix is a pair (F, G) of n_hat x r
+and n_til x r blocks with X = F @ G.T. The transpose is PLAIN, also for
+complex data; wherever an adjoint is meant the conjugation is written out.
 
 The two-term solver is "eig2", which inverts the two-term part in the
-eigenbasis of K: it makes the two-term solves that grow the contour's
-tensor basis and is BiCGstab's default preconditioner. It takes one symmetric
-eigendecomposition per coefficient matrix, shared across nodes/columns when
-the caller constructs the preconditioner once. It is sound at every node of
-a contour, including nodes whose real part falls inside the sum-spectrum of
-the operator. At a nonreal node it solves a low-rank input to the
-requested tolerance by factored ADI (``fadi_steps``, the library's one
-fADI recurrence) and draws no random numbers. ``precond=None`` runs
-BiCGstab unpreconditioned; any object with a ``solve_pair`` method can
-stand in for eig2.
-
-BiCGstab recursion residuals drift away from true residuals once iterates
-are truncated, so the solver recomputes the true factored residual
-periodically and at every claimed convergence; the reported residual is
-always a true one. Whether it converged is decided from the triangular
-factors of the unrecompressed residual stack, ||Rf Rg^T||_F; the stack is
-recompressed only when the iteration goes on with it.
-
-A pair is only worth its factors while it is smaller than the matrix. When
-a pair at the rank cap would store at least as many entries as the
-n_hat x n_til matrix (``_pair_fills_matrix``), BiCGstab carries its
-recursion blocks and eig2 its dense output as exact matrices X, in the pair
-form (X, I): one product F @ G.T replaces each QR and SVD. The iterate x
-stays a truncated pair of rank at most the cap.
+eigenbasis of the Hermitian K. It takes one eigendecomposition per
+coefficient matrix, shared across nodes and columns when the caller
+constructs it once. It is sound at every node of a contour, including
+nodes whose real part falls inside the sum-spectrum of the operator. At a
+nonreal node it solves a low-rank input to the requested tolerance by
+factored ADI (``fadi_steps``, the library's one fADI recurrence) and draws
+no random numbers; otherwise it forms the dense eigenbasis quotient. A
+pair is only worth its factors while it is smaller than the matrix: when a
+pair at the rank cap would store at least as many entries as the
+n_hat x n_til matrix (``_pair_fills_matrix``), the dense quotient comes
+back exact, in the pair form (X, I).
 
 A family of node equations that differ only in the shift and in which
 right-hand side column they take is solved on one shared tensor basis by
 ``TensorGalerkin``: each cell is a small projected equation, its residual
 is a true full-space one, and a cell that misses its tolerance grows the
 basis by two-term solves (the eig2 solves of its right-hand side and of
-its solution's coupling image). The contour solves every node this way;
-BiCGstab serves the ``sylvester-bench`` comparison.
+its solution's coupling image). The contour and ``sylvester-bench`` solve
+every node this way.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from .dense import qr_unless_wide, svd_trunc
 from .errors import (
-    Breakdown,
     DegenerateInterval,
     DimensionMismatch,
     OutOfRange,
@@ -70,33 +53,22 @@ from .errors import (
 from .factors import as_factor
 
 __all__ = [
-    "MultitermSylvester",
-    "FactoredSolution",
-    "pair_inner",
     "pair_norm",
     "pair_truncate",
     "adi_shifts",
     "fadi_steps",
     "EigenbasisPreconditioner",
     "TensorGalerkin",
-    "bicgstab_multiterm",
 ]
 
 # ---------------------------------------------------------------------------
 # factored-pair algebra
 
 
-def pair_inner(F1, G1, F2, G2):
-    """Frobenius inner product <F1 G1^T, F2 G2^T> without materialization.
-
-    trace((F1 G1^T)^H F2 G2^T) = sum_{ij} (F1^H F2)_{ij} (G1^H G2)_{ij}.
-    """
-    return np.sum((F1.conj().T @ F2) * (G1.conj().T @ G2))
-
-
 def pair_norm(F, G):
-    """Frobenius norm of F G^T via Gram matrices."""
-    return math.sqrt(max(pair_inner(F, G, F, G).real, 0.0))
+    """Frobenius norm of F G^T via Gram matrices, without materialization:
+    ||F G^T||_F^2 = sum_{ij} (F^H F)_{ij} (G^H G)_{ij}."""
+    return math.sqrt(max(np.sum((F.conj().T @ F) * (G.conj().T @ G)).real, 0.0))
 
 
 def pair_truncate(F, G, tol, r_max=None):
@@ -119,105 +91,6 @@ def pair_truncate(F, G, tol, r_max=None):
     # X = Qf U diag(s) Vh Qg^T, so the right factor is Qg (Vh^T * sqrt(s)):
     # a plain transpose of Vh (conjugating here would conjugate X itself)
     return lift_f(U * sq), lift_g(Vh.T * sq)
-
-
-# ---------------------------------------------------------------------------
-# problem container
-
-
-@dataclass
-class MultitermSylvester:
-    """One shifted three-term Sylvester problem in factored form.
-
-    Encodes ``((z/2) I - K_hat) X + X ((z/2) I - K_til)^T - sum hat_c X
-    til_c^T = F G^T`` with X of shape (n_hat, n_til), summed over the
-    (til_c, hat_c) pairs in ``couplings``. K_hat, K_til and the coupling
-    factors are typed factors (raw arrays are classified once, here); ``z``
-    is the spectral shift and drives the preconditioners. ``Acoef`` and
-    ``Bcoef`` are dense n x n views for oracles only.
-    """
-
-    K_hat: object
-    K_til: object
-    couplings: tuple
-    F: np.ndarray
-    G: np.ndarray
-    z: complex = 0.0
-
-    def __post_init__(self):
-        self.K_hat, self.K_til = as_factor(self.K_hat), as_factor(self.K_til)
-        self.couplings = tuple((as_factor(t), as_factor(h)) for t, h in self.couplings)
-        n_hat, n_til = self.n_hat, self.n_til
-        if self.F.shape[0] != n_hat or self.G.shape[0] != n_til:
-            raise DimensionMismatch("MultitermSylvester: rhs factors do not fit")
-        if self.F.shape[1] != self.G.shape[1] or self.F.shape[1] < 1:
-            raise DimensionMismatch("MultitermSylvester: rhs rank must be >= 1")
-        for til, hat in self.couplings:
-            if hat.shape[0] != n_hat or til.shape[0] != n_til:
-                raise DimensionMismatch("MultitermSylvester: coupling sizes do not fit")
-
-    @property
-    def n_hat(self):
-        return self.K_hat.shape[0]
-
-    @property
-    def n_til(self):
-        return self.K_til.shape[0]
-
-    @property
-    def Acoef(self):
-        return (self.z / 2.0) * np.eye(self.n_hat) - self.K_hat.dense()
-
-    @property
-    def Bcoef(self):
-        return (self.z / 2.0) * np.eye(self.n_til) - self.K_til.dense()
-
-    def apply_pair(self, F, G):
-        """Factored image (Fo, Go) with Fo Go^T = L(F G^T); the rank grows
-        (2 + len(couplings))-fold."""
-        h = self.z / 2.0
-        Fo, Go = [h * F - self.K_hat @ F, F], [G, h * G - self.K_til @ G]
-        for til, hat in self.couplings:
-            Fo.append(-(hat @ F))
-            Go.append(til @ G)
-        return np.hstack(Fo), np.hstack(Go)
-
-    def real_symmetric_parts(self):
-        """(K_hat, K_til) as dense real symmetric arrays.
-
-        Raises StructureMismatch when either is not real symmetric.
-        """
-        out = []
-        for K in (self.K_hat.dense(), self.K_til.dense()):
-            if np.iscomplexobj(K):
-                scale = max(np.max(np.abs(K.real)), 1.0)
-                if np.max(np.abs(K.imag)) > 1e-12 * scale:
-                    raise StructureMismatch("K is not real")
-                K = np.real(K)
-            if not np.allclose(K, K.T, rtol=1e-12, atol=1e-12):
-                raise StructureMismatch("K is not symmetric")
-            out.append(K)
-        return out[0], out[1]
-
-
-@dataclass
-class FactoredSolution:
-    """Low-rank solution X = Xhat @ Xtil.T with solver bookkeeping.
-
-    The pair uses the plain-transpose convention; conjugate Xtil to read the
-    solution in adjoint form. ``achieved_residual`` is always a true
-    (recomputed) relative residual, never the recursion's estimate.
-    """
-
-    Xhat: np.ndarray
-    Xtil: np.ndarray
-    achieved_residual: float
-    iterations: int
-    converged: bool = True
-
-    @property
-    def rank(self):
-        return self.Xhat.shape[1]
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +180,7 @@ def _diagonal_fadi(a, b, f, g, target, max_steps):
 
 
 # ---------------------------------------------------------------------------
-# preconditioners for the multiterm BiCGstab
+# the eigenbasis ("eig2") two-term solver
 
 
 def _pair_fills_matrix(r_max, n1, n2):
@@ -351,37 +224,32 @@ class EigenbasisPreconditioner:
     """Inverse of the two-term part via eigendecompositions of K.
 
     For Acoef = (z/2) I - K_hat and Bcoef = (z/2) I - K_til the map
-    X -> Acoef X + X Bcoef^T is diagonal in the eigenbases: with K = Q L Q^T
-    the inverse is Q_hat ((Q_hat^T C Q_til) / D) Q_til^T, D_ij = z -
-    lambda_hat_i - lambda_til_j. At a nonreal z, ``solve_pair`` runs fADI on
-    the diagonal spectra z/2 - lambda until its residual is at most
-    tol ||F G^T||_F, if that fits its rank budget, and recompresses the
+    X -> Acoef X + X Bcoef^T is diagonal in the eigenbases: with Hermitian
+    K = Q L Q^H the inverse is Q_hat ((Q_hat^H C conj(Q_til)) / D) Q_til^T,
+    D_ij = z - lambda_hat_i - lambda_til_j. At a nonreal z, ``solve_pair``
+    runs fADI on the diagonal spectra z/2 - lambda until its residual is at
+    most tol ||F G^T||_F, if that fits its rank budget, and recompresses the
     result; otherwise it forms the dense quotient and passes it through
     ``_compress_dense``. Its output has rank at most r_max, except when a
     pair of rank r_max cannot be smaller than the matrix
     (``_pair_fills_matrix``): the dense quotient then comes back exactly
     as (W, I), of rank n_til, and the caller truncates. Build once per K
     pair and share across nodes and columns; ``solve_pair`` is pure and
-    thread-safe.
+    thread-safe. A factor that is not Hermitian raises StructureMismatch.
     """
 
     def __init__(self, K_hat, K_til=None):
         K_hat = as_factor(K_hat)
-        self.lam_hat, self.Q_hat = scipy.linalg.eigh(np.asarray(K_hat))
+        self.lam_hat, self.Q_hat = _hermitian_eigh(np.asarray(K_hat))
         if K_til is None or K_til is K_hat or as_factor(K_til).equals(K_hat):
             self.lam_til, self.Q_til = self.lam_hat, self.Q_hat
         else:
-            self.lam_til, self.Q_til = scipy.linalg.eigh(np.asarray(K_til))
+            self.lam_til, self.Q_til = _hermitian_eigh(np.asarray(K_til))
 
-    @classmethod
-    def from_problem(cls, problem):
-        K_hat, K_til = problem.real_symmetric_parts()
-        return cls(K_hat, K_til)
-
-    def solve_pair(self, problem, F, G, tol, r_max, rng):
-        z = problem.z
-        f = _real_matmul(self.Q_hat.T, F)
-        g = _real_matmul(self.Q_til.T, G)
+    def solve_pair(self, z, F, G, tol, r_max, rng):
+        """Pair (Fp, Gp) with Fp Gp^T ~ the two-term solve of F G^T at shift z."""
+        f = _real_matmul(self.Q_hat.conj().T, F)
+        g = _real_matmul(self.Q_til.conj().T, G)
         pair = None
         # fADI stacks s = r_in * steps columns: at most half the smaller
         # side, and only while their O(n s^2) recompression costs less
@@ -403,19 +271,11 @@ class EigenbasisPreconditioner:
         return _real_matmul(self.Q_hat, Fp), _real_matmul(self.Q_til, Gp)
 
 
-class _IdentityPreconditioner:
-    def solve_pair(self, problem, F, G, tol, r_max, rng):
-        return F, G
-
-
-def _make_precond(precond, problem):
-    if precond is None:
-        return _IdentityPreconditioner()
-    if precond == "eig2":
-        return EigenbasisPreconditioner.from_problem(problem)
-    if hasattr(precond, "solve_pair"):
-        return precond
-    raise OutOfRange(f"bicgstab_multiterm: unknown preconditioner {precond!r}")
+def _hermitian_eigh(K):
+    """eigh of the dense factor K; StructureMismatch unless K is Hermitian."""
+    if not np.allclose(K, K.conj().T, rtol=1e-12, atol=1e-12):
+        raise StructureMismatch("eigenbasis preconditioner: K is not Hermitian")
+    return scipy.linalg.eigh(K)
 
 
 # ---------------------------------------------------------------------------
@@ -476,8 +336,9 @@ class TensorGalerkin:
     ``solve`` returns the true relative residual of U Y V^T in full space:
     b - L(U Y V^T) = P M Q^T with P = [F, U, K_hat U, hat_c U], Q = [G, V,
     K_til V, til_c V] and a small core M holding Y and -z Y. P and Q are
-    triangularized once per basis, so the norm is ||Rp M Rq^T||_F, as
-    accurate as the triangular-factor residual of ``bicgstab_multiterm``.
+    triangularized once per basis, so the norm is ||Rp M Rq^T||_F: Householder
+    QR keeps it accurate to eps times the stacks' norms, which a Gram-based
+    norm cannot.
 
     With ``real`` set (real factors and right-hand sides) U and V are real
     and span [X, conj X] of every added solution, so the conjugate node's
@@ -693,171 +554,3 @@ class TensorGalerkin:
 
 def _hermitian(M):
     return 0.5 * (M + M.conj().T)
-
-
-# ---------------------------------------------------------------------------
-# truncated BiCGstab on factored pairs
-
-
-def bicgstab_multiterm(
-    problem,
-    precond="eig2",
-    tol=1e-6,
-    max_iter=200,
-    rank_cap=90,
-    trunc_tol=None,
-    replace_every=10,
-    seed=0,
-):
-    """Preconditioned BiCGstab on factored pairs with rank truncation.
-
-    Every recombination is recompressed to ``trunc_tol`` (default
-    0.1 * tol) and ``rank_cap``. When a pair at ``rank_cap`` would store at
-    least n_hat * n_til entries, the recursion blocks (p, v, s, t, r) are
-    kept as exact matrices (X, I) instead; the iterate x is truncated either
-    way, so the returned rank is at most ``rank_cap``. Because truncation
-    makes the recursion residual drift, the true factored residual is
-    recomputed every ``replace_every`` iterations and at every claimed
-    convergence; the returned ``achieved_residual`` is always a true one.
-    On a rho/omega breakdown the iteration restarts once from the current
-    iterate with a fresh random shadow pair before raising Breakdown.
-    Reaching max_iter returns the best iterate flagged ``converged=False``.
-    """
-    if rank_cap < problem.F.shape[1]:
-        raise OutOfRange("bicgstab_multiterm: rank_cap below rhs rank")
-    trunc_tol = 0.1 * tol if trunc_tol is None else trunc_tol
-    M = _make_precond(precond, problem)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-
-    dtype = complex if any(
-        np.iscomplexobj(a)
-        for a in (problem.K_hat, problem.K_til, problem.F, problem.G, np.asarray(problem.z))
-    ) else float
-    bF = problem.F.astype(dtype)
-    bG = problem.G.astype(dtype)
-    bnorm = pair_norm(bF, bG)
-    n_hat, n_til = problem.n_hat, problem.n_til
-    xF = np.zeros((n_hat, 0), dtype=dtype)
-    xG = np.zeros((n_til, 0), dtype=dtype)
-    if bnorm == 0.0:
-        return FactoredSolution(xF, xG, 0.0, 0, converged=True)
-    dense = _pair_fills_matrix(rank_cap, n_hat, n_til)
-    eye = np.eye(n_til, dtype=dtype) if dense else None
-
-    def recompress(F, G, tol=trunc_tol, r_max=rank_cap):
-        """A recursion block: the exact (F G^T, I) when pairs cannot be smaller."""
-        return (F @ G.T, eye) if dense else pair_truncate(F, G, tol, r_max)
-
-    def true_residual(xF, xG):
-        """Relative norm of b - L(x), decided from triangular factors.
-
-        The factors of b - L(x) are stacked unrecompressed and QR'd,
-        Qf Rf and Qg Rg, so the norm is ||Rf Rg^T||_F: Householder QR keeps
-        it accurate to eps times the stacks' norms, which a Gram-based norm
-        cannot. Returns
-        ``(rel, keep)``; ``keep()`` recompresses the pair tightly for an
-        iteration that goes on with it, so a converged check pays no SVD.
-        """
-        if xF.shape[1] == 0:
-            return 1.0, lambda: (bF, bG)
-        lF, lG = problem.apply_pair(xF, xG)
-        rF = np.hstack([bF, lF])
-        rG = np.hstack([bG, -lG])
-        _, Rf = qr_unless_wide(rF)
-        _, Rg = qr_unless_wide(rG)
-        rel = float(np.linalg.norm(Rf @ Rg.T)) / bnorm
-        return rel, lambda: recompress(rF, rG, 1e-16, 4 * rank_cap)
-
-    def restart(message):
-        """Restart once from the current iterate with a random rank-1 shadow pair."""
-        nonlocal restarted
-        if restarted:
-            raise Breakdown(message)
-        restarted = True
-        rF, rG = true_residual(xF, xG)[1]()
-        r0F = rng.standard_normal((n_hat, 1)).astype(dtype)
-        r0G = rng.standard_normal((n_til, 1)).astype(dtype)
-        return rF, rG, r0F, r0G
-
-    rF, rG = bF.copy(), bG.copy()
-    r0F, r0G = rF, rG
-    rho = alpha = omega = 1.0 + 0j if dtype is complex else 1.0
-    vF = vG = pF = pG = None
-    restarted = False
-    best = (xF, xG, 1.0)
-    tiny = 1e-290
-    it = 0
-    fresh = True  # p-direction must be rebuilt from r
-
-    while it < max_iter:
-        it += 1
-        rho_new = pair_inner(r0F, r0G, rF, rG)
-        if abs(rho_new) < tiny or (not fresh and (abs(rho) < tiny or abs(omega) < tiny)):
-            # shadow direction collapsed
-            rF, rG, r0F, r0G = restart(
-                f"bicgstab_multiterm: rho/omega underflow at iteration {it}"
-            )
-            fresh = True
-            rho_new = pair_inner(r0F, r0G, rF, rG)
-            if abs(rho_new) < tiny:
-                raise Breakdown("bicgstab_multiterm: restart shadow also degenerate")
-        if fresh:
-            pF, pG = rF, rG
-            fresh = False
-        else:
-            beta = (rho_new / rho) * (alpha / omega)
-            pF = np.hstack([rF, beta * pF, -beta * omega * vF])
-            pG = np.hstack([rG, pG, vG])
-            pF, pG = recompress(pF, pG)
-        rho = rho_new
-        phF, phG = M.solve_pair(problem, pF, pG, trunc_tol, rank_cap, rng)
-        vF, vG = problem.apply_pair(phF, phG)
-        vF, vG = recompress(vF, vG)
-        denom = pair_inner(r0F, r0G, vF, vG)
-        if abs(denom) < tiny:
-            rF, rG, r0F, r0G = restart("bicgstab_multiterm: alpha denominator underflow")
-            fresh = True
-            continue
-        alpha = rho / denom
-        sF = np.hstack([rF, -alpha * vF])
-        sG = np.hstack([rG, vG])
-        sF, sG = recompress(sF, sG)
-        if pair_norm(sF, sG) / bnorm <= tol:
-            # half-step exit: t would vanish and poison omega
-            xF = np.hstack([xF, alpha * phF])
-            xG = np.hstack([xG, phG])
-            xF, xG = pair_truncate(xF, xG, trunc_tol, rank_cap)
-            rel, keep = true_residual(xF, xG)
-            if rel <= tol:
-                return FactoredSolution(xF, xG, rel, it, converged=True)
-            if rel < best[2]:
-                best = (xF, xG, rel)
-            rF, rG = keep()
-            fresh = True
-            continue
-        shF, shG = M.solve_pair(problem, sF, sG, trunc_tol, rank_cap, rng)
-        tF, tG = problem.apply_pair(shF, shG)
-        tF, tG = recompress(tF, tG)
-        tt = pair_inner(tF, tG, tF, tG)
-        if abs(tt) < tiny:
-            raise Breakdown("bicgstab_multiterm: t vanished")
-        omega = pair_inner(tF, tG, sF, sG) / tt
-        xF = np.hstack([xF, alpha * phF, omega * shF])
-        xG = np.hstack([xG, phG, shG])
-        xF, xG = pair_truncate(xF, xG, trunc_tol, rank_cap)
-        rF = np.hstack([sF, -omega * tF])
-        rG = np.hstack([sG, tG])
-        rF, rG = recompress(rF, rG)
-        claimed = pair_norm(rF, rG) / bnorm
-        if claimed <= tol or it % replace_every == 0:
-            rel, keep = true_residual(xF, xG)
-            if rel <= tol:
-                return FactoredSolution(xF, xG, rel, it, converged=True)
-            if rel < best[2]:
-                best = (xF, xG, rel)
-            rF, rG = keep()
-
-    rel_now, _ = true_residual(xF, xG)
-    if rel_now > best[2]:
-        xF, xG, rel_now = best
-    return FactoredSolution(xF, xG, rel_now, max_iter, converged=False)

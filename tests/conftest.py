@@ -43,6 +43,29 @@ def kron_dense(A):
     return sum(np.kron(til, hat) for til, hat in A.terms)
 
 
+def node_residual(A, z, X, B):
+    """Relative residual of X in the node equation (z I - A) vec(X) = vec(B).
+
+    A vec(X) is vec(sum hat X til^T) over A's terms, on their dense
+    matrices: the matricized ``problems.assemble_dense``, which at n = 64
+    would be a 4096 x 4096 array.
+    """
+    AX = sum(hat.dense() @ X @ til.dense().T for til, hat in A.terms)
+    return np.linalg.norm(z * X - AX - B) / np.linalg.norm(B)
+
+
+def sparse_node_solution(A, z, F, G):
+    """X with (z I - A) vec(X) = vec(F G^T), by sparse direct elimination."""
+    import scipy.sparse
+    import scipy.sparse.linalg
+
+    from kroneig.cli import _sparse_operator
+
+    L = z * scipy.sparse.identity(A.n, format="csc") - _sparse_operator(A).astype(complex)
+    x = scipy.sparse.linalg.spsolve(L, (F @ G.T).reshape(-1, order="F"))
+    return x.reshape((A.n_hat, A.n_til), order="F")
+
+
 # ---------------------------------------------------------------------------
 # random instances for the filtered-subspace angle bound
 

@@ -6,8 +6,10 @@ import json
 import numpy as np
 import pytest
 
+from conftest import sparse_node_solution
 from kroneig.cli import DEFAULTS, _resolve, build_parser, main
-from kroneig.problems import laplacian_1d_eigenvalues, make_spec
+from kroneig.problems import laplacian_1d_eigenvalues, make_spec, schrodinger_kron
+from kroneig.sketch import draw_khatri_rao
 
 
 def _run(argv):
@@ -177,8 +179,8 @@ def test_sylvester_bench_small(tmp_path):
     code = _run(
         [
             "sylvester-bench", "--potential", "sum-of-squares", "--n-values", "40",
-            "--tol-values", "1e-8", "--nodes", "2", "--q", "16",
-            "--decay-n", "60", "--decay-tol", "1e-10", "--decay-count", "40",
+            "--tol-values", "1e-6,1e-10", "--nodes", "2", "--q", "16",
+            "--decay-n", "50", "--decay-tol", "1e-10", "--decay-count", "40",
             "--out", str(out),
         ]
     )
@@ -186,12 +188,20 @@ def test_sylvester_bench_small(tmp_path):
     payload = _read_json(out / "sylvester_bench.json")
     assert payload["schema"] == "kroneig/sylvester-bench/1"
     bench = _read_csv(out / "sylvester_bench.csv")
-    assert len(bench) == 1
-    assert float(bench[0]["worst_residual"]) <= 1e-8
+    assert [float(row["tol"]) for row in bench] == [1e-6, 1e-10]
+    for row in bench:
+        assert float(row["worst_residual"]) <= float(row["tol"])
+        assert 0 < float(row["mean_basis_rank"]) <= 40
     decay = _read_csv(out / "sylvester_decay.csv")
     assert len(decay) == 40
     sv_r1 = np.array([float(r["sv_rank_one"]) for r in decay])
     sv_de = np.array([float(r["sv_dense_rhs"]) for r in decay])
+    # the leading singular values are those of the sparse-direct solution
+    A = schrodinger_kron(make_spec("sum-of-squares", 50))
+    sk = draw_khatri_rao(50, 50, 1, seed=0)
+    X = sparse_node_solution(A, complex(*payload["decay_node"]), sk.scale * sk.hat, sk.tilde)
+    s = np.linalg.svd(X, compute_uv=False)
+    assert np.max(np.abs(sv_r1[:20] - s[:20] / s[0])) <= 1e-8
     # Rank-one right-hand sides give fast singular value decay; a dense
     # random right-hand side does not.
     assert sv_r1[29] <= 1e-6
@@ -260,12 +270,16 @@ def test_every_default_key_is_set_by_its_flag():
 
 
 def test_removed_adi_iteration_knob_is_rejected(tmp_path):
-    # The node-ADI step count left with the node-ADI preconditioner: its
-    # config key and its flag are now unknown (exit 2, nothing runs).
-    cfgfile = tmp_path / "old.cfg"
-    cfgfile.write_text("precond_iter = 8\n")
-    for subcommand in ("contour", "sylvester-bench"):
+    # The node-ADI step count left with the node-ADI preconditioner, the
+    # step cap with the truncated BiCGstab node solver, and lobpcg and
+    # sylvester-bench run no worker threads: each of these config keys and
+    # its flag is unknown (exit 2, nothing runs).
+    for subcommand, key in [("contour", "precond_iter"), ("sylvester-bench", "precond_iter"),
+                            ("sylvester-bench", "max_iter"), ("sylvester-bench", "threads"),
+                            ("lobpcg", "threads")]:
+        cfgfile = tmp_path / "old.cfg"
+        cfgfile.write_text(f"{key} = 8\n")
         assert _run([subcommand, "--config", str(cfgfile)]) == 2
         with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args([subcommand, "--precond-iter", "8"])
+            build_parser().parse_args([subcommand, f"--{key.replace('_', '-')}", "8"])
         assert exc.value.code == 2

@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import bound_instance, make_rng
+from conftest import bound_instance, make_rng, node_residual, sparse_node_solution
 from kroneig.contour import (
     NodeSolverConfig,
     RationalFilter,
     RecompressConfig,
     contour_eigensolve,
     filter_eval,
-    node_problem,
     structural_bound,
     tan_angle_B,
     trapezoid_circle,
@@ -36,7 +35,7 @@ from kroneig.problems import (
     schrodinger_kron,
 )
 from kroneig.sketch import KhatriRaoSketch, draw_khatri_rao
-from kroneig.sylvester import EigenbasisPreconditioner, TensorGalerkin, bicgstab_multiterm
+from kroneig.sylvester import EigenbasisPreconditioner, TensorGalerkin
 
 
 def test_trapezoid_circle_geometry():
@@ -90,22 +89,6 @@ def test_filter_sharpens_with_q():
     filt = trapezoid_circle(0.0, 1.0, 128)
     assert abs(filter_eval(filt, inner) - 1.0) < 1e-10
     assert abs(filter_eval(filt, outer)) < 1e-10
-
-
-def test_node_problem_matches_shifted_dense():
-    rng = make_rng(70)
-    spec = make_spec("sum-of-squares", 8)
-    A = schrodinger_kron(spec)
-    z = 3.0 + 1.5j
-    F = rng.standard_normal((8, 1))
-    G = rng.standard_normal((8, 1))
-    p = node_problem(A, z, F, G)
-    L = (
-        np.kron(np.eye(p.n_til), p.Acoef)
-        + np.kron(p.Bcoef, np.eye(p.n_hat))
-        - np.kron(p.couplings[0][0].dense(), p.couplings[0][1].dense())
-    )
-    assert np.allclose(L, z * np.eye(A.n) - assemble_dense(A), atol=1e-11)
 
 
 def _zero_potential_window(n):
@@ -274,41 +257,37 @@ def test_contour_threads_deterministic_with_enrichment(monkeypatch):
 
 
 def _trained_family(A, nodes, sk, tol):
-    """A real family whose basis holds the BiCGstab solutions at nodes 0 and 4."""
+    """A real family whose basis holds the sparse-direct solutions at nodes 0 and 4."""
     K_hat, K_til, couplings = A.split
     F = sk.scale * sk.hat
     family = TensorGalerkin(K_hat, K_til, couplings, F, sk.tilde, 1e-3 * tol, True)
     sols = [
-        bicgstab_multiterm(node_problem(A, complex(nodes[i]), F[:, j : j + 1],
-                                        sk.tilde[:, j : j + 1]), tol=tol)
+        sparse_node_solution(A, complex(nodes[i]), F[:, j : j + 1], sk.tilde[:, j : j + 1])
         for i in (0, 4)
         for j in range(sk.ell)
     ]
-    family.grow([(s.Xhat, s.Xtil) for s in sols], np.zeros((0, 0, 0)))
+    family.grow([(X, np.eye(A.n_til)) for X in sols], np.zeros((0, 0, 0)))
     return family
 
 
-def test_galerkin_cell_matches_bicgstab():
+def test_galerkin_cell_matches_sparse_direct():
     # A basis from the two training nodes carries a held-out node: the
-    # Galerkin cell and BiCGstab on the same cell agree, and both report a
-    # true residual at most tol, the Galerkin one confirmed densely.
+    # Galerkin cell reports a true residual at most tol, confirmed densely,
+    # and agrees with the sparse-direct solution of the same cell.
     n, tol = 64, 1e-6
     A = schrodinger_kron(make_spec("sum-of-squares", n))
     filt = trapezoid_circle(12.606, 9.0, 16)
     sk = draw_khatri_rao(n, n, 3, seed=1)
     family = _trained_family(A, filt.nodes, sk, tol)
     assert family.ranks[0] < n
+    z = complex(filt.nodes[2])
     for j in range(3):
-        p = node_problem(A, complex(filt.nodes[2]), family.F[:, j : j + 1], sk.tilde[:, j : j + 1])
-        ref = bicgstab_multiterm(p, tol=tol)
-        Y, residual, _ = family.solve(complex(filt.nodes[2]), j, tol)
+        Fj, Gj = family.F[:, j : j + 1], sk.tilde[:, j : j + 1]
+        Xref = sparse_node_solution(A, z, Fj, Gj)
+        Y, residual, _ = family.solve(z, j, tol)
         X = family.U @ Y @ family.V.T
-        Xref = ref.Xhat @ ref.Xtil.T
-        b = p.F @ p.G.T
-        dense = np.linalg.norm(b - p.Acoef @ X - X @ p.Bcoef.T
-                               + p.couplings[0][1].dense() @ X @ p.couplings[0][0].dense().T)
-        assert residual <= tol and ref.achieved_residual <= tol
-        assert dense / np.linalg.norm(b) == pytest.approx(residual, rel=1e-3, abs=1e-12)
+        assert residual <= tol
+        assert node_residual(A, z, X, Fj @ Gj.T) == pytest.approx(residual, rel=1e-3, abs=1e-12)
         assert np.linalg.norm(X - Xref) <= 1e3 * tol * np.linalg.norm(Xref)
 
 
@@ -461,16 +440,16 @@ def test_contour_keeps_weakly_filtered_pairs(seed):
 
 
 class _FailWhen:
-    """Preconditioner wrapper whose solves of the problems picked by
-    ``fails(problem)`` raise a solver error."""
+    """Preconditioner wrapper whose solves picked by ``fails(z, F)`` raise
+    a solver error."""
 
     def __init__(self, inner, fails):
         self.inner, self.fails = inner, fails
 
-    def solve_pair(self, problem, F, G, tol, r_max, rng):
-        if self.fails(problem):
+    def solve_pair(self, z, F, G, tol, r_max, rng):
+        if self.fails(z, F):
             raise SingularShiftedSolve("injected failure")
-        return self.inner.solve_pair(problem, F, G, tol, r_max, rng)
+        return self.inner.solve_pair(z, F, G, tol, r_max, rng)
 
 
 def test_contour_failed_cell_is_degraded_not_fatal():
@@ -489,7 +468,7 @@ def test_contour_failed_cell_is_degraded_not_fatal():
     one, every = [
         contour_eigensolve(A, filt, sk, NodeSolverConfig(
             tol=1e-9, seed=0, precond=_FailWhen(EigenbasisPreconditioner(K_hat, K_til), fails)))
-        for fails in (lambda p: p.z == z0 and np.array_equal(p.F, F0), lambda p: p.z == z0)
+        for fails in (lambda z, F: z == z0 and np.array_equal(F, F0), lambda z, F: z == z0)
     ]
     first = one.diagnostics["nodes_solved"][0]
     assert one.diagnostics["failures"] == [(first, 0)]
@@ -541,11 +520,11 @@ class _StallAfterSeeds:
         self.inner, self.seeds = inner, seeds
         self.calls = 0
 
-    def solve_pair(self, problem, F, G, tol, r_max, rng):
+    def solve_pair(self, z, F, G, tol, r_max, rng):
         self.calls += 1
         if self.calls > self.seeds:
             return np.zeros_like(F), np.zeros_like(G)
-        return self.inner.solve_pair(problem, F, G, tol, r_max, rng)
+        return self.inner.solve_pair(z, F, G, tol, r_max, rng)
 
 
 def test_stalled_enrichment_reports_true_residuals(monkeypatch):
@@ -585,20 +564,25 @@ def test_assembly_truncates_to_the_rank_cap():
     assert res.ritz_vectors.U.shape[1] <= 3 and res.ritz_vectors.V.shape[1] <= 3
 
 
-def test_contour_rejects_unsupported_input():
-    # The node equation has room for one coupling term, and "eig2" (or an
-    # object with solve_pair) is the only node preconditioner; both are
-    # checked before any node is solved.
+def test_contour_rejects_unsupported_input(monkeypatch):
+    # The node equation has room for one coupling term, eig2 needs
+    # Hermitian factors, and "eig2" (or an object with solve_pair) is the
+    # only node preconditioner; all are checked before any node is solved.
+    def no_node(*args):
+        raise AssertionError("a node was solved")
+
+    monkeypatch.setattr(TensorGalerkin, "enrich", no_node)
     spec, _, center, radius = _zero_potential_window(6)
     A = schrodinger_kron(make_spec("sum-of-squares", 6))
     til_c, hat_c = A.terms[2]
     A2 = KroneckerSumOperator(A.terms + ((hat_c, til_c),))
+    K_hat = A.split[0].dense()
+    A3 = KroneckerSumOperator(((np.eye(6), K_hat + np.eye(6, k=1)), (K_hat, np.eye(6))))
     filt = trapezoid_circle(center, radius, 8)
     sk = draw_khatri_rao(6, 6, 2, seed=0)
-    with pytest.raises(StructureMismatch):
-        contour_eigensolve(A2, filt, sk)
-    with pytest.raises(StructureMismatch):
-        node_problem(A2, 1.0 + 1.0j, sk.hat[:, :1], sk.tilde[:, :1])
+    for bad in (A2, A3):
+        with pytest.raises(StructureMismatch):
+            contour_eigensolve(bad, filt, sk)
     for precond in ("adi", None):
         with pytest.raises(OutOfRange):
             contour_eigensolve(A, filt, sk, NodeSolverConfig(precond=precond))

@@ -1,14 +1,11 @@
 """Typed Kronecker factors against their dense matrices."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 import scipy.sparse
 
 from conftest import make_rng
 from kroneig.blr import KroneckerSumOperator
-from kroneig.contour import node_problem, trapezoid_circle
 from kroneig.errors import SingularShiftedSolve
 from kroneig.factors import Banded, Dense, Identity, as_factor
 from kroneig.problems import (
@@ -19,7 +16,6 @@ from kroneig.problems import (
     shift_operator,
     square_operator,
 )
-from kroneig.sketch import draw_khatri_rao
 
 N = 9
 
@@ -138,20 +134,3 @@ def test_split_returns_typed_factors(build):
     out += sum(np.kron(til.dense(), hat.dense()) for til, hat in couplings)
     ref = assemble_dense(A)
     assert np.allclose(out, ref, rtol=0.0, atol=1e-13 * np.linalg.norm(ref))
-
-
-def test_node_problems_hold_no_dense_coefficient():
-    # The contour-wide operator (n = 700) and 8 node problems, each applied
-    # once, stay below the size of one complex n x n coefficient (7.8 MB).
-    n = 700
-    sk = draw_khatri_rao(n, n, 1, seed=0)
-    F, G = sk.scale * sk.hat, sk.tilde
-    tracemalloc.start()
-    try:
-        A = schrodinger_kron(make_spec("sum-of-squares", n))
-        for z in trapezoid_circle(12.606, 9.0, 16).nodes[:8]:
-            node_problem(A, z, F, G).apply_pair(F, G)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * n * n
