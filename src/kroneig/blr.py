@@ -58,7 +58,6 @@ __all__ = [
     "rayleigh_ritz_3block",
     "residual_block",
     "EigenResult",
-    "apply_vec",
 ]
 
 DENSE_CAP = 10**7
@@ -492,14 +491,3 @@ class EigenResult:
         k = len(self.ritz_values)
         if len(self.residual_norms) != k or len(self.inside_flags) != k:
             raise DimensionMismatch("EigenResult: per-pair lists must share length")
-
-
-def apply_vec(A, v):
-    """Kronecker-sum operator times one dense vector (power iterations,
-    dense cross-checks). vec convention as in the module docstring."""
-    v = np.asarray(v)
-    if v.shape[0] != A.n:
-        raise DimensionMismatch(f"apply_vec: vector length {v.shape[0]} vs n={A.n}")
-    X = v.reshape((A.n_hat, A.n_til), order="F")
-    out = sum((til @ (hat @ X).T).T for til, hat in A.terms)
-    return out.reshape(-1, order="F")

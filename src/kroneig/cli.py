@@ -52,8 +52,8 @@ SCHEMA_VERSION = 1
 
 # Defaults follow the reference experiment settings where one exists
 # (q=40, ell=6, center 12.606, radius 9, truncEps 1e-7, rMax 50, 8 ADI
-# steps, node-solve rank cap 90). Grid sizes default to a scale that runs
-# in minutes on one core; the flagship scale is reached with --n.
+# steps). Grid sizes default to a scale that runs in minutes on one core;
+# the flagship scale is reached with --n.
 DEFAULTS = {
     "ose-stats": {
         "n_til": 20,
@@ -83,7 +83,6 @@ DEFAULTS = {
         "center": 12.606,
         "radius": 9.0,
         "tol": 1e-10,
-        "rank_cap": 90,
         "recompress_eps": 1e-10,
         "recompress_rmax": 90,
         "oracle": False,
@@ -116,7 +115,6 @@ DEFAULTS = {
         "q": 40,
         "center": 12.606,
         "radius": 9.0,
-        "rank_cap": 90,
         "decay_n": 300,
         "decay_tol": 1e-10,
         "decay_count": 50,
@@ -301,11 +299,7 @@ def cmd_contour(cfg):
     A, spec = _build_operator(cfg)
     filt = trapezoid_circle(cfg["center"], cfg["radius"], cfg["q"])
     sk = draw_khatri_rao(A.n_til, A.n_hat, cfg["ell"], seed=cfg["seed"])
-    solver = NodeSolverConfig(
-        tol=cfg["tol"],
-        rank_cap=cfg["rank_cap"],
-        seed=cfg["seed"],
-    )
+    solver = NodeSolverConfig(tol=cfg["tol"], seed=cfg["seed"])
     recompress = RecompressConfig(eps=cfg["recompress_eps"], r_max=cfg["recompress_rmax"])
     t0 = time.perf_counter()
     result = contour_eigensolve(A, filt, sk, solver_cfg=solver,
@@ -487,7 +481,7 @@ def _rank_one_family(cfg, n, tol):
 
     def two_term(z, j, Fs, Gs):
         rng = np.random.default_rng((cfg["seed"], j))
-        return precond.solve_pair(z, Fs, Gs, 1e-3 * tol, cfg["rank_cap"], rng)
+        return precond.solve_pair(z, Fs, Gs, 1e-3 * tol, rng)
 
     return A, family, two_term
 

@@ -143,12 +143,12 @@ class NodeSolverConfig:
 
     ``precond`` is "eig2" (one eigenbasis preconditioner shared by every
     node and column) or an object with a method ``solve_pair(z, F, G, tol,
-    r_max, rng)``; it makes the two-term solves that grow the shared basis,
-    to 1e-3 tol and at most ``rank_cap``.
+    rng)``; it makes the two-term solves that grow the shared basis, to
+    1e-3 tol, and returns them uncut: the basis keeps their directions
+    above its cut. ``seed`` seeds the eig2 range finder.
     """
 
     tol: float = 1e-10
-    rank_cap: int = 90
     precond: str = "eig2"
     seed: int = 0
 
@@ -251,7 +251,7 @@ def contour_eigensolve(A, filt, sk, solver_cfg=None, recompress=None, threads=1)
             (the error recorded) when it raises."""
             rng = np.random.default_rng((cfg.seed, j))
             try:
-                return precond.solve_pair(z, Fs, Gs, 1e-3 * cfg.tol, cfg.rank_cap, rng)
+                return precond.solve_pair(z, Fs, Gs, 1e-3 * cfg.tol, rng)
             except KroneigError as exc:
                 errors.setdefault((i, j), str(exc))
                 return None

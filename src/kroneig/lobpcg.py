@@ -7,9 +7,10 @@ bounded while the iteration converges toward the smallest eigenpairs of a
 symmetric Kronecker-sum operator. R, P and the preconditioner output are
 cut at the fixed relative tolerance trunc_eps. For X, trunc_eps is only a
 ceiling: the tolerance tightens with the current residual to
-min(trunc_eps, max_res / ||A||_est), since a fixed cut re-injects an error
+min(trunc_eps, max_res / ||A||_bd), since a fixed cut re-injects an error
 of about trunc_eps * ||A|| into the residual every update and so floors it
-there (residual-driven truncation after Kressner & Tobler, 2011).
+there (residual-driven truncation after Kressner & Tobler, 2011). The
+bound ||A||_bd is read from the factors (``_norm_bound``).
 
 The preconditioner inverts a two-term Kronecker sum M = I (x) K_hat' +
 K_til' (x) I approximately by factored ADI. Because every column of a
@@ -39,7 +40,6 @@ from .blr import (
     BlockLowRank,
     EigenResult,
     add,
-    apply_vec,
     column_norms,
     fold_bases,
     orthonormalize_svd,
@@ -67,12 +67,12 @@ class LobpcgConfig:
     block truncation. trunc_eps is the relative tolerance of the R, P and
     preconditioner truncations and the ceiling of the X truncation, whose
     tolerance tightens with the residual (trunc_eps=0 with r_max=None
-    disables truncation for reference runs). conv_scale "absolute" tests raw
-    residual norms against conv_tol; "anorm" scales the threshold by a
-    power-method estimate of ||A||. shift sigma is added to the operator
+    disables truncation for reference runs). A pair has converged when its
+    residual norm is at most conv_tol. shift sigma is added to the operator
     internally (A + sigma I) when A is indefinite and subtracted from the
     reported values. The preconditioner inverts the separable part of the
-    (shifted) operator.
+    (shifted) operator. ``seed`` feeds nothing: the iteration draws no
+    random numbers, and the field stays for callers that pass it.
     """
 
     k: int
@@ -81,7 +81,6 @@ class LobpcgConfig:
     r_max: int = 50
     max_iter: int = 200
     conv_tol: float = 1e-7
-    conv_scale: str = "absolute"
     adi_iterations: int = 8
     shift: float = 0.0
     seed: int = 0
@@ -93,8 +92,6 @@ class LobpcgConfig:
             raise OutOfRange("LobpcgConfig: trunc_eps must be >= 0")
         if self.r_max is not None and self.r_max < 1:
             raise OutOfRange("LobpcgConfig: r_max must be >= 1")
-        if self.conv_scale not in ("absolute", "anorm"):
-            raise OutOfRange(f"LobpcgConfig: unknown conv_scale {self.conv_scale!r}")
 
 
 class AdiBlockPreconditioner:
@@ -150,19 +147,16 @@ class AdiBlockPreconditioner:
         return out
 
 
-def _norm_estimate(A, iters=20, seed=0):
-    """Power-method estimate of ||A||_2 on the Kronecker-sum operator."""
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    v = rng.standard_normal(A.n)
-    v /= np.linalg.norm(v)
-    est = 1.0
-    for _ in range(iters):
-        w = apply_vec(A, v)
-        est = float(np.linalg.norm(w))
-        if est == 0.0:
-            return 1.0
-        v = w / est
-    return est
+def _norm_bound(A):
+    """Upper bound of ||A||_2 from the factors, in their storage's time:
+    the sum over terms of b(til) b(hat), b(M) = sqrt(||M||_1 ||M||_inf) >=
+    ||M||_2. A zero operator gives 1."""
+
+    def b(M):
+        M = abs(M.matrix)
+        return math.sqrt(float(M.sum(axis=0).max()) * float(M.sum(axis=1).max()))
+
+    return sum(b(til) * b(hat) for til, hat in A.terms) or 1.0
 
 
 def lobpcg_lowrank(A, cfg, X0):
@@ -173,9 +167,9 @@ def lobpcg_lowrank(A, cfg, X0):
     their cores (``orthonormalize_svd``), three-block Rayleigh-Ritz, then
     the P and X updates, truncating after every block recombination: R
     and P at trunc_eps, X at min(trunc_eps, max residual of the k wanted
-    columns / ||A||_est) with ||A||_est a power-method estimate taken once
-    per run. Stops when the k smallest pairs have residuals below the
-    threshold, else after max_iter with the best visited state flagged
+    columns / ||A||_bd) with ||A||_bd a bound read once per run from the
+    operator's factors. Stops when the k smallest pairs have residuals at
+    most conv_tol, else after max_iter with the best visited state flagged
     unconverged. Reported residuals are
     ||A x - theta x||_2 per column in block low-rank arithmetic.
     """
@@ -185,9 +179,7 @@ def lobpcg_lowrank(A, cfg, X0):
         raise DimensionMismatch("lobpcg_lowrank: X0 grid does not match the operator")
     Aw = shift_operator(A, cfg.shift) if cfg.shift != 0.0 else A
     precond = AdiBlockPreconditioner(Aw, cfg.adi_iterations, cfg.trunc_eps, cfg.r_max)
-    anorm = _norm_estimate(Aw, seed=cfg.seed)
-    scale = 1.0 if cfg.conv_scale == "absolute" else anorm
-    threshold = cfg.conv_tol * scale
+    anorm = _norm_bound(Aw)
 
     X = orthonormalize_svd(X0)
     C1, _, _, theta = rayleigh_ritz_3block(X, None, None, Aw)
@@ -208,7 +200,7 @@ def lobpcg_lowrank(A, cfg, X0):
         worst = float(np.max(res[: cfg.k]))
         if worst < best[0]:
             best = (worst, X, theta.copy(), res.copy())
-        if worst <= threshold:
+        if worst <= cfg.conv_tol:
             converged = True
             rank_history.append(_ranks(X, None, P))
             break
@@ -254,8 +246,7 @@ def lobpcg_lowrank(A, cfg, X0):
     diagnostics = {
         "converged": converged,
         "iterations": it,
-        "threshold": threshold,
-        "scale": scale,
+        "threshold": cfg.conv_tol,
         "residual_history": residual_history,
         "ritz_history": ritz_history,
         "rank_history": rank_history,
@@ -264,7 +255,7 @@ def lobpcg_lowrank(A, cfg, X0):
         np.asarray(theta[: cfg.k]) - cfg.shift,
         right_multiply(X, keep),
         res[: cfg.k],
-        res[: cfg.k] <= threshold,
+        res[: cfg.k] <= cfg.conv_tol,
         diagnostics,
     )
 

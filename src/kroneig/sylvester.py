@@ -22,9 +22,11 @@ nonreal node it solves a low-rank input to the requested tolerance by
 factored ADI (``fadi_steps``, the library's one fADI recurrence) and draws
 no random numbers; otherwise it forms the dense eigenbasis quotient. A
 pair is only worth its factors while it is smaller than the matrix: when a
-pair at the rank cap would store at least as many entries as the
+pair of the sampling rank would store at least as many entries as the
 n_hat x n_til matrix (``_pair_fills_matrix``), the dense quotient comes
-back exact, in the pair form (X, I).
+back exact, in the pair form (X, I). The two-term solutions come back
+uncut; their one consumer, ``TensorGalerkin``, keeps the directions
+above its basis cut.
 
 A family of node equations that differ only in the shift and in which
 right-hand side column they take is solved on one shared tensor basis by
@@ -42,10 +44,9 @@ import math
 import numpy as np
 import scipy.linalg
 
-from .dense import qr_unless_wide, svd_trunc
+from .dense import qr_unless_wide
 from .errors import (
     DegenerateInterval,
-    DimensionMismatch,
     OutOfRange,
     SingularShiftedSolve,
     StructureMismatch,
@@ -54,7 +55,6 @@ from .factors import as_factor
 
 __all__ = [
     "pair_norm",
-    "pair_truncate",
     "adi_shifts",
     "fadi_steps",
     "EigenbasisPreconditioner",
@@ -69,28 +69,6 @@ def pair_norm(F, G):
     """Frobenius norm of F G^T via Gram matrices, without materialization:
     ||F G^T||_F^2 = sum_{ij} (F^H F)_{ij} (G^H G)_{ij}."""
     return math.sqrt(max(np.sum((F.conj().T @ F) * (G.conj().T @ G)).real, 0.0))
-
-
-def pair_truncate(F, G, tol, r_max=None):
-    """Recompress a factored pair: QR both factors, SVD the small core.
-
-    Returns (F2, G2) with F2 G2^T close to F G^T, the discarded tail
-    bounded by tol relative to the Frobenius norm, rank capped at r_max.
-    A factor with at least as many columns as rows skips its QR and enters
-    the core whole (``qr_unless_wide``); the result is the same truncation.
-    The square-root-balanced split keeps both factors equally conditioned.
-    """
-    if F.shape[1] != G.shape[1]:
-        raise DimensionMismatch("pair_truncate: factor ranks differ")
-    if F.shape[1] == 0:
-        return F, G
-    lift_f, Rf = qr_unless_wide(F)
-    lift_g, Rg = qr_unless_wide(G)
-    U, s, Vh = svd_trunc(Rf @ Rg.T, tol, r_max)
-    sq = np.sqrt(s)
-    # X = Qf U diag(s) Vh Qg^T, so the right factor is Qg (Vh^T * sqrt(s)):
-    # a plain transpose of Vh (conjugating here would conjugate X itself)
-    return lift_f(U * sq), lift_g(Vh.T * sq)
 
 
 # ---------------------------------------------------------------------------
@@ -183,27 +161,30 @@ def _diagonal_fadi(a, b, f, g, target, max_steps):
 # the eigenbasis ("eig2") two-term solver
 
 
-def _pair_fills_matrix(r_max, n1, n2):
-    """True when an n1 x n2 pair of rank r_max stores at least n1 * n2 entries."""
-    return r_max * (n1 + n2) >= n1 * n2
+# rank of the sampled dense quotient: the range finder draws it plus 8
+# oversampling columns, and a pair of this rank that would store as many
+# entries as the matrix makes the quotient come back exact instead
+_SAMPLE_RANK = 90
 
 
-def _compress_dense(X, tol, r_max, rng):
-    """Split a dense matrix into a balanced low-rank pair.
+def _pair_fills_matrix(n1, n2):
+    """True when an n1 x n2 pair of rank _SAMPLE_RANK stores at least n1 * n2 entries."""
+    return _SAMPLE_RANK * (n1 + n2) >= n1 * n2
 
-    When a pair of rank r_max would be no smaller than X, returns X itself
-    as the exact pair (X, I). Otherwise a randomized range finder with
-    r_max + 8 columns, followed by the exact SVD of the projected core
-    (fine for preconditioning).
+
+def _compress_dense(X, rng):
+    """A dense matrix as a pair, uncut.
+
+    When a pair of rank _SAMPLE_RANK would be no smaller than X, returns X
+    itself as the exact pair (X, I). Otherwise a randomized range finder
+    with _SAMPLE_RANK + 8 columns gives the pair (Q, (Q^H X)^T), so that
+    the product is Q Q^H X.
     """
-    if _pair_fills_matrix(r_max, *X.shape):
+    if _pair_fills_matrix(*X.shape):
         return X, np.eye(X.shape[1], dtype=X.dtype)
-    Y = X @ rng.standard_normal((X.shape[1], r_max + 8))
+    Y = X @ rng.standard_normal((X.shape[1], _SAMPLE_RANK + 8))
     Q, _ = np.linalg.qr(Y, mode="reduced")
-    U, s, Vh = svd_trunc(Q.conj().T @ X, tol, r_max)
-    U = Q @ U
-    sq = np.sqrt(s)
-    return U * sq, Vh.T * sq
+    return Q, (Q.conj().T @ X).T
 
 
 def _real_matmul(Q, X):
@@ -228,14 +209,14 @@ class EigenbasisPreconditioner:
     K = Q L Q^H the inverse is Q_hat ((Q_hat^H C conj(Q_til)) / D) Q_til^T,
     D_ij = z - lambda_hat_i - lambda_til_j. At a nonreal z, ``solve_pair``
     runs fADI on the diagonal spectra z/2 - lambda until its residual is at
-    most tol ||F G^T||_F, if that fits its rank budget, and recompresses the
-    result; otherwise it forms the dense quotient and passes it through
-    ``_compress_dense``. Its output has rank at most r_max, except when a
-    pair of rank r_max cannot be smaller than the matrix
-    (``_pair_fills_matrix``): the dense quotient then comes back exactly
-    as (W, I), of rank n_til, and the caller truncates. Build once per K
-    pair and share across nodes and columns; ``solve_pair`` is pure and
-    thread-safe. A factor that is not Hermitian raises StructureMismatch.
+    most tol ||F G^T||_F, if that fits its stack budget, and returns the
+    stacked steps; otherwise it forms the dense quotient and passes it
+    through ``_compress_dense``: a sampled pair, or the exact (W, I), of
+    rank n_til, where a sampled pair could not be smaller than the matrix
+    (``_pair_fills_matrix``). Nothing is truncated here: the caller keeps
+    what it needs. Build once per K pair and share across nodes and
+    columns; ``solve_pair`` is pure and thread-safe. A factor that is not
+    Hermitian raises StructureMismatch.
     """
 
     def __init__(self, K_hat, K_til=None):
@@ -246,28 +227,27 @@ class EigenbasisPreconditioner:
         else:
             self.lam_til, self.Q_til = _hermitian_eigh(np.asarray(K_til))
 
-    def solve_pair(self, z, F, G, tol, r_max, rng):
+    def solve_pair(self, z, F, G, tol, rng):
         """Pair (Fp, Gp) with Fp Gp^T ~ the two-term solve of F G^T at shift z."""
         f = _real_matmul(self.Q_hat.conj().T, F)
         g = _real_matmul(self.Q_til.conj().T, G)
         pair = None
         # fADI stacks s = r_in * steps columns: at most half the smaller
-        # side, and only while their O(n s^2) recompression costs less
-        # than the dense path's O(n^2 (r_max + 8))
+        # side, and only while the O(n s^2) QR the caller takes of them
+        # costs less than the dense path's O(n^2 (_SAMPLE_RANK + 8))
         n = min(f.shape[0], g.shape[0])
-        stack_max = min(n / 2, math.sqrt(n * (r_max + 8) / 2))
+        stack_max = min(n / 2, math.sqrt(n * (_SAMPLE_RANK + 8) / 2))
         budget = int(stack_max // max(f.shape[1], 1))
         if np.imag(z) != 0 and budget >= 1:
             a, b = z / 2.0 - self.lam_hat, z / 2.0 - self.lam_til
             pair = _diagonal_fadi(a, b, f, g, tol * pair_norm(f, g), budget)
-        if pair is not None:
-            Fp, Gp = pair_truncate(*pair, tol, r_max)
-        else:
+        if pair is None:
             D = z - self.lam_hat[:, None] - self.lam_til[None, :]
             # the eigenvalues are real, so only a real z can make D_ij vanish
             if np.imag(z) == 0 and np.min(np.abs(D)) == 0.0:
                 raise SingularShiftedSolve("eigenbasis preconditioner: z hits the sum spectrum")
-            Fp, Gp = _compress_dense(f @ g.T / D, tol, r_max, rng)
+            pair = _compress_dense(f @ g.T / D, rng)
+        Fp, Gp = pair
         return _real_matmul(self.Q_hat, Fp), _real_matmul(self.Q_til, Gp)
 
 

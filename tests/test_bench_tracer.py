@@ -3,7 +3,8 @@
 bench/tracer.py reports a renamed or deleted target as absent and keeps
 running, so a refactor could silently zero a per-layer metric; this test
 turns that into a failure. The layers of the deleted truncated BiCGstab
-node solver are the only ones expected absent: their metrics read 0.
+node solver and the deleted pair truncation are the only ones expected
+absent: their metrics read 0.
 """
 
 import importlib.util
@@ -11,8 +12,11 @@ import os
 
 import kroneig.blr
 
-# deleted with the truncated BiCGstab node solver and its problem container
-DELETED_LAYERS = ["sylvester.bicgstab_multiterm", "sylvester.apply_pair", "contour.node_problem"]
+# deleted with the pair truncation (the two-term solves are cut once, by
+# the node basis), and with the truncated BiCGstab node solver and its
+# problem container
+DELETED_LAYERS = ["sylvester.pair_truncate", "sylvester.bicgstab_multiterm",
+                  "sylvester.apply_pair", "contour.node_problem"]
 
 TRACER_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracer.py")
 

@@ -9,7 +9,6 @@ from kroneig.blr import (
     KroneckerSumOperator,
     add,
     apply_operator,
-    apply_vec,
     block_inner,
     column_norms,
     fold_bases,
@@ -366,13 +365,6 @@ def test_rayleigh_ritz_per_term_matches_full_images():
     C = np.vstack([C1, C2, C3])
     assert np.max(np.abs(C.conj().T @ G @ C - np.eye(3))) <= 1e-12
     assert np.max(np.abs(C.conj().T @ H @ C - np.diag(theta))) <= 1e-12 * scale
-
-
-def test_apply_vec_matches_dense():
-    rng = make_rng(45)
-    A = random_sym_kron_operator(rng, 5, 4, terms=2)
-    v = rng.standard_normal(20)
-    assert np.allclose(apply_vec(A, v), kron_dense(A) @ v, atol=1e-12)
 
 
 def test_random_composition_chains():

@@ -230,7 +230,6 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert cfg["n"] == 12          # from file
     assert cfg["q"] == 12          # flag beats file
     assert cfg["tol"] == 1e-6      # from file
-    assert cfg["rank_cap"] == 90   # default
 
 
 def test_exit_code_2_on_config_errors(tmp_path, capsys):
@@ -271,12 +270,14 @@ def test_every_default_key_is_set_by_its_flag():
 
 def test_removed_adi_iteration_knob_is_rejected(tmp_path):
     # The node-ADI step count left with the node-ADI preconditioner, the
-    # step cap with the truncated BiCGstab node solver, and lobpcg and
-    # sylvester-bench run no worker threads: each of these config keys and
-    # its flag is unknown (exit 2, nothing runs).
+    # step cap with the truncated BiCGstab node solver, the node-solve rank
+    # cap with the eig2 output's truncation, and lobpcg and sylvester-bench
+    # run no worker threads: each of these config keys and its flag is
+    # unknown (exit 2, nothing runs).
     for subcommand, key in [("contour", "precond_iter"), ("sylvester-bench", "precond_iter"),
                             ("sylvester-bench", "max_iter"), ("sylvester-bench", "threads"),
-                            ("lobpcg", "threads")]:
+                            ("lobpcg", "threads"), ("contour", "rank_cap"),
+                            ("sylvester-bench", "rank_cap")]:
         cfgfile = tmp_path / "old.cfg"
         cfgfile.write_text(f"{key} = 8\n")
         assert _run([subcommand, "--config", str(cfgfile)]) == 2

@@ -446,10 +446,10 @@ class _FailWhen:
     def __init__(self, inner, fails):
         self.inner, self.fails = inner, fails
 
-    def solve_pair(self, z, F, G, tol, r_max, rng):
+    def solve_pair(self, z, F, G, tol, rng):
         if self.fails(z, F):
             raise SingularShiftedSolve("injected failure")
-        return self.inner.solve_pair(z, F, G, tol, r_max, rng)
+        return self.inner.solve_pair(z, F, G, tol, rng)
 
 
 def test_contour_failed_cell_is_degraded_not_fatal():
@@ -520,11 +520,11 @@ class _StallAfterSeeds:
         self.inner, self.seeds = inner, seeds
         self.calls = 0
 
-    def solve_pair(self, z, F, G, tol, r_max, rng):
+    def solve_pair(self, z, F, G, tol, rng):
         self.calls += 1
         if self.calls > self.seeds:
             return np.zeros_like(F), np.zeros_like(G)
-        return self.inner.solve_pair(z, F, G, tol, r_max, rng)
+        return self.inner.solve_pair(z, F, G, tol, rng)
 
 
 def test_stalled_enrichment_reports_true_residuals(monkeypatch):

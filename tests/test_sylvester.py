@@ -10,16 +10,15 @@ from kroneig import sylvester
 from kroneig.blr import KroneckerSumOperator
 from kroneig.errors import (
     DegenerateInterval,
-    DimensionMismatch,
     OutOfRange,
     SingularShiftedSolve,
     StructureMismatch,
 )
 from kroneig.sylvester import (
     EigenbasisPreconditioner,
+    TensorGalerkin,
     adi_shifts,
     pair_norm,
-    pair_truncate,
 )
 
 
@@ -41,28 +40,48 @@ def test_pair_algebra_matches_dense():
     assert abs(pair_norm(F1, G1) - np.linalg.norm(X1)) < 1e-11
 
 
-def test_pair_truncate_contract():
+def _grown(F, G, cut, real):
+    """A two-term family on an empty basis grown by the pair (F, G) at the
+    cut; returns it and the part of F G^T its basis holds, U U^H X conj(V) V^T."""
+    n_hat, n_til = F.shape[0], G.shape[0]
+    family = TensorGalerkin(_tridiag_spd(n_hat), _tridiag_spd(n_til), (), F[:, :1], G[:, :1],
+                            cut, real)
+    cores = family.grow([(F, G)], np.zeros((0, 0, 0)))
+    assert cores.shape == (0,) + family.ranks
+    U, V = family.U, family.V
+    return family, U @ (U.conj().T @ (F @ G.T) @ V.conj()) @ V.T
+
+
+def test_grow_cut_contract():
+    # The two-term pairs the contour adds are cut once, by the basis: a
+    # direction is kept when it carries more than the cut of the
+    # normalized solution, so the kept part of X is its truncated SVD
     rng = make_rng(51)
     F = rng.standard_normal((12, 6)) + 1j * rng.standard_normal((12, 6))
     G = rng.standard_normal((10, 6)) + 1j * rng.standard_normal((10, 6))
     X = F @ G.T
-    F2, G2 = pair_truncate(F, G, 1e-2)
-    assert np.linalg.norm(F2 @ G2.T - X) <= 1e-2 * np.linalg.norm(X) + 1e-13
-    F3, G3 = pair_truncate(F, G, 0.0, r_max=2)
-    assert F3.shape[1] == 2 and G3.shape[1] == 2
-    # Rank cap gives the best rank-2 approximation.
     s = np.linalg.svd(X, compute_uv=False)
-    best = np.sqrt(np.sum(s[2:] ** 2))
-    assert abs(np.linalg.norm(F3 @ G3.T - X) - best) < 1e-10
-    with pytest.raises(DimensionMismatch):
-        pair_truncate(F, G[:, :3], 0.0)
+    rel = s / np.linalg.norm(X)
+    for cut in (1e-2, np.sqrt(rel[1] * rel[2])):
+        family, kept = _grown(F, G, cut, real=False)
+        k = int(np.count_nonzero(rel > cut))
+        assert family.ranks == (k, k)
+        best = np.sqrt(np.sum(s[k:] ** 2))
+        assert abs(np.linalg.norm(kept - X) - best) < 1e-10
+    assert family.ranks == (2, 2)
+    # a zero pair adds nothing and leaves the cores as they are
+    family = TensorGalerkin(_tridiag_spd(12), _tridiag_spd(10), (), F[:, :1], G[:, :1], 1e-2,
+                            False)
+    cores = np.zeros((0, 0, 0))
+    assert family.grow([(0.0 * F, G)], cores) is cores and family.ranks == (0, 0)
 
 
 @pytest.mark.parametrize("complex_", [False, True])
 @pytest.mark.parametrize("ranks", [(9, 14), (9, 7)])
-def test_pair_truncate_wide_factors(ranks, complex_):
+def test_grow_wide_pairs(ranks, complex_):
     # Factors with at least as many columns as rows skip their QR: on one
-    # side (F 6x9 wide, G 14x9 tall) and on both (F 6x9, G 7x9).
+    # side (F 6x9 wide, G 14x9 tall) and on both (F 6x9, G 7x9). Real
+    # pairs grow a real basis.
     rng = make_rng(57)
     r, n_til = ranks
 
@@ -73,17 +92,15 @@ def test_pair_truncate_wide_factors(ranks, complex_):
     F, G = draw(6, r), draw(n_til, r)
     X = F @ G.T
     s = np.linalg.svd(X, compute_uv=False)
-    F2, G2 = pair_truncate(F, G, 0.0)
-    assert np.linalg.norm(F2 @ G2.T - X) <= 1e-12 * np.linalg.norm(X)
-    F3, G3 = pair_truncate(F, G, 0.0, r_max=2)
-    assert F3.shape == (6, 2) and G3.shape == (n_til, 2)
+    family, kept = _grown(F, G, 1e-14, real=not complex_)
+    assert family.ranks == (6, 6)
+    assert np.iscomplexobj(family.U) == complex_
+    assert np.linalg.norm(kept - X) <= 1e-12 * np.linalg.norm(X)
+    rel = s / np.linalg.norm(X)
+    family, kept = _grown(F, G, np.sqrt(rel[1] * rel[2]), real=not complex_)
+    assert family.ranks == (2, 2)
     best = np.sqrt(np.sum(s[2:] ** 2))
-    assert abs(np.linalg.norm(F3 @ G3.T - X) - best) < 1e-10
-    # Balanced split: F3^H F3 = G3^H G3 = diag of the kept singular values.
-    assert np.allclose(F3.conj().T @ F3, np.diag(s[:2]), atol=1e-10)
-    assert np.allclose(G3.conj().T @ G3, np.diag(s[:2]), atol=1e-10)
-    F0, G0 = pair_truncate(0.0 * F, G, 0.0)
-    assert F0.shape == (6, 0) and G0.shape == (n_til, 0)
+    assert abs(np.linalg.norm(kept - X) - best) < 1e-10
 
 
 def test_eigenbasis_rejects_non_hermitian_factor():
@@ -122,7 +139,7 @@ def test_eigenbasis_preconditioner_exact_two_term():
     F, G = rng.standard_normal((10, 1)), rng.standard_normal((9, 1))
     z = 3.0 + 1.0j
     M = EigenbasisPreconditioner(K_hat, K_til)
-    Fp, Gp = M.solve_pair(z, F, G, tol=1e-13, r_max=40, rng=rng)
+    Fp, Gp = M.solve_pair(z, F, G, tol=1e-13, rng=rng)
     assert node_residual(_two_term(K_hat, K_til), z, Fp @ Gp.T, F @ G.T) <= 1e-10
 
 
@@ -143,7 +160,7 @@ def test_eigenbasis_preconditioner_hermitian_factor():
     F = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
     G = rng.standard_normal((n, 2))
     for z, fadi in ((5.0 + 10.0j, True), (-2.0, False)):
-        Fp, Gp = M.solve_pair(z, F, G, tol=1e-14, r_max=40, rng=make_rng(59))
+        Fp, Gp = M.solve_pair(z, F, G, tol=1e-14, rng=make_rng(59))
         assert (Fp.shape[1] < n) == fadi
         assert node_residual(A, z, Fp @ Gp.T, F @ G.T) <= 1e-12
 
@@ -152,7 +169,7 @@ def test_eigenbasis_preconditioner_pole():
     K = np.diag([1.0, 2.0])
     M = EigenbasisPreconditioner(K)
     with pytest.raises(SingularShiftedSolve):
-        M.solve_pair(2.0, np.ones((2, 1)), np.ones((2, 1)), tol=1e-10, r_max=10, rng=make_rng(57))
+        M.solve_pair(2.0, np.ones((2, 1)), np.ones((2, 1)), tol=1e-10, rng=make_rng(57))
 
 
 def test_eigenbasis_preconditioner_compares_factors_without_densifying(monkeypatch):
@@ -182,7 +199,7 @@ def test_eigenbasis_preconditioner_real_products_any_layout():
     G = (Vh.T * s)[:, ::2]
     F = np.asfortranarray(rng.standard_normal((12, 6)) + 1j * rng.standard_normal((12, 6)))
     assert not (G.flags.c_contiguous or G.flags.f_contiguous)
-    Fp, Gp = M.solve_pair(z, F, G, tol=0.0, r_max=40, rng=rng)
+    Fp, Gp = M.solve_pair(z, F, G, tol=0.0, rng=rng)
     Qh, Qt = M.Q_hat.astype(complex), M.Q_til.astype(complex)
     D = z - M.lam_hat[:, None] - M.lam_til[None, :]
     ref = Qh @ (((Qh.T @ F) @ (Qt.T @ G).T) / D) @ Qt.T
@@ -219,7 +236,7 @@ def test_eigenbasis_fadi_branch(rank, monkeypatch):
     monkeypatch.setattr(sylvester, "_compress_dense", dense_path)
     rng = make_rng(71)
     state = copy.deepcopy(rng.bit_generator.state)
-    Fp, Gp = M.solve_pair(z, F, G, tol, 40, rng)
+    Fp, Gp = M.solve_pair(z, F, G, tol, rng)
     np.testing.assert_equal(rng.bit_generator.state, state)
     D = z - M.lam_hat[:, None] - M.lam_til[None, :]
     f, g = M.Q_hat.T @ F, M.Q_til.T @ G
@@ -233,36 +250,44 @@ def test_eigenbasis_fadi_branch(rank, monkeypatch):
     X = Z @ Y.T
     R = a[:, None] * X + X * b[None, :] - f @ g.T
     assert np.linalg.norm(R) <= target
+    # and comes back uncut: the pair is the lifted stack of its steps
+    assert Fp.shape[1] == Gp.shape[1] == Z.shape[1]
+
+
+def _dense_path(M, z, F, G, rng):
+    """solve_pair's dense path, written out: the eigenbasis quotient W
+    through _compress_dense, lifted by the eigenbases."""
+    D = z - M.lam_hat[:, None] - M.lam_til[None, :]
+    W = sylvester._real_matmul(M.Q_hat.T, F) @ sylvester._real_matmul(M.Q_til.T, G).T / D
+    Fd, Gd = sylvester._compress_dense(W, rng)
+    return sylvester._real_matmul(M.Q_hat, Fd), sylvester._real_matmul(M.Q_til, Gd)
 
 
 def test_eigenbasis_high_rank_takes_dense_path():
-    # rank 20 at n = 57 leaves fADI one step, short of tol: the output is
-    # the dense path's, random range finder (r_max + 8 <= n/2) included
-    M, F, G = _eigenbasis_case(20)
+    # rank 20 at n = 190 leaves fADI four steps, short of tol: the output
+    # is the dense path's, past the break-even, so from the random range
+    # finder
+    M, F, G = _eigenbasis_case(20, 200, 190)
     z = 2.5 + 6.0j
-    Fp, Gp = M.solve_pair(z, F, G, 1e-12, 10, make_rng(72))
-    D = z - M.lam_hat[:, None] - M.lam_til[None, :]
-    W = sylvester._real_matmul(M.Q_hat.T, F) @ sylvester._real_matmul(M.Q_til.T, G).T / D
-    Fd, Gd = sylvester._compress_dense(W, 1e-12, 10, make_rng(72))
-    assert np.array_equal(Fp, sylvester._real_matmul(M.Q_hat, Fd))
-    assert np.array_equal(Gp, sylvester._real_matmul(M.Q_til, Gd))
+    Fp, Gp = M.solve_pair(z, F, G, 1e-12, make_rng(72))
+    Fd, Gd = _dense_path(M, z, F, G, make_rng(72))
+    assert Fp.shape[1] == sylvester._SAMPLE_RANK + 8
+    assert np.array_equal(Fp, Fd) and np.array_equal(Gp, Gd)
 
 
 def test_eigenbasis_zero_budget_skips_fadi(monkeypatch):
-    # rank 30 at n = 57 leaves fADI no step at all: solve_pair goes straight
-    # to the dense path without running the fADI prelude
-    M, F, G = _eigenbasis_case(30)
+    # rank 100 at n = 190 leaves fADI no step at all: solve_pair goes
+    # straight to the dense path without running the fADI prelude
+    M, F, G = _eigenbasis_case(100, 200, 190)
     z = 2.5 + 6.0j
 
     def fadi(*args):
         raise AssertionError("fADI run with a zero step budget")
 
     monkeypatch.setattr(sylvester, "_diagonal_fadi", fadi)
-    Fp, Gp = M.solve_pair(z, F, G, 1e-12, 10, make_rng(74))
-    D = z - M.lam_hat[:, None] - M.lam_til[None, :]
-    W = sylvester._real_matmul(M.Q_hat.T, F) @ sylvester._real_matmul(M.Q_til.T, G).T / D
-    Fd, Gd = sylvester._compress_dense(W, 1e-12, 10, make_rng(74))
-    assert np.array_equal(Fp, sylvester._real_matmul(M.Q_hat, Fd))
+    Fp, Gp = M.solve_pair(z, F, G, 1e-12, make_rng(74))
+    Fd, Gd = _dense_path(M, z, F, G, make_rng(74))
+    assert np.array_equal(Fp, Fd) and np.array_equal(Gp, Gd)
 
 
 def test_eigenbasis_node_next_to_spectrum():
@@ -271,20 +296,24 @@ def test_eigenbasis_node_next_to_spectrum():
     # dense path, and no overflow warning escapes
     M, F, G = _eigenbasis_case(1)
     z = M.lam_hat[20] + M.lam_til[30] + 1e-3j
-    Fp, Gp = M.solve_pair(z, F, G, 1e-12, 40, make_rng(73))
+    Fp, Gp = M.solve_pair(z, F, G, 1e-12, make_rng(73))
     assert np.all(np.isfinite(Fp)) and np.all(np.isfinite(Gp))
     assert Fp.shape[1] == Gp.shape[1] >= 1
 
 
-@pytest.mark.parametrize("shape", [(20, 20), (20, 15)])
+@pytest.mark.parametrize("shape", [(180, 180), (270, 135)])
 def test_compress_dense_break_even(shape):
-    # A pair at r_max storing at least n1 * n2 entries: X itself, exactly;
-    # one rank below the break-even: a truncated pair
+    # A pair of the sampling rank storing at least n1 * n2 entries: X
+    # itself, exactly. One row past the break-even: the range finder's
+    # uncut pair (Q, (Q^H X)^T), Q orthonormal with the oversampled width
     rng = make_rng(65)
-    W = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     n1, n2 = shape
-    r_even = -(-n1 * n2 // (n1 + n2))
-    F, G = sylvester._compress_dense(W, 1e-12, r_even, rng)
+    assert sylvester._SAMPLE_RANK * (n1 + n2) == n1 * n2
+    W = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    F, G = sylvester._compress_dense(W, rng)
     assert np.array_equal(F @ G.T, W)
-    F, G = sylvester._compress_dense(W, 1e-12, r_even - 1, rng)
-    assert F.shape[1] == G.shape[1] <= r_even - 1
+    W = rng.standard_normal((n1 + 1, n2)) + 1j * rng.standard_normal((n1 + 1, n2))
+    Q, G = sylvester._compress_dense(W, rng)
+    assert Q.shape == (n1 + 1, sylvester._SAMPLE_RANK + 8)
+    assert np.allclose(Q.conj().T @ Q, np.eye(Q.shape[1]), atol=1e-13)
+    assert np.allclose(Q @ G.T, Q @ (Q.conj().T @ W), atol=1e-12)
