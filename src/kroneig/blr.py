@@ -25,7 +25,8 @@ orthonormal), so one QR can serve both a block's column norms and its cut.
 Both eigensolvers end in the Rayleigh-Ritz step defined here once:
 ``orthonormalize_svd`` (one SVD of the block's cores, never of a Gram),
 ``rayleigh_ritz_3block`` (project onto up to three stacked blocks, one
-operator term at a time, and solve the small pencil) and
+operator term at a time, and solve a standard eigenproblem on the span
+orthonormalized by an SVD of the stacked cores) and
 ``residual_block`` (A W - W diag(theta), on the bases of A W where A's
 identity terms already hold W's), whose ``column_norms`` are the reported
 residuals. ``EigenResult`` holds what they return.
@@ -38,7 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dense import eig_sym_gen, qr_unless_wide, svd_trunc, svd_trunc_left
+from .dense import qr_unless_wide, svd_trunc, svd_trunc_left
 from .errors import DimensionMismatch, OutOfRange, SizeOverflow
 from .factors import Identity, as_factor
 
@@ -61,6 +62,7 @@ __all__ = [
 ]
 
 DENSE_CAP = 10**7
+RR_SLAB = 2**16  # entries of one slab of rayleigh_ritz_3block's core stack
 
 
 @dataclass(frozen=True)
@@ -323,12 +325,14 @@ def right_multiply(W, B):
     """Image under a thin right factor: columns of the result are W @ B.
 
     Bases are untouched; cores combine linearly, Sigma_out(i) =
-    sum_j B[j, i] Sigma(j). Ranks never change.
+    sum_j B[j, i] Sigma(j). Ranks never change; a block of no columns
+    (ell = 0) maps to all-zero columns.
     """
     B = np.asarray(B)
     if B.ndim != 2 or B.shape[0] != W.ell:
         raise DimensionMismatch(f"right_multiply: B has {B.shape}, block has ell={W.ell}")
-    sigma = (B.T @ W.sigma.reshape(W.ell, -1)).reshape(B.shape[1], *W.sigma.shape[1:])
+    core = W.sigma.reshape(W.ell, W.r_hat * W.r_til)
+    sigma = (B.T @ core).reshape(B.shape[1], *W.sigma.shape[1:])
     return replace(W, sigma=sigma)
 
 
@@ -374,6 +378,12 @@ def truncate(W, eps, r_max=None):
     return BlockLowRank(lift_u(U1), lift_v(U2), new_core, orthonormal=True)
 
 
+def _above_roundoff(s, shape):
+    """Mask of the singular values s (descending) of a matrix of the given
+    shape that stand above roundoff: s > max(shape) eps_mach s_max."""
+    return s > max(shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
+
+
 def orthonormalize_svd(W, eps=0.0):
     """Orthonormal columns spanning a block's columns, from its cores.
 
@@ -394,25 +404,29 @@ def orthonormalize_svd(W, eps=0.0):
     ell, rh, rt = W.sigma.shape
     M = W.sigma.reshape(ell, rh * rt).T
     Q, s, _ = svd_trunc(M, eps)
-    floor = max(M.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
-    Q = Q[:, s > floor]
+    Q = Q[:, _above_roundoff(s, M.shape)]
     return BlockLowRank(W.U, W.V, Q.T.reshape(Q.shape[1], rh, rt), orthonormal=True)
 
 
 def rayleigh_ritz_3block(S1, S2, S3, A):
-    """Projected eigenproblem on the stacked blocks [S1 S2 S3].
+    """Ritz pairs on the span of the stacked blocks [S1 S2 S3].
 
-    Assembles the blockwise projected operator and Gram matrices term by
-    term, H_ij = sum over A's terms (til, hat) of S_i^H (hat U_j, conj(til)
-    V_j, Sigma_j), so every product is between two rank-r blocks, never
-    against the s-fold ``apply_operator`` image. Only the blocks with
-    i <= j are computed; those below the diagonal are their conjugate
-    transposes. Symmetrizes both, and solves for the S1.ell smallest
-    eigenpairs. S2/S3 may be None or empty (the iteration-1 case). Returns
-    (C1, C2, C3, theta) with the eigenvector matrix partitioned by block
-    rows; missing blocks get zero-width factors. Raises BtilNotSPD when
-    the combined Gram is numerically singular (caller drops a block and
-    retries).
+    Assembles the blockwise projected operator term by term, H_ij = sum
+    over A's terms (til, hat) of S_i^H (hat U_j, conj(til) V_j, Sigma_j),
+    so every product is between two rank-r blocks, never against the
+    s-fold ``apply_operator`` image. Only the blocks with i <= j are
+    computed; those below the diagonal are their conjugate transposes.
+    The Gram matrix is never formed: one QR per side of the stacked bases
+    (``qr_unless_wide``) folds every column into a core on the joint
+    orthonormal bases, and the SVD of the stacked cores, M = Q Sigma W^H,
+    is G's square root; it is taken through M's R factor, accumulated over
+    slabs of M's rows, so M is never held whole. The directions with
+    s > max(M.shape) eps s_max (``orthonormalize_svd``'s floor) are kept,
+    T = W Sigma^-1 on them, and the standard eigenproblem of T^H H T gives
+    the smallest min(S1.ell, kept) pairs, so a dependent or zero column is
+    dropped, never raised on. S2/S3 may be None or empty (the iteration-1
+    case). Returns (C1, C2, C3, theta) with C = T Y partitioned by block
+    rows, C^H G C = I; missing blocks get zero-row factors.
     """
     blocks = [S for S in (S1, S2, S3) if S is not None and S.ell > 0]
     widths = [S.ell for S in blocks]
@@ -422,29 +436,38 @@ def rayleigh_ritz_3block(S1, S2, S3, A):
     ]
     m = len(blocks)
     Hb = [[None] * m for _ in range(m)]
-    Gb = [[None] * m for _ in range(m)]
     for i in range(m):
         for j in range(i, m):
             Hb[i][j] = sum(block_inner(blocks[i], T) for T in images[j])
-            Gb[i][j] = block_inner(blocks[i], blocks[j])
             if j > i:
                 Hb[j][i] = Hb[i][j].conj().T
-                Gb[j][i] = Gb[i][j].conj().T
     H = np.block(Hb)
-    G = np.block(Gb)
     H = 0.5 * (H + H.conj().T)
-    G = 0.5 * (G + G.conj().T)
-    theta, C = eig_sym_gen(H, G, S1.ell)
-    parts = np.split(C, np.cumsum(widths)[:-1], axis=0)
-    out = []
-    i = 0
-    for S in (S1, S2, S3):
-        if S is not None and S.ell > 0:
-            out.append(parts[i])
-            i += 1
-        else:
-            out.append(np.zeros((0, S1.ell)))
-    return out[0], out[1], out[2], theta
+    _, Ru = qr_unless_wide(np.hstack([S.U for S in blocks]))
+    _, Rv = qr_unless_wide(np.hstack([S.V for S in blocks]))
+    rh, rt, ncol = Ru.shape[0], Rv.shape[0], sum(widths)
+    Ru = np.split(Ru, np.cumsum([S.r_hat for S in blocks])[:-1], axis=1)
+    Rv = np.split(Rv, np.cumsum([S.r_til for S in blocks])[:-1], axis=1)
+    # M's column (b, j) is vec(Ru_b Sigma_b(j) Rv_b^H): the tilde side is
+    # folded once, and a slab of M^T holds some hat rows of every column,
+    # about RR_SLAB entries
+    Sv = [S.sigma @ rv.conj().T for S, rv in zip(blocks, Rv)]
+    R = np.zeros((0, ncol))
+    step = max(1, RR_SLAB // (rt * ncol))
+    for a in range(0, rh, step):
+        slab = np.vstack([(ru[a : a + step] @ sv).reshape(len(sv), -1) for ru, sv in zip(Ru, Sv)])
+        R = np.linalg.qr(np.hstack([R.T, slab]).T, mode="r")
+    _, s, Wh = np.linalg.svd(R, full_matrices=False)
+    keep = _above_roundoff(s, (rh * rt, ncol))
+    T = Wh[keep].conj().T / s[keep]
+    theta, Y = np.linalg.eigh(T.conj().T @ H @ T)
+    want = min(S1.ell, T.shape[1])
+    parts = iter(np.split(T @ Y[:, :want], np.cumsum(widths)[:-1], axis=0))
+    out = [
+        next(parts) if S is not None and S.ell > 0 else np.zeros((0, want))
+        for S in (S1, S2, S3)
+    ]
+    return out[0], out[1], out[2], theta[:want]
 
 
 def residual_block(A, W, theta):

@@ -200,8 +200,8 @@ def contour_eigensolve(A, filt, sk, solver_cfg=None, recompress=None, threads=1)
     accumulated exactly on the shared basis, one core per column, carried
     through every basis change, truncated once at assembly,
     orthonormalized from its cores with the column mode cut at the same
-    eps (``orthonormalize_svd``), and the symmetrized projected pencil
-    yields the Ritz pairs.
+    eps (``orthonormalize_svd``), and the projected standard eigenproblem
+    (``rayleigh_ritz_3block``) yields the Ritz pairs.
     """
     cfg = solver_cfg if solver_cfg is not None else NodeSolverConfig()
     rec = recompress if recompress is not None else RecompressConfig()

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from .errors import BtilNotSPD, KroneigError, NotPositiveDefinite, OutOfRange
+from .errors import KroneigError, NotPositiveDefinite, OutOfRange
 
 __all__ = [
     "qr_econ",
@@ -20,7 +20,6 @@ __all__ = [
     "svd_trunc",
     "svd_trunc_left",
     "cholesky",
-    "eig_sym_gen",
     "two_norm",
 ]
 
@@ -173,25 +172,6 @@ def cholesky(G):
         return scipy.linalg.cholesky(G, lower=True)
     except scipy.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(str(exc)) from exc
-
-
-def eig_sym_gen(Atil, Btil, want):
-    """Smallest eigenpairs of the Hermitian pencil (Atil, Btil).
-
-    Solves ``Atil C = Btil C diag(Theta)`` for the ``want`` algebraically
-    smallest eigenvalues, Btil Hermitian positive definite. Eigenvalues come
-    back ascending and real; C is Btil-orthonormal (C^H Btil C = I).
-    """
-    Atil = np.asarray(Atil)
-    Btil = np.asarray(Btil)
-    k = Atil.shape[0]
-    if not (1 <= want <= k):
-        raise OutOfRange(f"eig_sym_gen: want={want} outside 1..{k}")
-    try:
-        theta, C = scipy.linalg.eigh(Atil, Btil, subset_by_index=[0, want - 1])
-    except scipy.linalg.LinAlgError as exc:
-        raise BtilNotSPD(str(exc)) from exc
-    return theta, C
 
 
 def two_norm(M):

@@ -31,10 +31,6 @@ class NotPositiveDefinite(KroneigError):
     """Cholesky factorization failed; the matrix is not numerically SPD."""
 
 
-class BtilNotSPD(NotPositiveDefinite):
-    """Right-hand matrix of a generalized symmetric eigenproblem not SPD."""
-
-
 class DegenerateInterval(KroneigError):
     """A spectral interval for shift selection is empty or contains 0."""
 

@@ -26,7 +26,10 @@ block are ``blr``'s, shared with the contour solver. The residual keeps
 the rank of A X (3r on the Schrodinger operators: the shift lands on the
 bases A's identity terms already put there), its bases are QR-factored
 once per iteration (``blr.fold_bases``) for both its norms and its cut,
-and Rayleigh-Ritz projects one operator term at a time.
+and Rayleigh-Ritz projects one operator term at a time, then solves a
+standard eigenproblem on the span of [X R P] orthonormalized from the
+blocks' cores: a dependent direction is dropped there, so a singular
+Gram needs no fallback.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from .blr import (
     right_multiply,
     truncate,
 )
-from .errors import BtilNotSPD, DimensionMismatch, OutOfRange, StructureMismatch
+from .errors import DimensionMismatch, OutOfRange, StructureMismatch
 from .problems import gershgorin_interval, shift_operator
 from .sylvester import adi_shifts, fadi_steps
 
@@ -164,14 +167,15 @@ def lobpcg_lowrank(A, cfg, X0):
 
     Starts from the ell-column block X0, orthonormalizes, and iterates:
     preconditioned residual block, orthonormalization of R and P from
-    their cores (``orthonormalize_svd``), three-block Rayleigh-Ritz, then
-    the P and X updates, truncating after every block recombination: R
-    and P at trunc_eps, X at min(trunc_eps, max residual of the k wanted
-    columns / ||A||_bd) with ||A||_bd a bound read once per run from the
-    operator's factors. Stops when the k smallest pairs have residuals at
-    most conv_tol, else after max_iter with the best visited state flagged
-    unconverged. Reported residuals are
-    ||A x - theta x||_2 per column in block low-rank arithmetic.
+    their cores (``orthonormalize_svd``), one three-block Rayleigh-Ritz
+    (which drops the dependent directions of [X R P]), then the P and X
+    updates, truncating after every block recombination: R and P at
+    trunc_eps, X at min(trunc_eps, max residual of the k wanted columns /
+    ||A||_bd) with ||A||_bd a bound read once per run from the operator's
+    factors. Stops when the k smallest pairs have residuals at most
+    conv_tol, else after max_iter with the best visited state flagged
+    unconverged. Reported residuals are ||A x - theta x||_2 per column in
+    block low-rank arithmetic.
     """
     if X0.ell != cfg.ell:
         raise DimensionMismatch(f"lobpcg_lowrank: X0 has {X0.ell} columns, cfg.ell={cfg.ell}")
@@ -209,21 +213,11 @@ def lobpcg_lowrank(A, cfg, X0):
         R = orthonormalize_svd(precond.apply_block(R))
         if R.ell == 0:
             break
-        if P is not None and P.ell > 0:
+        if P is not None:
             P = orthonormalize_svd(P)
-        try:
-            C1, C2, C3, theta = rayleigh_ritz_3block(X, R, P, Aw)
-        except BtilNotSPD:
-            try:
-                C1, C2, C3, theta = rayleigh_ritz_3block(X, R, None, Aw)
-                P = None
-            except BtilNotSPD:
-                C1, _, _, theta = rayleigh_ritz_3block(X, None, None, Aw)
-                C2 = np.zeros((R.ell, cfg.ell))
-                C3 = np.zeros((0, cfg.ell))
-                P = None
+        C1, C2, C3, theta = rayleigh_ritz_3block(X, R, P, Aw)
         Pnew = right_multiply(R, C2)
-        if P is not None and P.ell > 0 and C3.shape[0] == P.ell:
+        if P is not None:
             Pnew = add(Pnew, right_multiply(P, C3))
         Pnew = truncate(Pnew, cfg.trunc_eps, cfg.r_max)
         Xnew = add(right_multiply(X, C1), Pnew)

@@ -1,4 +1,4 @@
-"""Small dense kernels: factorizations, truncation, generalized Ritz."""
+"""Small dense kernels: factorizations, truncation, norms."""
 
 import numpy as np
 import pytest
@@ -7,14 +7,13 @@ import scipy.linalg
 from conftest import make_rng
 from kroneig.dense import (
     cholesky,
-    eig_sym_gen,
     qr_econ,
     qr_unless_wide,
     svd_trunc,
     svd_trunc_left,
     two_norm,
 )
-from kroneig.errors import BtilNotSPD, KroneigError, NotPositiveDefinite, OutOfRange
+from kroneig.errors import KroneigError, NotPositiveDefinite, OutOfRange
 
 
 def test_qr_econ_reconstructs_and_is_economy():
@@ -193,33 +192,6 @@ def test_cholesky_lower_and_failure():
     assert np.allclose(L, np.tril(L))
     with pytest.raises(NotPositiveDefinite):
         cholesky(np.diag([1.0, -1.0]))
-
-
-def test_eig_sym_gen_matches_scipy_subset():
-    rng = make_rng(16)
-    k, want = 9, 4
-    A0 = rng.standard_normal((k, k))
-    A = 0.5 * (A0 + A0.T)
-    Bf = rng.standard_normal((k, k))
-    B = Bf @ Bf.T + k * np.eye(k)
-    theta, C = eig_sym_gen(A, B, want)
-    ref = scipy.linalg.eigh(A, B, eigvals_only=True)
-    assert np.allclose(theta, ref[:want], atol=1e-11)
-    assert np.all(np.diff(theta) >= -1e-13)
-    # Eigenvector block is B-orthonormal and diagonalizes A.
-    assert np.allclose(C.T @ B @ C, np.eye(want), atol=1e-10)
-    assert np.allclose(C.T @ A @ C, np.diag(theta), atol=1e-9)
-
-
-def test_eig_sym_gen_validation():
-    A = np.diag([1.0, 2.0, 3.0])
-    B = np.eye(3)
-    with pytest.raises(OutOfRange):
-        eig_sym_gen(A, B, 0)
-    with pytest.raises(OutOfRange):
-        eig_sym_gen(A, B, 4)
-    with pytest.raises(BtilNotSPD):
-        eig_sym_gen(A, np.diag([1.0, 1.0, -1.0]), 2)
 
 
 def test_two_norm():

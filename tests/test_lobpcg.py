@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import (
     dense_fadi_apply,
@@ -17,14 +18,17 @@ import kroneig.lobpcg
 from kroneig.blr import (
     BlockLowRank,
     KroneckerSumOperator,
+    add,
     block_inner,
     column_norms,
     from_khatri_rao,
+    orthonormalize_svd,
     rayleigh_ritz_3block,
     residual_block,
+    right_multiply,
     to_dense,
 )
-from kroneig.errors import BtilNotSPD, DimensionMismatch, OutOfRange, StructureMismatch
+from kroneig.errors import DimensionMismatch, OutOfRange, StructureMismatch
 from kroneig.lobpcg import (
     AdiBlockPreconditioner,
     LobpcgConfig,
@@ -150,53 +154,61 @@ def test_adi_preconditioner_inverts_two_term():
 
 
 def test_rayleigh_ritz_3block_matches_dense():
+    # Ritz values on the span of the stacked blocks, against a dense
+    # orthonormal basis of that span: for independent blocks, and for an
+    # S2 with a zero column plus an S3 that repeats a column of S1, whose
+    # Gram is singular. The dependent directions are dropped, not raised
+    # on, and the coefficients are G-orthonormal on the kept ones.
     rng = make_rng(83)
     A = _structured_operator(rng, 7, 7, coupling=0.2)
     Ad = kron_dense(A)
-    import scipy.linalg
-
-    from kroneig.blr import orthonormalize_svd
-
     S1 = orthonormalize_svd(random_block(rng, 7, 7, 3, 2, 2))
     S2 = orthonormalize_svd(random_block(rng, 7, 7, 2, 2, 2))
-    C1, C2, C3, theta = rayleigh_ritz_3block(S1, S2, None, A)
-    S = np.hstack([to_dense(S1), to_dense(S2)])
-    H = S.T @ Ad @ S
-    G = S.T @ S
-    ref = scipy.linalg.eigh(
-        0.5 * (H + H.T), 0.5 * (G + G.T), subset_by_index=[0, 2],
-        eigvals_only=True,
+    S2_zero = right_multiply(random_block(rng, 7, 7, 2, 2, 2), np.diag([1.0, 0.0]))
+    # S3 = [random column, S1's first column]
+    repeat = np.zeros((3, 2))
+    repeat[0, 1] = 1.0
+    S3_repeat = add(
+        right_multiply(random_block(rng, 7, 7, 2, 3, 2), np.diag([1.0, 0.0])),
+        right_multiply(S1, repeat),
     )
-    assert np.allclose(theta, ref, atol=1e-10)
-    assert C3.shape == (0, 3)
-    # Combined eigenvector block diagonalizes the projected pencil.
-    C = np.vstack([C1, C2])
-    assert np.allclose(C.T @ G @ C, np.eye(3), atol=1e-9)
-    assert np.allclose(C.T @ H @ C, np.diag(theta), atol=1e-8)
+    for blocks, rank in (((S1, S2, None), 5), ((S1, S2_zero, S3_repeat), 5)):
+        S = np.hstack([to_dense(B) for B in blocks if B is not None])
+        assert np.linalg.matrix_rank(S) == rank
+        Q = scipy.linalg.orth(S)
+        ref = scipy.linalg.eigh(Q.T @ Ad @ Q, subset_by_index=[0, 2], eigvals_only=True)
+        C1, C2, C3, theta = rayleigh_ritz_3block(*blocks, A)
+        assert np.allclose(theta, ref, rtol=0.0, atol=1e-10)
+        C = np.vstack([C1, C2, C3])
+        assert C.shape == (S.shape[1], 3)
+        assert np.allclose(C.T @ (S.T @ S) @ C, np.eye(3), atol=1e-9)
+        assert np.allclose(C.T @ (S.T @ Ad @ S) @ C, np.diag(theta), atol=1e-8)
 
 
 def test_lobpcg_tracks_dense_mirror():
     # With truncation disabled the low-rank iteration is the dense LOBPCG
-    # in different clothes; Ritz values must agree step for step.
-    spec = make_spec("sum-of-squares", 12)
-    A = schrodinger_kron(spec)
-    K_hat = A.terms[0][1]
-    K_til = A.terms[1][0]
-    sk = draw_khatri_rao(12, 12, 5, seed=7)
-    X0 = from_khatri_rao(sk)
-    cfg = LobpcgConfig(
-        k=3, ell=5, trunc_eps=0.0, r_max=None, max_iter=7, conv_tol=0.0,
-        adi_iterations=8, seed=7,
-    )
-    res = lobpcg_lowrank(A, cfg, X0)
-    hist = res.diagnostics["ritz_history"]
-    assert len(hist) == 7
-    shifts = adi_shifts(gershgorin_interval(K_hat), gershgorin_interval(K_til), 8)
-    dense_hist = dense_lobpcg_mirror(
-        kron_dense(A), K_hat, K_til, shifts, to_dense(X0), 5, updates=6
-    )
-    for i, theta_d in enumerate(dense_hist):
-        assert np.max(np.abs(np.asarray(hist[i + 1]) - theta_d)) < 1e-9
+    # in different clothes; Ritz values must agree step for step. Of the
+    # sketch seeds 0..19 at n=15, only 7 and 8 give a near-singular
+    # three-block Gram (cond 4.5e9 at seed 7); Rayleigh-Ritz on the span
+    # orthonormalized from the cores keeps rounding from being amplified
+    # by that conditioning, so they track the mirror to 5e-10.
+    for n, seed, updates, bound in ((12, 7, 6, 1e-9), (15, 7, 10, 5e-10), (15, 8, 10, 5e-10)):
+        A = schrodinger_kron(make_spec("sum-of-squares", n))
+        K_hat = A.terms[0][1]
+        K_til = A.terms[1][0]
+        X0 = from_khatri_rao(draw_khatri_rao(n, n, 5, seed=seed))
+        cfg = LobpcgConfig(
+            k=3, ell=5, trunc_eps=0.0, r_max=None, max_iter=updates + 1, conv_tol=0.0,
+            adi_iterations=8, seed=seed,
+        )
+        hist = lobpcg_lowrank(A, cfg, X0).diagnostics["ritz_history"]
+        assert len(hist) == updates + 1
+        shifts = adi_shifts(gershgorin_interval(K_hat), gershgorin_interval(K_til), 8)
+        dense_hist = dense_lobpcg_mirror(
+            kron_dense(A), K_hat, K_til, shifts, to_dense(X0), 5, updates=updates
+        )
+        for i, theta_d in enumerate(dense_hist):
+            assert np.max(np.abs(np.asarray(hist[i + 1]) - theta_d)) < bound, (n, seed)
 
 
 def test_lobpcg_zero_potential_closed_form():
@@ -384,55 +396,44 @@ def test_lobpcg_allocates_nothing_of_n_squared_entries():
     assert peak < 8 * n * n
 
 
-def _forced_breakdown(monkeypatch, force):
-    """Make LOBPCG's projected eigensolve raise BtilNotSPD where
-    force(update, blocks) holds: update numbers the Rayleigh-Ritz steps
-    (0 the initial one, a fallback keeps its step's number) and blocks
-    counts the nonempty blocks of the call. Returns the list that records
-    the (update, blocks) of each forced call."""
-    rayleigh_ritz, eig = kroneig.lobpcg.rayleigh_ritz_3block, kroneig.blr.eig_sym_gen
-    state = {"update": -1, "blocks": 0, "raised": False}
-    forced = []
-
-    def counting(S1, S2, S3, A):
-        state["blocks"] = sum(S is not None and S.ell > 0 for S in (S1, S2, S3))
-        return rayleigh_ritz(S1, S2, S3, A)
-
-    def breaking(H, G, want):
-        state["update"] += not state["raised"]
-        key = (state["update"], state["blocks"])
-        state["raised"] = force(*key)
-        if state["raised"]:
-            forced.append(key)
-            raise BtilNotSPD("forced Gram breakdown")
-        return eig(H, G, want)
-
-    monkeypatch.setattr(kroneig.lobpcg, "rayleigh_ritz_3block", counting)
-    monkeypatch.setattr(kroneig.blr, "eig_sym_gen", breaking)
-    return forced
-
-
-@pytest.mark.parametrize("mode", ["three-block", "one-update"])
-def test_lobpcg_gram_breakdown_fallbacks(mode, monkeypatch):
-    # A singular three-block Gram drops P; a singular two-block Gram too
-    # leaves X alone, with R's and P's coefficients zero. Forced at every
-    # three-block call, or at every multi-block call of update 3, the run
-    # still converges to the unforced values with true residuals.
+def test_lobpcg_singular_gram_drops_dependent_directions(monkeypatch):
+    # At update 3 the preconditioner returns a block in span(X), so R
+    # depends on X and the three-block Gram is singular. Rayleigh-Ritz
+    # drops those directions, and the run still converges to the values of
+    # the run left alone, with true residuals.
     n = 40
     A = schrodinger_kron(make_spec("sum-of-squares", n))
     X0 = from_khatri_rao(draw_khatri_rao(n, n, 6, seed=0))
     cfg = LobpcgConfig(k=4, ell=6, trunc_eps=1e-9, r_max=40, max_iter=100, conv_tol=1e-6)
     plain = lobpcg_lowrank(A, cfg, X0)
-    if mode == "three-block":
-        forced = _forced_breakdown(monkeypatch, lambda update, blocks: blocks == 3)
-    else:
-        forced = _forced_breakdown(monkeypatch, lambda update, blocks: update == 3 and blocks > 1)
+
+    rng = make_rng(85)
+    apply_block = AdiBlockPreconditioner.apply_block
+    iterates, stacks = [], []
+
+    def recording_residual(A, W, theta):
+        iterates.append(W)
+        return residual_block(A, W, theta)
+
+    def in_span_of_x(self, W):
+        if len(iterates) == 3:
+            X = iterates[-1]
+            return right_multiply(X, rng.standard_normal((X.ell, W.ell)))
+        return apply_block(self, W)
+
+    def recording_rr(S1, S2, S3, A):
+        if len(iterates) == 3:
+            stacks.append(np.hstack([to_dense(S) for S in (S1, S2, S3)]))
+        return rayleigh_ritz_3block(S1, S2, S3, A)
+
+    monkeypatch.setattr(kroneig.lobpcg, "residual_block", recording_residual)
+    monkeypatch.setattr(AdiBlockPreconditioner, "apply_block", in_span_of_x)
+    monkeypatch.setattr(kroneig.lobpcg, "rayleigh_ritz_3block", recording_rr)
     res = lobpcg_lowrank(A, cfg, X0)
     monkeypatch.undo()
-    if mode == "three-block":
-        assert len(forced) >= 5 and all(blocks == 3 for _, blocks in forced)
-    else:
-        assert forced == [(3, 3), (3, 2)]
+    (S,) = stacks
+    s = np.linalg.svd(S, compute_uv=False)
+    assert S.shape[1] == 18 and np.sum(s > 1e-12 * s[0]) == 12
     for run in (plain, res):
         assert run.diagnostics["converged"]
     assert np.allclose(res.ritz_values, plain.ritz_values, rtol=0.0, atol=1e-8)

@@ -9,19 +9,21 @@ SWEEP_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "sweep.
 
 
 def test_sweep_one_input(tmp_path):
-    out = tmp_path / "sweep.json"
-    proc = subprocess.run(
-        [sys.executable, SWEEP_PATH, "--workload", "contour-tight", "--seeds", "11",
-         "--rounds", "1", "--out", str(out)],
-        capture_output=True, text=True, timeout=300, check=True,
-    )
-    report = json.loads(proc.stdout)
-    assert report == json.loads(out.read_text())
-    assert report["workload"] == "contour-tight"
-    assert (report["seeds"], report["rounds"], report["inputs"]) == ([11], 1, 1)
-    # seed 11's first input passes every check
-    assert report["failed_pairs"] == 0 and report["failed_node_solves"] == 0
-    assert report["failing_inputs"] == []
+    # seed 11's first input of a contour and of the LOBPCG workload
+    for workload in ("contour-tight", "lobpcg-rank"):
+        out = tmp_path / f"{workload}.json"
+        proc = subprocess.run(
+            [sys.executable, SWEEP_PATH, "--workload", workload, "--seeds", "11",
+             "--rounds", "1", "--out", str(out)],
+            capture_output=True, text=True, timeout=300, check=True,
+        )
+        report = json.loads(proc.stdout)
+        assert report == json.loads(out.read_text())
+        assert report["workload"] == workload
+        assert (report["seeds"], report["rounds"], report["inputs"]) == ([11], 1, 1)
+        # it passes every check
+        assert report["failed_pairs"] == 0 and report["failed_node_solves"] == 0
+        assert report["failing_inputs"] == []
 
 
 def test_sweep_rejects_unknown_workload():
