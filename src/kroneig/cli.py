@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 solver hard failure, 2 invalid configuration.
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -29,7 +30,6 @@ from . import blr
 from .contour import (
     NodeSolverConfig,
     RecompressConfig,
-    _node_parts,
     contour_eigensolve,
     trapezoid_circle,
 )
@@ -45,7 +45,7 @@ from .problems import (
     square_operator,
 )
 from .sketch import SweepConfig, draw_khatri_rao, ose_trial_sweep
-from .sylvester import EigenbasisPreconditioner, TensorGalerkin
+from .sylvester import TensorGalerkin
 
 SCHEMA_VERSION = 1
 
@@ -385,17 +385,8 @@ def cmd_lobpcg(cfg):
     reference = None
     ref_elapsed = None
     if cfg["reference"]:
-        ref_cfg = LobpcgConfig(
-            k=cfg["k"],
-            ell=cfg["ell"],
-            trunc_eps=1e-10,
-            r_max=None,
-            max_iter=cfg["reference_iter"],
-            conv_tol=cfg["conv_tol"],
-            adi_iterations=cfg["adi_iterations"],
-            shift=run_shift,
-            seed=cfg["seed"],
-        )
+        ref_cfg = dataclasses.replace(
+            run_cfg, trunc_eps=1e-10, r_max=None, max_iter=cfg["reference_iter"])
         t1 = time.perf_counter()
         reference = lobpcg_lowrank(problem, ref_cfg, X0)
         ref_elapsed = time.perf_counter() - t1
@@ -471,19 +462,10 @@ def _leading_normalized(s, count):
 
 def _rank_one_family(cfg, n, tol):
     """Operator of size n and the contour's node family for a rank-1
-    Khatri-Rao right-hand side: basis cut 1e-3 tol, real (the named
-    potentials and the sketch are), with its eig2 two-term solver."""
+    Khatri-Rao right-hand side at node tolerance tol."""
     A = schrodinger_kron(make_spec(cfg["potential"], n))
-    K_hat, K_til, couplings = _node_parts(A)
     sk = draw_khatri_rao(A.n_til, A.n_hat, 1, seed=cfg["seed"])
-    family = TensorGalerkin(K_hat, K_til, couplings, sk.scale * sk.hat, sk.tilde, 1e-3 * tol, True)
-    precond = EigenbasisPreconditioner(K_hat, K_til)
-
-    def two_term(z, j, Fs, Gs):
-        rng = np.random.default_rng((cfg["seed"], j))
-        return precond.solve_pair(z, Fs, Gs, 1e-3 * tol, rng)
-
-    return A, family, two_term
+    return A, TensorGalerkin(A, sk.scale * sk.hat, sk.tilde, tol, cfg["seed"])
 
 
 def cmd_sylvester_bench(cfg):
@@ -504,12 +486,11 @@ def cmd_sylvester_bench(cfg):
     rows = []
     for n in n_values:
         for tol in tol_values:
-            _, family, two_term = _rank_one_family(cfg, n, tol)
-            sigma = np.zeros((1, 0, 0))
+            _, family = _rank_one_family(cfg, n, tol)
             times, resids, ranks, entries = [], [], [], []
             for z in sample:
                 t0 = time.perf_counter()
-                results, _, sigma = family.enrich([(complex(z), 0, 1.0)], two_term, tol, sigma)
+                results, _ = family.enrich([(complex(z), 0, 1.0)])
                 times.append(time.perf_counter() - t0)
                 resids.append(results[0][0])
                 r_hat, r_til = family.ranks
@@ -532,9 +513,9 @@ def cmd_sylvester_bench(cfg):
     # decay study: one first-quadrant node, rank-one vs dense right-hand
     # side; U and V are orthonormal, so Y has the singular values of U Y V^T
     z = complex(cfg["center"]) + cfg["radius"] * np.exp(1j * math.pi / 4)
-    A, family, two_term = _rank_one_family(cfg, cfg["decay_n"], cfg["decay_tol"])
-    family.enrich([(z, 0, 1.0)], two_term, cfg["decay_tol"], np.zeros((1, 0, 0)))
-    Y = family.solve(z, 0, cfg["decay_tol"])[0]
+    A, family = _rank_one_family(cfg, cfg["decay_n"], cfg["decay_tol"])
+    family.enrich([(z, 0, 1.0)])
+    Y = family.solve(z, 0)[0]
     kmax = cfg["decay_count"]
     sv_rank_one = _leading_normalized(np.linalg.svd(Y, compute_uv=False), kmax)
 

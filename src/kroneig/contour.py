@@ -9,19 +9,21 @@ sketch column make one cell, a shifted linear solve whose right-hand side
 is the Khatri-Rao column; it matricizes to a three-term Sylvester
 equation. The node equations of a run are one family in the shift with
 the same right-hand sides, and their solutions lie close to one small
-tensor basis U (x) V (``sylvester.TensorGalerkin``). Every node runs the
-same loop on that basis: its cells are solved by Galerkin projection and
-their true residuals checked in full space, and a cell that misses the
-node tolerance grows the basis by the eig2 two-term solves of its
-right-hand side and of its solution's coupling image. The basis starts
-empty, so the first node's first round is the seed round. The filter is
-accumulated exactly on the shared basis, one core per sketch column (for
-real data the basis is real, so a conjugate node pair folds into one real
-contribution), truncated once at assembly, and the Ritz pairs come from
-the Rayleigh-Ritz step shared with LOBPCG (``blr.orthonormalize_svd``,
-``blr.rayleigh_ritz_3block``, ``blr.residual_block``). The node equations
-keep the operator's own typed factors, so no n x n coefficient is formed
-per cell.
+tensor basis U (x) V. That family, ``sylvester.TensorGalerkin``, owns the
+node solve: built from the operator, the sketch and the node tolerance,
+it derives the split, the eig2 two-term solver, the basis cut and whether
+the data are real. Every node runs the same loop on its basis: the cells
+are solved by Galerkin projection and their true residuals checked in
+full space, and a cell that misses the node tolerance grows the basis by
+the eig2 two-term solves of its right-hand side and of its solution's
+coupling image. The basis starts empty, so the first node's first round is
+the seed round. The filter is accumulated exactly on the shared basis,
+one core per sketch column (for real data the basis is real, so a
+conjugate node pair folds into one real contribution), truncated once at
+assembly, and the Ritz pairs come from the Rayleigh-Ritz step shared with
+LOBPCG (``blr.orthonormalize_svd``, ``blr.rayleigh_ritz_3block``,
+``blr.residual_block``). The node equations keep the operator's own typed
+factors, so no n x n coefficient is formed per cell.
 
 Desk-scale evaluators quantify the subspace quality independently of the
 solver: structural_bound evaluates the angle bound driven by the filter
@@ -51,15 +53,12 @@ from .dense import cholesky, two_norm
 from .errors import (
     DegenerateSubspace,
     DimensionMismatch,
-    KroneigError,
     OutOfRange,
     PoleHit,
     RankDeficient,
     SizeOverflow,
-    StructureMismatch,
 )
-from .factors import Identity
-from .sylvester import EigenbasisPreconditioner, TensorGalerkin
+from .sylvester import TensorGalerkin
 
 __all__ = [
     "RationalFilter",
@@ -139,17 +138,11 @@ def filter_eval(filt, lam):
 
 @dataclass(frozen=True)
 class NodeSolverConfig:
-    """Settings for the node solves.
-
-    ``precond`` is "eig2" (one eigenbasis preconditioner shared by every
-    node and column) or an object with a method ``solve_pair(z, F, G, tol,
-    rng)``; it makes the two-term solves that grow the shared basis, to
-    1e-3 tol, and returns them uncut: the basis keeps their directions
-    above its cut. ``seed`` seeds the eig2 range finder.
-    """
+    """Settings for the node solves: the node tolerance, which also sets
+    the node family's basis cut and two-term tolerance, and the seed of
+    the eig2 range finder (``sylvester.TensorGalerkin``)."""
 
     tol: float = 1e-10
-    precond: str = "eig2"
     seed: int = 0
 
 
@@ -162,43 +155,25 @@ class RecompressConfig:
     r_max: int = 90
 
 
-def _node_parts(A):
-    """Factors of A = I (x) K_hat + K_til (x) I + til_c (x) hat_c.
-
-    Returns (K_hat, K_til, couplings) read from ``A.split``; a side without
-    identity terms is the zero diagonal. The contour solver takes one
-    coupling term at most, the three-term node equation.
-    """
-    K_hat, K_til, couplings = A.split
-    if len(couplings) > 1:
-        raise StructureMismatch(
-            f"contour solver needs at most one non-separable term, found {len(couplings)}"
-        )
-    K_hat = 0.0 * Identity(A.n_hat) if K_hat is None else K_hat
-    K_til = 0.0 * Identity(A.n_til) if K_til is None else K_til
-    return K_hat, K_til, couplings
-
-
 def contour_eigensolve(A, filt, sk, solver_cfg=None, recompress=None, threads=1):
     """Filtered-subspace eigensolver: solve, accumulate, assemble, project.
 
     Every quadrature node i and sketch column j make one cell, the shifted
-    system (z_i - A) x = sketch column j in factored form; for real data
-    only the upper half-plane nodes are solved and each contributes the
-    folded real part of its conjugate pair. The nodes are solved in order,
-    each by ``TensorGalerkin.enrich`` on one shared tensor basis: its cells
-    are Galerkin cells with a true full-space residual, and a cell that
-    misses the node tolerance adds the eig2 two-term solve of its
-    right-hand side (once) and of its solution's coupling image, round by
+    system (z_i - A) x = sketch column j in factored form. One node family
+    (``sylvester.TensorGalerkin``), built from A, the sketch and the node
+    tolerance, holds the shared tensor basis and the node-solve policy; for
+    real data (its ``real``) only the upper half-plane nodes are solved and
+    each contributes the folded real part of its conjugate pair. The nodes
+    are solved in order, each by ``TensorGalerkin.enrich``: its cells are
+    Galerkin cells with a true full-space residual, and a cell that misses
+    the node tolerance grows the basis by eig2 two-term solves, round by
     round, in column order. The basis starts empty, so at the first node
-    every cell misses and the first round seeds it. When a round adds
-    nothing or fails to halve the worst residual, one last round keeps
-    every direction above cut / 100. A cell still above the tolerance is
-    accumulated with its Galerkin solution, reported unconverged with its
-    true residual, and its column flagged degraded. A two-term solve that
-    raises is recorded under ``failures`` and adds nothing. The filter is
-    accumulated exactly on the shared basis, one core per column, carried
-    through every basis change, truncated once at assembly,
+    every cell misses and the first round seeds it. A cell still above the
+    tolerance is accumulated with its Galerkin solution, reported
+    unconverged with its true residual, and its column flagged degraded. A
+    two-term solve that raises is recorded under ``failures`` and adds
+    nothing. The filter is accumulated exactly on the shared basis, one
+    core per column (the family's ``sigma``), truncated once at assembly,
     orthonormalized from its cores with the column mode cut at the same
     eps (``orthonormalize_svd``), and the projected standard eigenproblem
     (``rayleigh_ritz_3block``) yields the Ritz pairs.
@@ -211,29 +186,18 @@ def contour_eigensolve(A, filt, sk, solver_cfg=None, recompress=None, threads=1)
             f"vs operator ({A.n_hat}, {A.n_til})"
         )
     ell = sk.ell
-    K_hat, K_til, couplings = _node_parts(A)
-    precond = EigenbasisPreconditioner(K_hat, K_til) if cfg.precond == "eig2" else cfg.precond
-    # an unknown name would otherwise fail every cell one by one
-    if not hasattr(precond, "solve_pair"):
-        raise OutOfRange(f"contour_eigensolve: unknown preconditioner {cfg.precond!r}")
-
-    real_data = not any(
-        np.iscomplexobj(t) for pair in A.terms for t in pair
-    ) and not np.iscomplexobj(sk.tilde) and not np.iscomplexobj(sk.hat)
+    family = TensorGalerkin(A, sk.scale * sk.hat, sk.tilde, cfg.tol, cfg.seed)
+    real = family.real
     im_floor = 1e-14 * filt.radius
-    if real_data:
+    if real:
         node_ids = [i for i in range(filt.q) if filt.nodes[i].imag > -im_floor]
     else:
         node_ids = list(range(filt.q))
-    dtype = float if real_data else complex
-    F = sk.scale * sk.hat
-    # at tol 1e-10 a basis cut at 1e-13 carried every held-out cell, 1e-11 did not
-    family = TensorGalerkin(K_hat, K_til, couplings, F, sk.tilde, 1e-3 * cfg.tol, real_data)
 
     def weight(i):
         """Filter weight of node i; doubled where real data folds in its conjugate."""
         c = complex(filt.weights[i] / (2.0j * np.pi))
-        return 2.0 * c if real_data and filt.nodes[i].imag > im_floor else c
+        return 2.0 * c if real and filt.nodes[i].imag > im_floor else c
 
     def pmap(fn, items):
         """fn over items, in order."""
@@ -242,47 +206,35 @@ def contour_eigensolve(A, filt, sk, solver_cfg=None, recompress=None, threads=1)
                 return list(pool.map(fn, items))
         return list(map(fn, items))
 
-    reports, errors, basis_ranks, rounds = [], {}, [], 0
-    sigma = np.zeros((ell, 0, 0), dtype=dtype)
+    reports, basis_ranks, rounds = [], [], 0
     for i in node_ids:
-
-        def two_term(z, j, Fs, Gs, i=i):
-            """The two-term solve of Fs Gs^T at node z, to 1e-3 tol; None
-            (the error recorded) when it raises."""
-            rng = np.random.default_rng((cfg.seed, j))
-            try:
-                return precond.solve_pair(z, Fs, Gs, 1e-3 * cfg.tol, rng)
-            except KroneigError as exc:
-                errors.setdefault((i, j), str(exc))
-                return None
-
         cells = [(complex(filt.nodes[i]), j, weight(i)) for j in range(ell)]
-        results, grown, sigma = family.enrich(cells, two_term, cfg.tol, sigma, pmap)
+        results, grown = family.enrich(cells, pmap)
         if grown:
             rounds += grown
             basis_ranks.append((i, *family.ranks))
-        for j, (residual, steps, enriched) in enumerate(results):
+        for j, (residual, steps, enriched, error) in enumerate(results):
             reports.append({"node": i, "column": j, "rounds": enriched, "iterations": steps,
                             "residual": residual, "converged": residual <= cfg.tol})
-            if (i, j) in errors:
-                reports[-1]["error"] = errors[i, j]
+            if error is not None:
+                reports[-1]["error"] = error
 
     diagnostics = {
         "node_reports": reports,
-        "failures": sorted(errors),
+        "failures": sorted((r["node"], r["column"]) for r in reports if "error" in r),
         "degraded_columns": sorted({r["column"] for r in reports if not r["converged"]}),
         "nodes_solved": node_ids,
-        "conjugate_economy": real_data,
+        "conjugate_economy": real,
         "grid_size": len(node_ids) * ell,
         "basis": {"cut": family.cut, "ranks": basis_ranks, "enrichment_rounds": rounds},
     }
 
     if min(family.ranks) == 0:
-        empty = BlockLowRank.empty(A.n_hat, A.n_til, 0, dtype=dtype)
+        empty = BlockLowRank.empty(A.n_hat, A.n_til, 0, dtype=family.sigma.dtype)
         diagnostics["subspace_dim"] = 0
         return EigenResult(np.zeros(0), empty, np.zeros(0), np.zeros(0, dtype=bool), diagnostics)
 
-    W = BlockLowRank(family.U, np.conj(family.V), sigma)
+    W = BlockLowRank(family.U, np.conj(family.V), family.sigma)
     diagnostics["assembled_rank_pre"] = (W.r_hat, W.r_til)
     W = truncate(W, rec.eps, rec.r_max)
     diagnostics["assembled_rank_post"] = (W.r_hat, W.r_til)

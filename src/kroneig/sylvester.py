@@ -33,8 +33,11 @@ right-hand side column they take is solved on one shared tensor basis by
 ``TensorGalerkin``: each cell is a small projected equation, its residual
 is a true full-space one, and a cell that misses its tolerance grows the
 basis by two-term solves (the eig2 solves of its right-hand side and of
-its solution's coupling image). The contour and ``sylvester-bench`` solve
-every node this way.
+its solution's coupling image). The family owns the node-solve policy: it
+is built from the operator, the right-hand sides and the node tolerance,
+and derives the split, the eig2 solver, the basis cut and the seeding of
+the range finder itself. The contour and ``sylvester-bench`` build it
+that way and solve every node with it.
 """
 
 from __future__ import annotations
@@ -47,11 +50,12 @@ import scipy.linalg
 from .dense import qr_unless_wide
 from .errors import (
     DegenerateInterval,
+    KroneigError,
     OutOfRange,
     SingularShiftedSolve,
     StructureMismatch,
 )
-from .factors import as_factor
+from .factors import Identity, as_factor
 
 __all__ = [
     "pair_norm",
@@ -261,6 +265,11 @@ def _hermitian_eigh(K):
 # ---------------------------------------------------------------------------
 # Galerkin solves of a node-equation family on a shared tensor basis
 
+# basis cut of a node family, relative to its node tolerance, and the
+# tolerance of the two-term solves that grow the basis: at tol 1e-10 a cut
+# at 1e-13 carried every held-out cell, 1e-11 did not
+_CUT = 1e-3
+
 # iteration cap of the projected GMRES: its Krylov basis holds one r x r
 # array per step, and a cell that needs more steps enriches the basis instead
 _GMRES_MAX_ITER = 50
@@ -296,17 +305,22 @@ class TensorGalerkin:
     """Galerkin solves of a family of node equations on one tensor basis.
 
     The family is L_z(X) = ((z/2) I - K_hat) X + X ((z/2) I - K_til)^T -
-    sum hat_c X til_c^T = F[:, j] G[:, j]^T over shifts z and right-hand
-    side columns j, the node equations of one contour. Its solutions lie
-    close to one tensor space: X ~ U Y V^T with orthonormal U (n_hat x r_hat)
-    and V (n_til x r_til) (Simoncini, SIAM Review 2016; Kressner & Tobler,
-    SIMAX 2011). ``enrich`` grows the basis from an empty one by two-term
-    solves: of the right-hand side of each cell that misses its tolerance,
+    hat_c X til_c^T = F[:, j] G[:, j]^T over shifts z and right-hand side
+    columns j, the node equations of one contour for the operator A = I (x)
+    K_hat + K_til (x) I + til_c (x) hat_c. Everything else is derived here,
+    once: the split is read from ``A.split`` (a side without identity terms
+    is the zero diagonal; more than one coupling raises StructureMismatch),
+    the eig2 two-term solver is built, the basis cut is _CUT tol, and
+    ``real`` is set when A's factors, F and G are all real. Its solutions
+    lie close to one tensor space: X ~ U Y V^T with orthonormal U (n_hat x
+    r_hat) and V (n_til x r_til) (Simoncini, SIAM Review 2016; Kressner &
+    Tobler, SIMAX 2011). ``enrich`` grows the basis from an empty one by
+    two-term solves: of the right-hand side of each cell that misses tol,
     and of its solution's coupling image, until the cells reach it; ``grow``
     adds given pairs. A cell projects to the r_hat x r_til equation
 
         (z/2 - U^H K_hat U) Y + Y (z/2 - V^H K_til V)^T
-            - sum (U^H hat_c U) Y (V^H til_c V)^T = (U^H F_j)(V^H G_j)^T,
+            - (U^H hat_c U) Y (V^H til_c V)^T = (U^H F_j)(V^H G_j)^T,
 
     solved by GMRES right-preconditioned with the two-term part. The bases
     are kept in the eigenbases of U^H K_hat U and V^H K_til V, where that
@@ -320,23 +334,33 @@ class TensorGalerkin:
     QR keeps it accurate to eps times the stacks' norms, which a Gram-based
     norm cannot.
 
-    With ``real`` set (real factors and right-hand sides) U and V are real
-    and span [X, conj X] of every added solution, so the conjugate node's
-    solution conj(U Y V^T) = U conj(Y) V^T lies in the same space, and the
-    projected products with a complex Y run as real GEMMs. A basis
-    direction is kept when it carries more than ``cut`` of a normalized
-    added solution.
+    With ``real`` set U and V are real and span [X, conj X] of every added
+    solution, so the conjugate node's solution conj(U Y V^T) = U conj(Y)
+    V^T lies in the same space, and the projected products with a complex
+    Y run as real GEMMs. A basis direction is kept when it carries more
+    than ``cut`` of a normalized added solution. ``sigma`` (ell, r_hat,
+    r_til) holds the accumulated cores on the current bases, one per
+    column, and is carried through every basis change.
     """
 
-    def __init__(self, K_hat, K_til, couplings, F, G, cut, real):
-        self.K_hat, self.K_til = as_factor(K_hat), as_factor(K_til)
-        self.couplings = tuple((as_factor(t), as_factor(h)) for t, h in couplings)
+    def __init__(self, A, F, G, tol, seed=0):
+        K_hat, K_til, couplings = A.split
+        if len(couplings) > 1:
+            raise StructureMismatch(
+                f"node family needs at most one non-separable term, found {len(couplings)}"
+            )
+        self.K_hat = 0.0 * Identity(A.n_hat) if K_hat is None else K_hat
+        self.K_til = 0.0 * Identity(A.n_til) if K_til is None else K_til
+        self.couplings = couplings
+        self.eig2 = EigenbasisPreconditioner(self.K_hat, self.K_til)
         self.F, self.G = F, G
-        self.cut = cut
-        self.real = real
-        dtype = float if real else complex
+        self.tol, self.seed = tol, seed
+        self.cut = _CUT * tol
+        self.real = not any(np.iscomplexobj(M) for M in (F, G) + sum(A.terms, ()))
+        dtype = float if self.real else complex
         self.U = np.zeros((F.shape[0], 0), dtype=dtype)
         self.V = np.zeros((G.shape[0], 0), dtype=dtype)
+        self.sigma = np.zeros((F.shape[1], 0, 0), dtype=dtype)
         self.lam_hat = self.lam_til = np.zeros(0)
         self.bnorm = np.linalg.norm(F, axis=0) * np.linalg.norm(G, axis=0)
 
@@ -371,10 +395,9 @@ class TensorGalerkin:
         # singular values, Qt C^T the row space with the same
         return self._grow(U, lift_h(core / scale), cut), self._grow(V, lift_t(core.T / scale), cut)
 
-    def _rebase(self, U, V, cores):
+    def _rebase(self, U, V):
         """Take the bases U, V (holding the current ones as leading columns)
-        in the eigenbases of their projected K; returns cores (m, r_hat,
-        r_til) on the old bases carried onto the new ones."""
+        in the eigenbases of their projected K, with sigma carried along."""
         lam_h, Ph = scipy.linalg.eigh(_hermitian(U.conj().T @ (self.K_hat @ U)))
         lam_t, Pt = scipy.linalg.eigh(_hermitian(V.conj().T @ (self.K_til @ V)))
         self.U, self.V = U @ Ph, V @ Pt
@@ -382,76 +405,80 @@ class TensorGalerkin:
         self._project()
         # appended directions extend the cores by zeros, and
         # U_old Y V_old^T = U (Ph^H Y conj(Pt)) V^T
-        cores = np.pad(cores, ((0, 0), (0, Ph.shape[0] - cores.shape[1]),
-                               (0, Pt.shape[0] - cores.shape[2])))
-        return Ph.conj().T @ cores @ Pt.conj()
+        sigma = np.pad(self.sigma, ((0, 0), (0, Ph.shape[0] - self.sigma.shape[1]),
+                                    (0, Pt.shape[0] - self.sigma.shape[2])))
+        self.sigma = Ph.conj().T @ sigma @ Pt.conj()
 
-    def accumulate(self, sigma, j, w, Y):
+    def accumulate(self, j, w, Y):
         """sigma[j] += w Y, in place. With real bases the real part is
         added: U Re(w Y) V^T is w X plus the conjugate node's conj(w X), halved."""
-        sigma[j] += (w * Y).real if self.real else w * Y
+        self.sigma[j] += (w * Y).real if self.real else w * Y
 
-    def grow(self, pairs, cores, cut=None):
+    def grow(self, pairs, cut=None):
         """Add the pairs (Xhat, Xtil) to the basis, in order, keeping the
-        directions above ``cut`` (default: the family's).
-
-        ``cores`` (m, r_hat, r_til), cores on the current bases, come back
-        on the new ones; a basis that gains no direction is left as it is.
-        """
+        directions above ``cut`` (default: the family's); a basis that
+        gains no direction, and its sigma, are left as they are."""
         U, V = self.U, self.V
         for Xhat, Xtil in pairs:
             U, V = self._add(U, V, Xhat, Xtil, self.cut if cut is None else cut)
-        if (U.shape[1], V.shape[1]) == self.ranks:
-            return cores
-        return self._rebase(U, V, cores)
+        if (U.shape[1], V.shape[1]) != self.ranks:
+            self._rebase(U, V)
 
-    def enrich(self, cells, two_term, tol, sigma, pmap=map):
+    def enrich(self, cells, pmap=map):
         """Solve the cells (z, j, w) on the basis, grown until they reach
         tol, and accumulate w Y into sigma[j].
 
         Round by round every pending cell is solved on the basis. A cell
-        above tol passes to ``two_term(z, j, Fs, Gs)``, which returns a pair
-        approximating the two-term solve of Fs Gs^T (None adds nothing), its
-        own right-hand side F_j G_j^T once and the coupling image of its
-        solution, sum hat_c (U Y) (til_c V)^T, every round. With L2^-1(F_j
-        G_j^T) and U Y V^T in the basis, the latter is the preconditioned
-        residual's new direction, a tensor-Krylov step (Kressner & Tobler,
-        SIMAX 2011). On an empty basis every cell misses with Y = 0, so the
-        first round solves the right-hand sides alone. The pairs grow the
-        basis in cell order. When a round adds no direction or fails to
-        halve the worst residual, one last round runs that keeps every
-        direction above cut / 100; a cell still above tol after it is
-        accumulated with its Galerkin solution. ``sigma`` (ell, r_hat,
-        r_til) holds cores on the current bases and is carried through every
-        basis change. ``pmap(fn, items)`` maps the per-cell work of a round.
+        above tol grows it by eig2 two-term solves, to _CUT tol and uncut,
+        with the range finder seeded by (seed, j): of its own right-hand
+        side F_j G_j^T once and of the coupling image of its solution,
+        hat_c (U Y) (til_c V)^T, every round. With L2^-1(F_j G_j^T) and U Y
+        V^T in the basis, the latter is the preconditioned residual's new
+        direction, a tensor-Krylov step (Kressner & Tobler, SIMAX 2011). On
+        an empty basis every cell misses with Y = 0, so the first round
+        solves the right-hand sides alone. The pairs grow the basis in cell
+        order. A two-term solve that raises a KroneigError adds nothing, and
+        the first such error of a cell is recorded. When a round adds no
+        direction or fails to halve the worst residual, one last round runs
+        that keeps every direction above cut / 100; a cell still above tol
+        after it is accumulated with its Galerkin solution.
+        ``pmap(fn, items)`` maps the per-cell work of a round.
 
-        Returns (results, rounds, sigma): results[k] = (residual, steps,
-        misses) of cell k, the true residual of its accumulated solution,
-        its GMRES steps and the rounds in which it missed tol and grew the
-        basis; rounds is the number of rounds that grew it.
+        Returns (results, rounds): results[k] = (residual, steps, misses,
+        error) of cell k, the true residual of its accumulated solution,
+        its GMRES steps, the rounds in which it missed tol and grew the
+        basis, and the message of its first failed two-term solve or None;
+        rounds is the number of rounds that grew the basis.
         """
         results = [None] * len(cells)
         enriched = [0] * len(cells)
+        errors = [None] * len(cells)
         pending, seeded = list(range(len(cells))), set()
         worst_before, rounds, last = math.inf, 0, False
 
         def solve(k):
             z, j, _ = cells[k]
-            return self.solve(z, j, tol)
+            return self.solve(z, j)
 
         def directions(k):
             z, j, _ = cells[k]
             rhs = [] if k in seeded else [(self.F[:, j : j + 1], self.G[:, j : j + 1])]
             image = [self._coupling_image(misses[k])] if self.couplings and misses[k].any() else []
-            pairs = (two_term(z, j, *pair) for pair in rhs + image)
-            return [pair for pair in pairs if pair is not None]
+            pairs = []
+            for Fs, Gs in rhs + image:
+                rng = np.random.default_rng((self.seed, j))
+                try:
+                    pairs.append(self.eig2.solve_pair(z, Fs, Gs, _CUT * self.tol, rng))
+                except KroneigError as exc:
+                    errors[k] = errors[k] or str(exc)
+            return pairs
 
         while True:
             misses = {}
             for k, (Y, residual, steps) in zip(pending, pmap(solve, pending)):
                 results[k] = (residual, steps, enriched[k])
-                if residual <= tol:
-                    self.accumulate(sigma, cells[k][1], cells[k][2], Y)
+                if residual <= self.tol:
+                    self.accumulate(cells[k][1], cells[k][2], Y)
                 else:
                     misses[k] = Y
             if not misses or last:
@@ -461,10 +488,10 @@ class TensorGalerkin:
             pairs = [pair for found in pmap(directions, list(misses)) for pair in found]
             seeded.update(misses)
             before = self.ranks
-            sigma = self.grow(pairs, sigma, self.cut / 100 if last else None)
+            self.grow(pairs, self.cut / 100 if last else None)
             if self.ranks == before and not last:
                 last = True
-                sigma = self.grow(pairs, sigma, self.cut / 100)
+                self.grow(pairs, self.cut / 100)
             if self.ranks == before:
                 break
             rounds += 1
@@ -472,8 +499,8 @@ class TensorGalerkin:
                 enriched[k] += 1
             pending, worst_before = list(misses), worst
         for k, Y in misses.items():
-            self.accumulate(sigma, cells[k][1], cells[k][2], Y)
-        return results, rounds, sigma
+            self.accumulate(cells[k][1], cells[k][2], Y)
+        return [(*result, error) for result, error in zip(results, errors)], rounds
 
     def _coupling_image(self, Y):
         """Pair (hat_c U Y, til_c V), stacked over the couplings."""
@@ -506,7 +533,7 @@ class TensorGalerkin:
         R = np.outer(self.Rp_rhs[:, j], self.Rq_rhs[:, j]) + _real_matmul(right, left.T).T
         return float(np.linalg.norm(R) / self.bnorm[j])
 
-    def solve(self, z, j, tol):
+    def solve(self, z, j):
         """Galerkin solution of cell (z, j): (Y, true relative residual, steps).
 
         GMRES stops at a projected residual of tol / 100 relative to the
@@ -527,7 +554,7 @@ class TensorGalerkin:
             # H Y T^T as (T (H Y)^T)^T: real GEMMs when H and T are real
             return W - sum(_real_matmul(T, _real_matmul(H, Y).T).T for H, T in zip(self.H, self.T))
 
-        W, steps = _gmres(apply, B, 0.01 * tol * self.bnorm[j], _GMRES_MAX_ITER)
+        W, steps = _gmres(apply, B, 0.01 * self.tol * self.bnorm[j], _GMRES_MAX_ITER)
         Y = W / D
         return Y, self.residual(z, j, Y), steps
 

@@ -135,6 +135,28 @@ def test_contour_matches_dense_oracle():
     assert np.max(np.linalg.norm(R[:, res.inside_flags], axis=0)) < 1e-6
 
 
+def test_contour_complex_hermitian_data():
+    # Complex Hermitian factors make the node family complex: every node is
+    # solved (no conjugate fold) on a complex basis, end to end.
+    K_hat, _, couplings = schrodinger_kron(make_spec("sum-of-squares", 16)).split
+    K = K_hat.dense() + 0.5j * (np.eye(16, k=1) - np.eye(16, k=-1))
+    eye = np.eye(16)
+    A = KroneckerSumOperator(((eye, K), (K.conj(), eye)) + couplings)
+    lam = np.linalg.eigvalsh(assemble_dense(A))
+    center = 0.5 * (lam[1] + lam[3])
+    radius = 0.5 * (lam[3] - lam[1]) + 0.3 * (lam[4] - lam[3])
+    sk = draw_khatri_rao(16, 16, 5, seed=1)
+    res = contour_eigensolve(A, trapezoid_circle(center, radius, 32), sk,
+                             NodeSolverConfig(tol=1e-10, seed=0))
+    d = res.diagnostics
+    assert d["nodes_solved"] == list(range(32)) and not d["conjugate_economy"]
+    assert d["failures"] == [] and all(r["converged"] for r in d["node_reports"])
+    inside = np.sort(res.ritz_values[res.inside_flags])
+    assert len(inside) == 3
+    assert np.max(np.abs(inside - lam[1:4])) < 1e-10
+    assert np.max(res.residual_norms[res.inside_flags]) <= 1e-6
+
+
 def test_contour_result_shapes():
     spec, _, center, radius = _zero_potential_window(12)
     A = schrodinger_kron(spec)
@@ -156,11 +178,11 @@ def _one_column_basis(monkeypatch):
     is accumulated once, with the others)."""
     enrich = TensorGalerkin.enrich
 
-    def first_column_first(self, cells, two_term, tol, sigma, pmap=map):
+    def first_column_first(self, cells, pmap=map):
         if self.ranks == (0, 0):
             z, j, _ = cells[0]
-            sigma = enrich(self, [(z, j, 0.0)], two_term, tol, sigma, pmap)[2]
-        return enrich(self, cells, two_term, tol, sigma, pmap)
+            enrich(self, [(z, j, 0.0)], pmap)
+        return enrich(self, cells, pmap)
 
     monkeypatch.setattr(TensorGalerkin, "enrich", first_column_first)
 
@@ -182,9 +204,9 @@ def _accumulated(monkeypatch):
     seen = []
     accumulate = TensorGalerkin.accumulate
 
-    def recording(self, sigma, j, w, Y):
+    def recording(self, j, w, Y):
         seen.append((j, w, self.U @ Y @ self.V.T))
-        accumulate(self, sigma, j, w, Y)
+        accumulate(self, j, w, Y)
 
     monkeypatch.setattr(TensorGalerkin, "accumulate", recording)
     return seen
@@ -258,15 +280,15 @@ def test_contour_threads_deterministic_with_enrichment(monkeypatch):
 
 def _trained_family(A, nodes, sk, tol):
     """A real family whose basis holds the sparse-direct solutions at nodes 0 and 4."""
-    K_hat, K_til, couplings = A.split
     F = sk.scale * sk.hat
-    family = TensorGalerkin(K_hat, K_til, couplings, F, sk.tilde, 1e-3 * tol, True)
+    family = TensorGalerkin(A, F, sk.tilde, tol)
+    assert family.real
     sols = [
         sparse_node_solution(A, complex(nodes[i]), F[:, j : j + 1], sk.tilde[:, j : j + 1])
         for i in (0, 4)
         for j in range(sk.ell)
     ]
-    family.grow([(X, np.eye(A.n_til)) for X in sols], np.zeros((0, 0, 0)))
+    family.grow([(X, np.eye(A.n_til)) for X in sols])
     return family
 
 
@@ -284,7 +306,7 @@ def test_galerkin_cell_matches_sparse_direct():
     for j in range(3):
         Fj, Gj = family.F[:, j : j + 1], sk.tilde[:, j : j + 1]
         Xref = sparse_node_solution(A, z, Fj, Gj)
-        Y, residual, _ = family.solve(z, j, tol)
+        Y, residual, _ = family.solve(z, j)
         X = family.U @ Y @ family.V.T
         assert residual <= tol
         assert node_residual(A, z, X, Fj @ Gj.T) == pytest.approx(residual, rel=1e-3, abs=1e-12)
@@ -302,11 +324,11 @@ def test_galerkin_real_gemms_match_complex_gemms():
     family = _trained_family(A, filt.nodes, sk, tol)
     z = complex(filt.nodes[2])
     assert not any(np.iscomplexobj(M) for M in family.H + family.T + family.Rp_blocks)
-    cells = [family.solve(z, j, tol) for j in range(3)]
+    cells = [family.solve(z, j) for j in range(3)]
     for name in ("H", "T", "Rp_blocks"):
         setattr(family, name, [M.astype(complex) for M in getattr(family, name)])
     for j, (Y, residual, steps) in enumerate(cells):
-        Yc, residual_c, steps_c = family.solve(z, j, tol)
+        Yc, residual_c, steps_c = family.solve(z, j)
         assert steps == steps_c
         assert np.linalg.norm(Y - Yc) <= 1e-13 * np.linalg.norm(Yc)
         assert residual == pytest.approx(residual_c, rel=1e-13)
@@ -373,7 +395,7 @@ def test_node_next_to_spectrum_is_checked(monkeypatch):
     # both sides round at eps ||A|| ||x||, large next to the spectrum
     floor = 100 * np.finfo(float).eps * np.abs(lam).max()
     for j in range(3):
-        Y, residual, _ = family.solve(complex(nodes[2]), j, tol)
+        Y, residual, _ = family.solve(complex(nodes[2]), j)
         x = (family.U @ Y @ family.V.T).reshape(-1, order="F")
         b = np.kron(sk.tilde[:, j], F[:, j])
         true = np.linalg.norm(b - (nodes[2] * x - dense @ x)) / np.linalg.norm(b)
@@ -439,37 +461,42 @@ def test_contour_keeps_weakly_filtered_pairs(seed):
     assert np.all(res.residual_norms[res.inside_flags] <= 1e-6)
 
 
-class _FailWhen:
-    """Preconditioner wrapper whose solves picked by ``fails(z, F)`` raise
-    a solver error."""
+def _fail_when(monkeypatch, fails):
+    """Make the eig2 solves picked by ``fails(z, F)`` raise a solver error."""
+    solve_pair = EigenbasisPreconditioner.solve_pair
 
-    def __init__(self, inner, fails):
-        self.inner, self.fails = inner, fails
-
-    def solve_pair(self, z, F, G, tol, rng):
-        if self.fails(z, F):
+    def failing(self, z, F, G, tol, rng):
+        if fails(z, F):
             raise SingularShiftedSolve("injected failure")
-        return self.inner.solve_pair(z, F, G, tol, rng)
+        return solve_pair(self, z, F, G, tol, rng)
+
+    monkeypatch.setattr(EigenbasisPreconditioner, "solve_pair", failing)
 
 
-def test_contour_failed_cell_is_degraded_not_fatal():
+def test_contour_failed_cell_is_degraded_not_fatal(monkeypatch):
     # Failed two-term solves are recorded and add nothing; the run goes on.
     # When column 0's solves fail at the first node, the other columns'
     # seeds still carry that cell to the tolerance. When every solve there
     # fails, the basis stays empty at that node, so its cells accumulate
     # nothing and report the true residual of X = 0, which is 1; their
-    # columns are degraded and the next node seeds the basis.
+    # columns are degraded and the next node seeds the basis. The failures
+    # are recorded inside the pooled per-cell work, and threads=2 gives
+    # threads=1's failures, reports, basis and Ritz pairs.
     spec, _, center, radius = _zero_potential_window(12)
     A = schrodinger_kron(spec)
     filt = trapezoid_circle(center, radius, 8)
     sk = draw_khatri_rao(12, 12, 3, seed=4)
-    K_hat, K_til = A.split[:2]
     z0, F0 = complex(filt.nodes[0]), sk.scale * sk.hat[:, :1]
-    one, every = [
-        contour_eigensolve(A, filt, sk, NodeSolverConfig(
-            tol=1e-9, seed=0, precond=_FailWhen(EigenbasisPreconditioner(K_hat, K_til), fails)))
-        for fails in (lambda z, F: z == z0 and np.array_equal(F, F0), lambda z, F: z == z0)
-    ]
+    cfg = NodeSolverConfig(tol=1e-9, seed=0)
+    runs = []
+    for fails, threads in [(lambda z, F: z == z0 and np.array_equal(F, F0), (1,)),
+                           (lambda z, F: z == z0, (1, 2))]:
+        _fail_when(monkeypatch, fails)
+        runs.append([contour_eigensolve(A, filt, sk, cfg, threads=t) for t in threads])
+        monkeypatch.undo()
+    (one,), (every, every_threads) = runs
+    _assert_same_run(every, every_threads)
+    assert every_threads.diagnostics["failures"] == every.diagnostics["failures"]
     first = one.diagnostics["nodes_solved"][0]
     assert one.diagnostics["failures"] == [(first, 0)]
     assert every.diagnostics["failures"] == [(first, j) for j in range(3)]
@@ -513,18 +540,18 @@ def test_training_cells_are_enriched_only_when_coupled():
         assert all(r["converged"] and r["residual"] <= 1e-10 for r in d["node_reports"])
 
 
-class _StallAfterSeeds:
-    """Preconditioner wrapper whose solves after the seeds return zeros."""
+def _stall_after_seeds(monkeypatch, seeds):
+    """Make the eig2 solves after the first ``seeds`` return zeros."""
+    solve_pair = EigenbasisPreconditioner.solve_pair
+    calls = []
 
-    def __init__(self, inner, seeds):
-        self.inner, self.seeds = inner, seeds
-        self.calls = 0
-
-    def solve_pair(self, z, F, G, tol, rng):
-        self.calls += 1
-        if self.calls > self.seeds:
+    def stalling(self, z, F, G, tol, rng):
+        calls.append(z)
+        if len(calls) > seeds:
             return np.zeros_like(F), np.zeros_like(G)
-        return self.inner.solve_pair(z, F, G, tol, rng)
+        return solve_pair(self, z, F, G, tol, rng)
+
+    monkeypatch.setattr(EigenbasisPreconditioner, "solve_pair", stalling)
 
 
 def test_stalled_enrichment_reports_true_residuals(monkeypatch):
@@ -533,13 +560,12 @@ def test_stalled_enrichment_reports_true_residuals(monkeypatch):
     # Galerkin solution and reported unconverged with the true residual of
     # that solution, and its column is flagged degraded.
     A, _, center, radius = _sum_of_squares_window(48)
-    K_hat, K_til, _ = A.split
-    precond = _StallAfterSeeds(EigenbasisPreconditioner(K_hat, K_til), seeds=3)
+    _stall_after_seeds(monkeypatch, seeds=3)
     tol = 1e-10
     filt = trapezoid_circle(center, radius, 16)
     sk = draw_khatri_rao(48, 48, 3, seed=1)
     seen = _accumulated(monkeypatch)
-    res = contour_eigensolve(A, filt, sk, NodeSolverConfig(tol=tol, precond=precond))
+    res = contour_eigensolve(A, filt, sk, NodeSolverConfig(tol=tol))
     d = res.diagnostics
     assert d["basis"]["enrichment_rounds"] == 1 and d["failures"] == []
     true = _dense_residuals(A, filt, sk, seen)
@@ -565,9 +591,8 @@ def test_assembly_truncates_to_the_rank_cap():
 
 
 def test_contour_rejects_unsupported_input(monkeypatch):
-    # The node equation has room for one coupling term, eig2 needs
-    # Hermitian factors, and "eig2" (or an object with solve_pair) is the
-    # only node preconditioner; all are checked before any node is solved.
+    # The node equation has room for one coupling term and eig2 needs
+    # Hermitian factors; both are checked before any node is solved.
     def no_node(*args):
         raise AssertionError("a node was solved")
 
@@ -583,9 +608,6 @@ def test_contour_rejects_unsupported_input(monkeypatch):
     for bad in (A2, A3):
         with pytest.raises(StructureMismatch):
             contour_eigensolve(bad, filt, sk)
-    for precond in ("adi", None):
-        with pytest.raises(OutOfRange):
-            contour_eigensolve(A, filt, sk, NodeSolverConfig(precond=precond))
 
 
 @pytest.mark.parametrize("family", ["gaussian", "khatri-rao"])

@@ -44,10 +44,11 @@ def _grown(F, G, cut, real):
     """A two-term family on an empty basis grown by the pair (F, G) at the
     cut; returns it and the part of F G^T its basis holds, U U^H X conj(V) V^T."""
     n_hat, n_til = F.shape[0], G.shape[0]
-    family = TensorGalerkin(_tridiag_spd(n_hat), _tridiag_spd(n_til), (), F[:, :1], G[:, :1],
-                            cut, real)
-    cores = family.grow([(F, G)], np.zeros((0, 0, 0)))
-    assert cores.shape == (0,) + family.ranks
+    family = TensorGalerkin(_two_term(_tridiag_spd(n_hat), _tridiag_spd(n_til)),
+                            F[:, :1], G[:, :1], 1e-10)
+    assert family.real == real
+    family.grow([(F, G)], cut)
+    assert family.sigma.shape == (1,) + family.ranks
     U, V = family.U, family.V
     return family, U @ (U.conj().T @ (F @ G.T) @ V.conj()) @ V.T
 
@@ -70,10 +71,11 @@ def test_grow_cut_contract():
         assert abs(np.linalg.norm(kept - X) - best) < 1e-10
     assert family.ranks == (2, 2)
     # a zero pair adds nothing and leaves the cores as they are
-    family = TensorGalerkin(_tridiag_spd(12), _tridiag_spd(10), (), F[:, :1], G[:, :1], 1e-2,
-                            False)
-    cores = np.zeros((0, 0, 0))
-    assert family.grow([(0.0 * F, G)], cores) is cores and family.ranks == (0, 0)
+    family = TensorGalerkin(_two_term(_tridiag_spd(12), _tridiag_spd(10)), F[:, :1], G[:, :1],
+                            1e-10)
+    sigma = family.sigma
+    family.grow([(0.0 * F, G)], 1e-2)
+    assert family.sigma is sigma and family.ranks == (0, 0)
 
 
 @pytest.mark.parametrize("complex_", [False, True])
