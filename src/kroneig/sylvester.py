@@ -351,7 +351,7 @@ class TensorGalerkin:
             )
         self.K_hat = 0.0 * Identity(A.n_hat) if K_hat is None else K_hat
         self.K_til = 0.0 * Identity(A.n_til) if K_til is None else K_til
-        self.couplings = couplings
+        self.coupling = couplings[0] if couplings else None
         self.eig2 = EigenbasisPreconditioner(self.K_hat, self.K_til)
         self.F, self.G = F, G
         self.tol, self.seed = tol, seed
@@ -463,7 +463,8 @@ class TensorGalerkin:
         def directions(k):
             z, j, _ = cells[k]
             rhs = [] if k in seeded else [(self.F[:, j : j + 1], self.G[:, j : j + 1])]
-            image = [self._coupling_image(misses[k])] if self.couplings and misses[k].any() else []
+            coupled = self.coupling is not None and misses[k].any()
+            image = [self._coupling_image(misses[k])] if coupled else []
             pairs = []
             for Fs, Gs in rhs + image:
                 rng = np.random.default_rng((self.seed, j))
@@ -503,23 +504,27 @@ class TensorGalerkin:
         return [(*result, error) for result, error in zip(results, errors)], rounds
 
     def _coupling_image(self, Y):
-        """Pair (hat_c U Y, til_c V), stacked over the couplings."""
-        return (np.hstack([_real_matmul(hU, Y) for hU in self.hat_U]), np.hstack(self.til_V))
+        """Pair (hat_c U Y, til_c V)."""
+        return _real_matmul(self.hat_U, Y), self.til_V
 
     def _project(self):
         U, V = self.U, self.V
-        self.hat_U = [h @ U for _, h in self.couplings]
-        self.til_V = [t @ V for t, _ in self.couplings]
-        self.H = [U.conj().T @ hU for hU in self.hat_U]
-        self.T = [V.conj().T @ tV for tV in self.til_V]
+        self.hat_U = self.til_V = self.H = self.T = None
+        P, Q = [self.F, U, self.K_hat @ U], [self.G, V, self.K_til @ V]
+        if self.coupling is not None:
+            til_c, hat_c = self.coupling
+            self.hat_U, self.til_V = hat_c @ U, til_c @ V
+            self.H, self.T = U.conj().T @ self.hat_U, V.conj().T @ self.til_V
+            P.append(self.hat_U)
+            Q.append(self.til_V)
         self.f = U.conj().T @ self.F
         self.g = V.conj().T @ self.G
         ell = self.F.shape[1]
-        Rp = qr_unless_wide(np.hstack([self.F, U, self.K_hat @ U] + self.hat_U))[1]
-        Rq = qr_unless_wide(np.hstack([self.G, V, self.K_til @ V] + self.til_V))[1]
+        Rp = qr_unless_wide(np.hstack(P))[1]
+        Rq = qr_unless_wide(np.hstack(Q))[1]
         self.Rp_rhs, self.Rq_rhs = Rp[:, :ell], Rq[:, :ell]
-        self.Rp_blocks = np.split(Rp[:, ell:], 2 + len(self.hat_U), axis=1)
-        self.Rq_blocks = np.split(Rq[:, ell:], 2 + len(self.til_V), axis=1)
+        self.Rp_blocks = np.split(Rp[:, ell:], len(P) - 1, axis=1)
+        self.Rq_blocks = np.split(Rq[:, ell:], len(Q) - 1, axis=1)
 
     def residual(self, z, j, Y):
         """True relative residual ||F_j G_j^T - L_z(U Y V^T)||_F / ||F_j G_j^T||_F."""
@@ -550,9 +555,10 @@ class TensorGalerkin:
         B = np.outer(self.f[:, j], self.g[:, j])
 
         def apply(W):
-            Y = W / D
+            if self.H is None:
+                return W
             # H Y T^T as (T (H Y)^T)^T: real GEMMs when H and T are real
-            return W - sum(_real_matmul(T, _real_matmul(H, Y).T).T for H, T in zip(self.H, self.T))
+            return W - _real_matmul(self.T, _real_matmul(self.H, W / D).T).T
 
         W, steps = _gmres(apply, B, 0.01 * self.tol * self.bnorm[j], _GMRES_MAX_ITER)
         Y = W / D

@@ -323,10 +323,10 @@ def test_galerkin_real_gemms_match_complex_gemms():
     sk = draw_khatri_rao(n, n, 3, seed=1)
     family = _trained_family(A, filt.nodes, sk, tol)
     z = complex(filt.nodes[2])
-    assert not any(np.iscomplexobj(M) for M in family.H + family.T + family.Rp_blocks)
+    assert not any(np.iscomplexobj(M) for M in (family.H, family.T, *family.Rp_blocks))
     cells = [family.solve(z, j) for j in range(3)]
-    for name in ("H", "T", "Rp_blocks"):
-        setattr(family, name, [M.astype(complex) for M in getattr(family, name)])
+    family.H, family.T = family.H.astype(complex), family.T.astype(complex)
+    family.Rp_blocks = [M.astype(complex) for M in family.Rp_blocks]
     for j, (Y, residual, steps) in enumerate(cells):
         Yc, residual_c, steps_c = family.solve(z, j)
         assert steps == steps_c
