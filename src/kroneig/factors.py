@@ -4,8 +4,9 @@ On a tensor-product grid every 1-D factor is an identity, a diagonal or a
 band matrix, so a factor is held as ``Identity``, ``Banded`` (LAPACK band
 storage; a diagonal has bandwidth 0) or the ``Dense`` fallback. Each
 offers ``@`` on n x r blocks and on factors, ``+``, scalar ``*``, ``.T``,
-``conj()``, ``shifted_solver(sigma)``, which factors M - sigma I once, and
-``dense()`` (also ``np.asarray``) for oracles. Sums and products of
+``conj()``, ``shifted_solver(sigma)``, which factors M - sigma I once,
+``eigh()``, which diagonalizes a Hermitian factor, and ``dense()`` (also
+``np.asarray``) for oracles. Sums and products of
 structured factors stay structured; with a dense factor they are dense.
 """
 
@@ -15,7 +16,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .errors import DimensionMismatch, SingularShiftedSolve
+from .errors import DimensionMismatch, SingularShiftedSolve, StructureMismatch
 
 __all__ = ["Factor", "Identity", "Banded", "Dense", "as_factor"]
 
@@ -87,6 +88,13 @@ class Dense(Factor):
             raise SingularShiftedSolve("shifted matrix is exactly singular")
         return lambda B: scipy.linalg.lu_solve((lu, piv), B)
 
+    def eigh(self):
+        """(lam, Q) with M = Q diag(lam) Q^H, lam ascending, by dense eigh;
+        StructureMismatch unless M is Hermitian."""
+        if not np.allclose(self.matrix, self.matrix.conj().T, rtol=1e-12, atol=1e-12):
+            raise StructureMismatch("factor is not Hermitian")
+        return scipy.linalg.eigh(self.matrix)
+
 
 class Banded(Factor):
     """Band matrix in LAPACK band storage, ab[bw + i - j, j] = M[i, j].
@@ -134,6 +142,14 @@ class Banded(Factor):
             return gbtrs(lu, bw, bw, B, piv)[0]
 
         return solve
+
+    def eigh(self):
+        """(lam, Q) with M = Q diag(lam) Q^H, lam ascending, by the band
+        eigensolver on the lower band; StructureMismatch unless the band is
+        Hermitian."""
+        if not np.allclose(self.ab, self.T.conj().ab, rtol=1e-12, atol=1e-12):
+            raise StructureMismatch("factor is not Hermitian")
+        return scipy.linalg.eig_banded(self.ab[self.bw :], lower=True)
 
 
 class Identity(Banded):

@@ -219,17 +219,19 @@ class EigenbasisPreconditioner:
     rank n_til, where a sampled pair could not be smaller than the matrix
     (``_pair_fills_matrix``). Nothing is truncated here: the caller keeps
     what it needs. Build once per K pair and share across nodes and
-    columns; ``solve_pair`` is pure and thread-safe. A factor that is not
-    Hermitian raises StructureMismatch.
+    columns; ``solve_pair`` is pure and thread-safe. K is diagonalized by
+    its factor's ``eigh``: a banded K in its band, a dense one densely. A
+    factor that is not Hermitian raises StructureMismatch.
     """
 
     def __init__(self, K_hat, K_til=None):
         K_hat = as_factor(K_hat)
-        self.lam_hat, self.Q_hat = _hermitian_eigh(np.asarray(K_hat))
-        if K_til is None or K_til is K_hat or as_factor(K_til).equals(K_hat):
+        K_til = K_hat if K_til is None else as_factor(K_til)
+        self.lam_hat, self.Q_hat = K_hat.eigh()
+        if K_til is K_hat or K_til.equals(K_hat):
             self.lam_til, self.Q_til = self.lam_hat, self.Q_hat
         else:
-            self.lam_til, self.Q_til = _hermitian_eigh(np.asarray(K_til))
+            self.lam_til, self.Q_til = K_til.eigh()
 
     def solve_pair(self, z, F, G, tol, rng):
         """Pair (Fp, Gp) with Fp Gp^T ~ the two-term solve of F G^T at shift z."""
@@ -253,13 +255,6 @@ class EigenbasisPreconditioner:
             pair = _compress_dense(f @ g.T / D, rng)
         Fp, Gp = pair
         return _real_matmul(self.Q_hat, Fp), _real_matmul(self.Q_til, Gp)
-
-
-def _hermitian_eigh(K):
-    """eigh of the dense factor K; StructureMismatch unless K is Hermitian."""
-    if not np.allclose(K, K.conj().T, rtol=1e-12, atol=1e-12):
-        raise StructureMismatch("eigenbasis preconditioner: K is not Hermitian")
-    return scipy.linalg.eigh(K)
 
 
 # ---------------------------------------------------------------------------
@@ -327,12 +322,15 @@ class TensorGalerkin:
     part is the elementwise division by z - lam_hat_i - lam_til_j, so the
     eigendecompositions are paid once per basis, not per shift.
 
-    ``solve`` returns the true relative residual of U Y V^T in full space:
-    b - L(U Y V^T) = P M Q^T with P = [F, U, K_hat U, hat_c U], Q = [G, V,
-    K_til V, til_c V] and a small core M holding Y and -z Y. P and Q are
-    triangularized once per basis, so the norm is ||Rp M Rq^T||_F: Householder
-    QR keeps it accurate to eps times the stacks' norms, which a Gram-based
-    norm cannot.
+    ``solve`` returns the true relative residual of U Y V^T in full space,
+    split on the bases and their orthogonal complements: b - L(U Y V^T) has
+    a projected part U rho V^T and three parts that leave U, V or both,
+    whose cores are read off the rows past r_hat of the Householder R of
+    [U, F, K_hat U, hat_c U] and past r_til of that of [V, G, K_til V,
+    til_c V] (see ``residual``). Both are taken once per basis; Householder
+    QR keeps the norm accurate to eps times the stacks' norms, which a
+    Gram-based norm cannot. A whole-space basis leaves no complement, and
+    its residual is the projected one.
 
     With ``real`` set U and V are real and span [X, conj X] of every added
     solution, so the conjugate node's solution conj(U Y V^T) = U conj(Y)
@@ -510,7 +508,7 @@ class TensorGalerkin:
     def _project(self):
         U, V = self.U, self.V
         self.hat_U = self.til_V = self.H = self.T = None
-        P, Q = [self.F, U, self.K_hat @ U], [self.G, V, self.K_til @ V]
+        P, Q = [U, self.F, self.K_hat @ U], [V, self.G, self.K_til @ V]
         if self.coupling is not None:
             til_c, hat_c = self.coupling
             self.hat_U, self.til_V = hat_c @ U, til_c @ V
@@ -519,24 +517,39 @@ class TensorGalerkin:
             Q.append(self.til_V)
         self.f = U.conj().T @ self.F
         self.g = V.conj().T @ self.G
-        ell = self.F.shape[1]
-        Rp = qr_unless_wide(np.hstack(P))[1]
-        Rq = qr_unless_wide(np.hstack(Q))[1]
-        self.Rp_rhs, self.Rq_rhs = Rp[:, :ell], Rq[:, :ell]
-        self.Rp_blocks = np.split(Rp[:, ell:], len(P) - 1, axis=1)
-        self.Rq_blocks = np.split(Rq[:, ell:], len(Q) - 1, axis=1)
+        # rows past r of the R factor of [U, F, K U, c U]: the coordinates of
+        # [F, K U, c U] on an orthonormal basis of their part orthogonal to U
+        r_hat, r_til = self.ranks
+        self.Rp_perp = np.linalg.qr(np.hstack(P), mode="r")[r_hat:, r_hat:]
+        self.Rq_perp = np.linalg.qr(np.hstack(Q), mode="r")[r_til:, r_til:]
 
     def residual(self, z, j, Y):
-        """True relative residual ||F_j G_j^T - L_z(U Y V^T)||_F / ||F_j G_j^T||_F."""
-        pU, pKU, *pH = self.Rp_blocks
-        qV, qKV, *qT = self.Rq_blocks
-        # -z Y folds into the left blocks, so the right ones stay real:
-        # pU Y (qKV - z qV)^T + pKU Y qV^T = pU Y qKV^T + (pKU Y - z pU Y) qV^T
-        pUY = _real_matmul(pU, Y)
-        left = np.hstack([pUY, _real_matmul(pKU, Y) - z * pUY] + [_real_matmul(p, Y) for p in pH])
-        right = np.hstack([qKV, qV] + qT)
-        R = np.outer(self.Rp_rhs[:, j], self.Rq_rhs[:, j]) + _real_matmul(right, left.T).T
-        return float(np.linalg.norm(R) / self.bnorm[j])
+        """True relative residual ||F_j G_j^T - L_z(U Y V^T)||_F / ||F_j G_j^T||_F.
+
+        With Qp an orthonormal basis of the part of [F, K_hat U, hat_c U]
+        orthogonal to U, Rp_perp = [cF, cK, cH] its coordinates, and Qq,
+        Rq_perp = [dG, dK, dT] likewise, the residual is U rho V^T + U C2
+        Qq^T + Qp C3 V^T + Qp C4 Qq^T. The pieces are mutually orthogonal,
+        so its norm is that of the four cores: the projected residual rho =
+        f_j g_j^T - D o Y + H Y T^T, C2 = f_j dG_j^T + Y dK^T + H Y dT^T,
+        C3 = cF_j g_j^T + cK Y + cH Y T^T and C4 = cF_j dG_j^T + cH Y dT^T.
+        """
+        ell, (r_hat, r_til) = self.F.shape[1], self.ranks
+        f, g, cF, dG = self.f[:, j], self.g[:, j], self.Rp_perp[:, j], self.Rq_perp[:, j]
+        cU, dV = self.Rp_perp[:, ell:], self.Rq_perp[:, ell:]
+        D = z - self.lam_hat[:, None] - self.lam_til[None, :]
+        rho, C4 = np.outer(f, g) - D * Y, np.outer(cF, dG)
+        # C2 = f_j dG_j^T + [Y, H Y] [dK, dT]^T, C3 = cF_j g_j^T + [cK, cH] [Y; Y T^T]
+        Yq = Yp = Y
+        if self.H is not None:
+            HY, YT = _real_matmul(self.H, Y), _real_matmul(self.T, Y.T).T
+            rho = rho + _real_matmul(self.H, YT)
+            cHY = _real_matmul(cU[:, r_hat:], Y)
+            C4 = C4 + _real_matmul(dV[:, r_til:], cHY.T).T
+            Yq, Yp = np.hstack([Y, HY]), np.vstack([Y, YT])
+        C2 = np.outer(f, dG) + _real_matmul(dV, Yq.T).T
+        C3 = np.outer(cF, g) + _real_matmul(cU, Yp)
+        return math.hypot(*map(np.linalg.norm, (rho, C2, C3, C4))) / float(self.bnorm[j])
 
     def solve(self, z, j):
         """Galerkin solution of cell (z, j): (Y, true relative residual, steps).

@@ -279,10 +279,9 @@ def test_contour_threads_deterministic_with_enrichment(monkeypatch):
 
 
 def _trained_family(A, nodes, sk, tol):
-    """A real family whose basis holds the sparse-direct solutions at nodes 0 and 4."""
+    """A family whose basis holds the sparse-direct solutions at nodes 0 and 4."""
     F = sk.scale * sk.hat
     family = TensorGalerkin(A, F, sk.tilde, tol)
-    assert family.real
     sols = [
         sparse_node_solution(A, complex(nodes[i]), F[:, j : j + 1], sk.tilde[:, j : j + 1])
         for i in (0, 4)
@@ -295,26 +294,43 @@ def _trained_family(A, nodes, sk, tol):
 def test_galerkin_cell_matches_sparse_direct():
     # A basis from the two training nodes carries a held-out node: the
     # Galerkin cell reports a true residual at most tol, confirmed densely,
-    # and agrees with the sparse-direct solution of the same cell.
+    # and agrees with the sparse-direct solution of the same cell. The
+    # residual is read off the basis and its complement, so the inputs also
+    # cover a whole-space basis (no complement), an operator without a
+    # coupling and complex Hermitian data.
     n, tol = 64, 1e-6
-    A = schrodinger_kron(make_spec("sum-of-squares", n))
     filt = trapezoid_circle(12.606, 9.0, 16)
     sk = draw_khatri_rao(n, n, 3, seed=1)
-    family = _trained_family(A, filt.nodes, sk, tol)
-    assert family.ranks[0] < n
+    A = schrodinger_kron(make_spec("sum-of-squares", n))
+    twist = np.diag(np.full(n - 1, 50.0), 1)
+    # i (S - S^T) with S real is Hermitian, and it enters K_hat
+    A_complex = KroneckerSumOperator(A.terms + ((np.eye(n), 1j * (twist - twist.T)),))
+    trained = _trained_family(A, filt.nodes, sk, tol)
+    assert trained.real and trained.ranks[0] < n
+    whole = TensorGalerkin(A, sk.scale * sk.hat, sk.tilde, tol)
+    whole.grow([(np.eye(n), np.eye(n))])
+    assert whole.ranks == (n, n) and whole.Rp_perp.shape[0] == whole.Rq_perp.shape[0] == 0
+    # the zero potential without its coupling term, a zero diagonal pair
+    A_zero = KroneckerSumOperator(schrodinger_kron(make_spec("zero", n)).terms[:2])
+    uncoupled = _trained_family(A_zero, filt.nodes, sk, tol)
+    assert uncoupled.H is None and uncoupled.ranks[0] < n
+    complex_ = _trained_family(A_complex, filt.nodes, sk, tol)
+    assert not complex_.real and complex_.ranks[0] < n
     z = complex(filt.nodes[2])
-    for j in range(3):
-        Fj, Gj = family.F[:, j : j + 1], sk.tilde[:, j : j + 1]
-        Xref = sparse_node_solution(A, z, Fj, Gj)
-        Y, residual, _ = family.solve(z, j)
-        X = family.U @ Y @ family.V.T
-        assert residual <= tol
-        assert node_residual(A, z, X, Fj @ Gj.T) == pytest.approx(residual, rel=1e-3, abs=1e-12)
-        assert np.linalg.norm(X - Xref) <= 1e3 * tol * np.linalg.norm(Xref)
+    for A, family in ((A, trained), (A, whole), (A_zero, uncoupled), (A_complex, complex_)):
+        for j in range(3):
+            Fj, Gj = family.F[:, j : j + 1], sk.tilde[:, j : j + 1]
+            Xref = sparse_node_solution(A, z, Fj, Gj)
+            Y, residual, _ = family.solve(z, j)
+            X = family.U @ Y @ family.V.T
+            assert type(residual) is float and residual <= tol
+            rel = node_residual(A, z, X, Fj @ Gj.T)
+            assert rel == pytest.approx(residual, rel=1e-3, abs=1e-12)
+            assert np.linalg.norm(X - Xref) <= 1e3 * tol * np.linalg.norm(Xref)
 
 
 def test_galerkin_real_gemms_match_complex_gemms():
-    # Real data keeps H, T and the residual's triangular blocks real, so
+    # Real data keeps H, T and the residual's complement blocks real, so
     # their products with a complex Y run as real GEMMs; cast to complex
     # they take numpy's complex GEMM and must give the same cell.
     n, tol = 64, 1e-6
@@ -323,10 +339,11 @@ def test_galerkin_real_gemms_match_complex_gemms():
     sk = draw_khatri_rao(n, n, 3, seed=1)
     family = _trained_family(A, filt.nodes, sk, tol)
     z = complex(filt.nodes[2])
-    assert not any(np.iscomplexobj(M) for M in (family.H, family.T, *family.Rp_blocks))
+    names = ("H", "T", "Rp_perp", "Rq_perp")
+    assert not any(np.iscomplexobj(getattr(family, name)) for name in names)
     cells = [family.solve(z, j) for j in range(3)]
-    family.H, family.T = family.H.astype(complex), family.T.astype(complex)
-    family.Rp_blocks = [M.astype(complex) for M in family.Rp_blocks]
+    for name in names:
+        setattr(family, name, getattr(family, name).astype(complex))
     for j, (Y, residual, steps) in enumerate(cells):
         Yc, residual_c, steps_c = family.solve(z, j)
         assert steps == steps_c

@@ -6,7 +6,7 @@ import scipy.sparse
 
 from conftest import make_rng
 from kroneig.blr import KroneckerSumOperator
-from kroneig.errors import SingularShiftedSolve
+from kroneig.errors import SingularShiftedSolve, StructureMismatch
 from kroneig.factors import Banded, Dense, Identity, as_factor
 from kroneig.problems import (
     assemble_dense,
@@ -57,6 +57,17 @@ def test_factor_matches_its_dense_matrix(name):
     for B in (X, X + 1j * rng.standard_normal((N, 3))):
         Y = solve(B)
         assert np.linalg.norm((M - sigma * np.eye(N)) @ Y - B) <= 1e-12 * np.linalg.norm(B)
+    # eigh diagonalizes the Hermitian part, a banded one in its band, and
+    # refuses the factor itself unless it is Hermitian
+    h = f + f.conj().T
+    assert type(h) is (Dense if isinstance(f, Dense) else Banded)
+    lam, Q = h.eigh()
+    assert np.allclose(lam, np.linalg.eigvalsh(h.dense()), rtol=0.0, atol=1e-12)
+    assert np.linalg.norm(Q.conj().T @ Q - np.eye(N)) <= 1e-13
+    assert np.linalg.norm(h.dense() @ Q - Q * lam) <= 1e-12 * np.linalg.norm(h.dense())
+    if not np.array_equal(h.dense(), 2 * M):
+        with pytest.raises(StructureMismatch):
+            f.eigh()
 
 
 def test_factor_algebra_stays_structured():

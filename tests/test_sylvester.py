@@ -14,6 +14,7 @@ from kroneig.errors import (
     SingularShiftedSolve,
     StructureMismatch,
 )
+from kroneig.factors import Banded, as_factor
 from kroneig.sylvester import (
     EigenbasisPreconditioner,
     TensorGalerkin,
@@ -112,12 +113,17 @@ def test_eigenbasis_rejects_non_hermitian_factor():
     K = _tridiag_spd(8)
     skew = K + np.triu(0.1 * rng.standard_normal((8, 8)), 1)
     anti = rng.standard_normal((8, 8))
-    for bad in (skew, K + 0.5j * anti):
+    # a banded factor is checked on its band
+    lopsided = K + np.diag(0.1 * rng.standard_normal(7), 1)
+    assert isinstance(as_factor(lopsided), Banded)
+    for bad in (skew, K + 0.5j * anti, lopsided):
         with pytest.raises(StructureMismatch):
             EigenbasisPreconditioner(bad, K)
         with pytest.raises(StructureMismatch):
             EigenbasisPreconditioner(K, bad)
     EigenbasisPreconditioner(K + 0.5j * (anti - anti.T), K)
+    twist = np.diag(rng.standard_normal(7), 1)
+    EigenbasisPreconditioner(K + 0.5j * (twist - twist.T), K)
 
 
 def test_adi_shifts_pattern_and_validation():
@@ -175,10 +181,8 @@ def test_eigenbasis_preconditioner_pole():
 
 
 def test_eigenbasis_preconditioner_compares_factors_without_densifying(monkeypatch):
-    # Two equal banded factors share one eigenbasis; only K_hat is made
-    # dense, for its eigendecomposition, not both for the comparison.
-    from kroneig.factors import Banded
-
+    # Two equal banded factors share one eigenbasis, and neither is made
+    # dense: the comparison reads the bands, and so does the band eigensolver.
     band = np.diag(2.0 * np.ones(30)) - np.diag(np.ones(29), 1) - np.diag(np.ones(29), -1)
     K_hat, K_til = Banded(band), Banded(band)
     densified = []
@@ -186,7 +190,7 @@ def test_eigenbasis_preconditioner_compares_factors_without_densifying(monkeypat
     monkeypatch.setattr(Banded, "dense", lambda self: densified.append(self) or dense(self))
     M = EigenbasisPreconditioner(K_hat, K_til)
     assert M.Q_til is M.Q_hat
-    assert densified == [K_hat]
+    assert densified == []
 
 
 def test_eigenbasis_preconditioner_real_products_any_layout():
