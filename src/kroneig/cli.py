@@ -38,7 +38,7 @@ from .lobpcg import LobpcgConfig, lobpcg_lowrank
 from .problems import (
     POTENTIALS,
     assemble_dense,
-    laplacian_1d_eigenvalues,
+    assemble_sparse,
     make_spec,
     schrodinger_kron,
     shift_operator,
@@ -299,7 +299,7 @@ def cmd_contour(cfg):
     A, spec = _build_operator(cfg)
     filt = trapezoid_circle(cfg["center"], cfg["radius"], cfg["q"])
     sk = draw_khatri_rao(A.n_til, A.n_hat, cfg["ell"], seed=cfg["seed"])
-    solver = NodeSolverConfig(tol=cfg["tol"], seed=cfg["seed"])
+    solver = NodeSolverConfig(tol=cfg["tol"])
     recompress = RecompressConfig(eps=cfg["recompress_eps"], r_max=cfg["recompress_rmax"])
     t0 = time.perf_counter()
     result = contour_eigensolve(A, filt, sk, solver_cfg=solver,
@@ -450,10 +450,6 @@ def cmd_lobpcg(cfg):
     return 0
 
 
-def _sparse_operator(A):
-    return sum(scipy.sparse.kron(til.matrix, hat.matrix) for til, hat in A.terms).tocsc()
-
-
 def _leading_normalized(s, count):
     """The leading count singular values s, zero-padded, over the first."""
     s = np.pad(s[:count], (0, max(count - s.size, 0)))
@@ -465,7 +461,7 @@ def _rank_one_family(cfg, n, tol):
     Khatri-Rao right-hand side at node tolerance tol."""
     A = schrodinger_kron(make_spec(cfg["potential"], n))
     sk = draw_khatri_rao(A.n_til, A.n_hat, 1, seed=cfg["seed"])
-    return A, TensorGalerkin(A, sk.scale * sk.hat, sk.tilde, tol, cfg["seed"])
+    return A, TensorGalerkin(A, sk.scale * sk.hat, sk.tilde, tol)
 
 
 def cmd_sylvester_bench(cfg):
@@ -525,7 +521,7 @@ def cmd_sylvester_bench(cfg):
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((cfg["seed"], 97))))
     C = rng.standard_normal((A.n_hat, A.n_til))
     C /= np.linalg.norm(C)
-    Asp = _sparse_operator(A).astype(complex) - z * scipy.sparse.identity(A.n, format="csc")
+    Asp = assemble_sparse(A).astype(complex) - z * scipy.sparse.identity(A.n, format="csc")
     X = scipy.sparse.linalg.spsolve(Asp, C.reshape(-1, order="F"))
     sv_dense = _leading_normalized(
         np.linalg.svd(X.reshape((A.n_hat, A.n_til), order="F"), compute_uv=False), kmax)

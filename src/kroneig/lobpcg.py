@@ -75,7 +75,8 @@ class LobpcgConfig:
     internally (A + sigma I) when A is indefinite and subtracted from the
     reported values. The preconditioner inverts the separable part of the
     (shifted) operator. ``seed`` feeds nothing: the iteration draws no
-    random numbers, and the field stays for callers that pass it.
+    random numbers, and the field stays only because the benchmark's
+    workload definitions pass it.
     """
 
     k: int

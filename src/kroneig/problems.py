@@ -14,8 +14,9 @@ The factors are built typed (``factors``): K is ``Banded`` with bandwidth
 ``Identity``, so no n x n array is formed. The module also provides the
 symbolic shift/square transforms used to move interior eigenvalues to the
 edge of the spectrum (they keep the factors structured: K^2 has bandwidth
-2), Gershgorin interval estimates feeding the ADI shift selection, and a
-desk-scale dense assembly oracle.
+2), Gershgorin interval estimates feeding the ADI shift selection, a
+desk-scale dense assembly oracle and the sparse assembly that sparse
+direct and shift-invert references factor.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ __all__ = [
     "shift_operator",
     "square_operator",
     "assemble_dense",
+    "assemble_sparse",
     "gershgorin_interval",
 ]
 
@@ -206,6 +208,11 @@ def assemble_dense(A, cap_side=ASSEMBLE_CAP_SIDE):
     for til, hat in A.terms:
         out += np.kron(til.dense(), hat.dense())
     return out
+
+
+def assemble_sparse(A):
+    """Sparse CSC assembly of a Kronecker-sum operator, sum of kron(til, hat)."""
+    return sum(scipy.sparse.kron(til.matrix, hat.matrix) for til, hat in A.terms).tocsc()
 
 
 def gershgorin_interval(M):

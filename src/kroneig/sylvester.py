@@ -19,12 +19,10 @@ coefficient matrix, shared across nodes and columns when the caller
 constructs it once. It is sound at every node of a contour, including
 nodes whose real part falls inside the sum-spectrum of the operator. At a
 nonreal node it solves a low-rank input to the requested tolerance by
-factored ADI (``fadi_steps``, the library's one fADI recurrence) and draws
-no random numbers; otherwise it forms the dense eigenbasis quotient. A
-pair is only worth its factors while it is smaller than the matrix: when a
-pair of the sampling rank would store at least as many entries as the
-n_hat x n_til matrix (``_pair_fills_matrix``), the dense quotient comes
-back exact, in the pair form (X, I). The two-term solutions come back
+factored ADI (``fadi_steps``, the library's one fADI recurrence);
+otherwise it forms the dense eigenbasis quotient and samples its range
+with one Gaussian test matrix, drawn once per solver from a fixed key, so
+the solver's results depend on no seed. The two-term solutions come back
 uncut; their one consumer, ``TensorGalerkin``, keeps the directions
 above its basis cut.
 
@@ -35,9 +33,9 @@ is a true full-space one, and a cell that misses its tolerance grows the
 basis by two-term solves (the eig2 solves of its right-hand side and of
 its solution's coupling image). The family owns the node-solve policy: it
 is built from the operator, the right-hand sides and the node tolerance,
-and derives the split, the eig2 solver, the basis cut and the seeding of
-the range finder itself. The contour and ``sylvester-bench`` build it
-that way and solve every node with it.
+and derives the split, the eig2 solver and the basis cut itself. The
+contour and ``sylvester-bench`` build it that way and solve every node
+with it.
 """
 
 from __future__ import annotations
@@ -56,6 +54,7 @@ from .errors import (
     StructureMismatch,
 )
 from .factors import Identity, as_factor
+from .sketch import gaussian
 
 __all__ = [
     "pair_norm",
@@ -165,30 +164,9 @@ def _diagonal_fadi(a, b, f, g, target, max_steps):
 # the eigenbasis ("eig2") two-term solver
 
 
-# rank of the sampled dense quotient: the range finder draws it plus 8
-# oversampling columns, and a pair of this rank that would store as many
-# entries as the matrix makes the quotient come back exact instead
-_SAMPLE_RANK = 90
-
-
-def _pair_fills_matrix(n1, n2):
-    """True when an n1 x n2 pair of rank _SAMPLE_RANK stores at least n1 * n2 entries."""
-    return _SAMPLE_RANK * (n1 + n2) >= n1 * n2
-
-
-def _compress_dense(X, rng):
-    """A dense matrix as a pair, uncut.
-
-    When a pair of rank _SAMPLE_RANK would be no smaller than X, returns X
-    itself as the exact pair (X, I). Otherwise a randomized range finder
-    with _SAMPLE_RANK + 8 columns gives the pair (Q, (Q^H X)^T), so that
-    the product is Q Q^H X.
-    """
-    if _pair_fills_matrix(*X.shape):
-        return X, np.eye(X.shape[1], dtype=X.dtype)
-    Y = X @ rng.standard_normal((X.shape[1], _SAMPLE_RANK + 8))
-    Q, _ = np.linalg.qr(Y, mode="reduced")
-    return Q, (Q.conj().T @ X).T
+# columns of eig2's one Gaussian test matrix (90 plus 8 oversampling): the
+# dense quotient comes back as a pair of at most this rank
+_SAMPLE_WIDTH = 98
 
 
 def _real_matmul(Q, X):
@@ -214,13 +192,15 @@ class EigenbasisPreconditioner:
     D_ij = z - lambda_hat_i - lambda_til_j. At a nonreal z, ``solve_pair``
     runs fADI on the diagonal spectra z/2 - lambda until its residual is at
     most tol ||F G^T||_F, if that fits its stack budget, and returns the
-    stacked steps; otherwise it forms the dense quotient and passes it
-    through ``_compress_dense``: a sampled pair, or the exact (W, I), of
-    rank n_til, where a sampled pair could not be smaller than the matrix
-    (``_pair_fills_matrix``). Nothing is truncated here: the caller keeps
-    what it needs. Build once per K pair and share across nodes and
-    columns; ``solve_pair`` is pure and thread-safe. K is diagonalized by
-    its factor's ``eigh``: a banded K in its band, a dense one densely. A
+    stacked steps; otherwise it forms the dense quotient X and returns the
+    range-finder pair (Q, (Q^H X)^T), Q from the QR of X Omega (Halko,
+    Martinsson & Tropp, SIAM Review 2011). The test matrix Omega (n_til x
+    min(n_til, _SAMPLE_WIDTH)) is drawn once, here, from a fixed Philox key,
+    so every solve reuses it and the pair is exact wherever Omega is
+    square. Nothing is truncated here: the caller keeps what it needs.
+    Build once per K pair and share across nodes and columns;
+    ``solve_pair`` is pure and thread-safe. K is diagonalized by its
+    factor's ``eigh``: a banded K in its band, a dense one densely. A
     factor that is not Hermitian raises StructureMismatch.
     """
 
@@ -232,17 +212,19 @@ class EigenbasisPreconditioner:
             self.lam_til, self.Q_til = self.lam_hat, self.Q_hat
         else:
             self.lam_til, self.Q_til = K_til.eigh()
+        n_til = self.lam_til.size
+        self.omega = gaussian(n_til, min(n_til, _SAMPLE_WIDTH), seed=0)
 
-    def solve_pair(self, z, F, G, tol, rng):
+    def solve_pair(self, z, F, G, tol):
         """Pair (Fp, Gp) with Fp Gp^T ~ the two-term solve of F G^T at shift z."""
         f = _real_matmul(self.Q_hat.conj().T, F)
         g = _real_matmul(self.Q_til.conj().T, G)
         pair = None
         # fADI stacks s = r_in * steps columns: at most half the smaller
         # side, and only while the O(n s^2) QR the caller takes of them
-        # costs less than the dense path's O(n^2 (_SAMPLE_RANK + 8))
+        # costs less than the dense path's O(n^2 w), w the width of Omega
         n = min(f.shape[0], g.shape[0])
-        stack_max = min(n / 2, math.sqrt(n * (_SAMPLE_RANK + 8) / 2))
+        stack_max = min(n / 2, math.sqrt(n * self.omega.shape[1] / 2))
         budget = int(stack_max // max(f.shape[1], 1))
         if np.imag(z) != 0 and budget >= 1:
             a, b = z / 2.0 - self.lam_hat, z / 2.0 - self.lam_til
@@ -252,7 +234,9 @@ class EigenbasisPreconditioner:
             # the eigenvalues are real, so only a real z can make D_ij vanish
             if np.imag(z) == 0 and np.min(np.abs(D)) == 0.0:
                 raise SingularShiftedSolve("eigenbasis preconditioner: z hits the sum spectrum")
-            pair = _compress_dense(f @ g.T / D, rng)
+            X = f @ g.T / D
+            Q = np.linalg.qr(X @ self.omega)[0]
+            pair = Q, (Q.conj().T @ X).T
         Fp, Gp = pair
         return _real_matmul(self.Q_hat, Fp), _real_matmul(self.Q_til, Gp)
 
@@ -341,7 +325,7 @@ class TensorGalerkin:
     column, and is carried through every basis change.
     """
 
-    def __init__(self, A, F, G, tol, seed=0):
+    def __init__(self, A, F, G, tol):
         K_hat, K_til, couplings = A.split
         if len(couplings) > 1:
             raise StructureMismatch(
@@ -352,7 +336,7 @@ class TensorGalerkin:
         self.coupling = couplings[0] if couplings else None
         self.eig2 = EigenbasisPreconditioner(self.K_hat, self.K_til)
         self.F, self.G = F, G
-        self.tol, self.seed = tol, seed
+        self.tol = tol
         self.cut = _CUT * tol
         self.real = not any(np.iscomplexobj(M) for M in (F, G) + sum(A.terms, ()))
         dtype = float if self.real else complex
@@ -427,20 +411,20 @@ class TensorGalerkin:
         tol, and accumulate w Y into sigma[j].
 
         Round by round every pending cell is solved on the basis. A cell
-        above tol grows it by eig2 two-term solves, to _CUT tol and uncut,
-        with the range finder seeded by (seed, j): of its own right-hand
-        side F_j G_j^T once and of the coupling image of its solution,
-        hat_c (U Y) (til_c V)^T, every round. With L2^-1(F_j G_j^T) and U Y
-        V^T in the basis, the latter is the preconditioned residual's new
-        direction, a tensor-Krylov step (Kressner & Tobler, SIMAX 2011). On
-        an empty basis every cell misses with Y = 0, so the first round
-        solves the right-hand sides alone. The pairs grow the basis in cell
-        order. A two-term solve that raises a KroneigError adds nothing, and
-        the first such error of a cell is recorded. When a round adds no
-        direction or fails to halve the worst residual, one last round runs
-        that keeps every direction above cut / 100; a cell still above tol
-        after it is accumulated with its Galerkin solution.
-        ``pmap(fn, items)`` maps the per-cell work of a round.
+        above tol grows it by eig2 two-term solves, to _CUT tol and uncut:
+        of its own right-hand side F_j G_j^T once and of the coupling image
+        of its solution, hat_c (U Y) (til_c V)^T, every round. With
+        L2^-1(F_j G_j^T) and U Y V^T in the basis, the latter is the
+        preconditioned residual's new direction, a tensor-Krylov step
+        (Kressner & Tobler, SIMAX 2011). On an empty basis every cell misses
+        with Y = 0, so the first round solves the right-hand sides alone.
+        The pairs grow the basis in cell order. A two-term solve that raises
+        a KroneigError adds nothing, and the first such error of a cell is
+        recorded. When a round adds no direction or fails to halve the worst
+        residual, one last round runs that keeps every direction above cut /
+        100; a cell still above tol after it is accumulated with its
+        Galerkin solution. ``pmap(fn, items)`` maps the per-cell work of a
+        round.
 
         Returns (results, rounds): results[k] = (residual, steps, misses,
         error) of cell k, the true residual of its accumulated solution,
@@ -451,7 +435,7 @@ class TensorGalerkin:
         results = [None] * len(cells)
         enriched = [0] * len(cells)
         errors = [None] * len(cells)
-        pending, seeded = list(range(len(cells))), set()
+        pending, solved_rhs = list(range(len(cells))), set()
         worst_before, rounds, last = math.inf, 0, False
 
         def solve(k):
@@ -460,14 +444,13 @@ class TensorGalerkin:
 
         def directions(k):
             z, j, _ = cells[k]
-            rhs = [] if k in seeded else [(self.F[:, j : j + 1], self.G[:, j : j + 1])]
+            rhs = [] if k in solved_rhs else [(self.F[:, j : j + 1], self.G[:, j : j + 1])]
             coupled = self.coupling is not None and misses[k].any()
             image = [self._coupling_image(misses[k])] if coupled else []
             pairs = []
             for Fs, Gs in rhs + image:
-                rng = np.random.default_rng((self.seed, j))
                 try:
-                    pairs.append(self.eig2.solve_pair(z, Fs, Gs, _CUT * self.tol, rng))
+                    pairs.append(self.eig2.solve_pair(z, Fs, Gs, _CUT * self.tol))
                 except KroneigError as exc:
                     errors[k] = errors[k] or str(exc)
             return pairs
@@ -485,7 +468,7 @@ class TensorGalerkin:
             worst = max(results[k][0] for k in misses)
             last = not worst < 0.5 * worst_before
             pairs = [pair for found in pmap(directions, list(misses)) for pair in found]
-            seeded.update(misses)
+            solved_rhs.update(misses)
             before = self.ranks
             self.grow(pairs, self.cut / 100 if last else None)
             if self.ranks == before and not last:

@@ -59,9 +59,9 @@ def sparse_node_solution(A, z, F, G):
     import scipy.sparse
     import scipy.sparse.linalg
 
-    from kroneig.cli import _sparse_operator
+    from kroneig.problems import assemble_sparse
 
-    L = z * scipy.sparse.identity(A.n, format="csc") - _sparse_operator(A).astype(complex)
+    L = z * scipy.sparse.identity(A.n, format="csc") - assemble_sparse(A).astype(complex)
     x = scipy.sparse.linalg.spsolve(L, (F @ G.T).reshape(-1, order="F"))
     return x.reshape((A.n_hat, A.n_til), order="F")
 

@@ -278,6 +278,29 @@ def test_contour_threads_deterministic_with_enrichment(monkeypatch):
     assert len(d["basis"]["ranks"]) > 1
 
 
+def test_contour_ignores_node_seed(monkeypatch):
+    # The sketch is the solver's only random input: the node solves draw
+    # nothing of their own, so NodeSolverConfig's seed leaves every bit of
+    # a run unchanged. At n=190 the coupling images take eig2's dense path,
+    # sampled at the test matrix's width of 98 columns
+    A = schrodinger_kron(make_spec("sum-of-squares", 190))
+    solve_pair = EigenbasisPreconditioner.solve_pair
+    widths = []
+
+    def recording(self, z, F, G, tol):
+        pair = solve_pair(self, z, F, G, tol)
+        widths.append(pair[0].shape[1])
+        return pair
+
+    monkeypatch.setattr(EigenbasisPreconditioner, "solve_pair", recording)
+    filt = trapezoid_circle(12.606, 9.0, 4)
+    sk = draw_khatri_rao(190, 190, 2, seed=1)
+    runs = [contour_eigensolve(A, filt, sk, NodeSolverConfig(tol=1e-10, seed=seed))
+            for seed in (0, 1)]
+    _assert_same_run(*runs)
+    assert 98 in widths
+
+
 def _trained_family(A, nodes, sk, tol):
     """A family whose basis holds the sparse-direct solutions at nodes 0 and 4."""
     F = sk.scale * sk.hat
@@ -482,10 +505,10 @@ def _fail_when(monkeypatch, fails):
     """Make the eig2 solves picked by ``fails(z, F)`` raise a solver error."""
     solve_pair = EigenbasisPreconditioner.solve_pair
 
-    def failing(self, z, F, G, tol, rng):
+    def failing(self, z, F, G, tol):
         if fails(z, F):
             raise SingularShiftedSolve("injected failure")
-        return solve_pair(self, z, F, G, tol, rng)
+        return solve_pair(self, z, F, G, tol)
 
     monkeypatch.setattr(EigenbasisPreconditioner, "solve_pair", failing)
 
@@ -562,11 +585,11 @@ def _stall_after_seeds(monkeypatch, seeds):
     solve_pair = EigenbasisPreconditioner.solve_pair
     calls = []
 
-    def stalling(self, z, F, G, tol, rng):
+    def stalling(self, z, F, G, tol):
         calls.append(z)
         if len(calls) > seeds:
             return np.zeros_like(F), np.zeros_like(G)
-        return solve_pair(self, z, F, G, tol, rng)
+        return solve_pair(self, z, F, G, tol)
 
     monkeypatch.setattr(EigenbasisPreconditioner, "solve_pair", stalling)
 

@@ -9,6 +9,7 @@ from kroneig.problems import (
     POTENTIALS,
     SchrodingerSpec,
     assemble_dense,
+    assemble_sparse,
     gershgorin_interval,
     laplacian_1d,
     laplacian_1d_eigenvalues,
@@ -163,12 +164,6 @@ def test_square_operator_term_cap():
         square_operator(type(A)(extra))
 
 
-def test_assemble_dense_cap():
-    spec = make_spec("zero", 70)
-    with pytest.raises(SizeOverflow):
-        assemble_dense(schrodinger_kron(spec), cap_side=1000)
-
-
 def test_gershgorin_contains_spectrum():
     spec = make_spec("mathieu", 30)
     A = schrodinger_kron(spec)
@@ -177,3 +172,21 @@ def test_gershgorin_contains_spectrum():
             lo, hi = gershgorin_interval(M)
             lam = np.linalg.eigvalsh(0.5 * (M + M.T))
             assert lo <= lam[0] + 1e-12 and lam[-1] <= hi + 1e-12
+
+
+def test_assemble_dense_cap():
+    spec = make_spec("zero", 70)
+    with pytest.raises(SizeOverflow):
+        assemble_dense(schrodinger_kron(spec), cap_side=1000)
+
+
+
+def test_assemble_sparse_matches_dense():
+    # the sparse assembly is the dense oracle's matrix, in CSC, for typed
+    # factors and for a term with a dense factor
+    A = schrodinger_kron(make_spec("mathieu", 9))
+    mixed = KroneckerSumOperator(tuple(A.terms) + ((np.ones((9, 9)), np.eye(9)),))
+    for op in (A, mixed):
+        S = assemble_sparse(op)
+        assert S.format == "csc"
+        assert np.array_equal(S.toarray(), assemble_dense(op))

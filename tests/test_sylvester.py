@@ -1,7 +1,5 @@
 """Factored pairs and the eig2 two-term solver against dense desk-scale oracles."""
 
-import copy
-
 import numpy as np
 import pytest
 
@@ -147,7 +145,7 @@ def test_eigenbasis_preconditioner_exact_two_term():
     F, G = rng.standard_normal((10, 1)), rng.standard_normal((9, 1))
     z = 3.0 + 1.0j
     M = EigenbasisPreconditioner(K_hat, K_til)
-    Fp, Gp = M.solve_pair(z, F, G, tol=1e-13, rng=rng)
+    Fp, Gp = M.solve_pair(z, F, G, tol=1e-13)
     assert node_residual(_two_term(K_hat, K_til), z, Fp @ Gp.T, F @ G.T) <= 1e-10
 
 
@@ -156,7 +154,7 @@ def test_eigenbasis_preconditioner_hermitian_factor():
     # antisymmetric part): the forward transform takes Q^H, so the two-term
     # solve is exact on the fADI branch (a rank-2 input at a nonreal node,
     # whose pair stays below the cap) and on the dense one (a real node,
-    # exact as (W, I) past the break-even)
+    # exact because the test matrix is square at n=40)
     rng = make_rng(58)
     n = 40
     S = rng.standard_normal((n, n))
@@ -168,7 +166,7 @@ def test_eigenbasis_preconditioner_hermitian_factor():
     F = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
     G = rng.standard_normal((n, 2))
     for z, fadi in ((5.0 + 10.0j, True), (-2.0, False)):
-        Fp, Gp = M.solve_pair(z, F, G, tol=1e-14, rng=make_rng(59))
+        Fp, Gp = M.solve_pair(z, F, G, tol=1e-14)
         assert (Fp.shape[1] < n) == fadi
         assert node_residual(A, z, Fp @ Gp.T, F @ G.T) <= 1e-12
 
@@ -177,7 +175,7 @@ def test_eigenbasis_preconditioner_pole():
     K = np.diag([1.0, 2.0])
     M = EigenbasisPreconditioner(K)
     with pytest.raises(SingularShiftedSolve):
-        M.solve_pair(2.0, np.ones((2, 1)), np.ones((2, 1)), tol=1e-10, rng=make_rng(57))
+        M.solve_pair(2.0, np.ones((2, 1)), np.ones((2, 1)), tol=1e-10)
 
 
 def test_eigenbasis_preconditioner_compares_factors_without_densifying(monkeypatch):
@@ -205,7 +203,7 @@ def test_eigenbasis_preconditioner_real_products_any_layout():
     G = (Vh.T * s)[:, ::2]
     F = np.asfortranarray(rng.standard_normal((12, 6)) + 1j * rng.standard_normal((12, 6)))
     assert not (G.flags.c_contiguous or G.flags.f_contiguous)
-    Fp, Gp = M.solve_pair(z, F, G, tol=0.0, rng=rng)
+    Fp, Gp = M.solve_pair(z, F, G, tol=0.0)
     Qh, Qt = M.Q_hat.astype(complex), M.Q_til.astype(complex)
     D = z - M.lam_hat[:, None] - M.lam_til[None, :]
     ref = Qh @ (((Qh.T @ F) @ (Qt.T @ G).T) / D) @ Qt.T
@@ -228,22 +226,13 @@ def _eigenbasis_case(rank, n_hat=60, n_til=57):
 
 
 @pytest.mark.parametrize("rank", [1, 3])
-def test_eigenbasis_fadi_branch(rank, monkeypatch):
+def test_eigenbasis_fadi_branch(rank):
     # A low-rank input at a nonreal node takes the fADI branch: it matches
-    # the exact eigenbasis quotient, draws no random numbers and never
-    # reaches the dense compression.
+    # the exact eigenbasis quotient and returns the stack of its steps.
     M, F, G = _eigenbasis_case(rank)
     z = 2.5 + 6.0j
     tol = 1e-12
-
-    def dense_path(*args):
-        raise AssertionError("dense path taken")
-
-    monkeypatch.setattr(sylvester, "_compress_dense", dense_path)
-    rng = make_rng(71)
-    state = copy.deepcopy(rng.bit_generator.state)
-    Fp, Gp = M.solve_pair(z, F, G, tol, rng)
-    np.testing.assert_equal(rng.bit_generator.state, state)
+    Fp, Gp = M.solve_pair(z, F, G, tol)
     D = z - M.lam_hat[:, None] - M.lam_til[None, :]
     f, g = M.Q_hat.T @ F, M.Q_til.T @ G
     ref = M.Q_hat @ ((f @ g.T) / D) @ M.Q_til.T
@@ -256,28 +245,29 @@ def test_eigenbasis_fadi_branch(rank, monkeypatch):
     X = Z @ Y.T
     R = a[:, None] * X + X * b[None, :] - f @ g.T
     assert np.linalg.norm(R) <= target
-    # and comes back uncut: the pair is the lifted stack of its steps
-    assert Fp.shape[1] == Gp.shape[1] == Z.shape[1]
+    # and comes back uncut: the pair is the lifted stack of its steps,
+    # narrower than the dense path's pair
+    assert Fp.shape[1] == Gp.shape[1] == Z.shape[1] < M.omega.shape[1]
 
 
-def _dense_path(M, z, F, G, rng):
-    """solve_pair's dense path, written out: the eigenbasis quotient W
-    through _compress_dense, lifted by the eigenbases."""
+def _dense_path(M, z, F, G):
+    """solve_pair's dense path, written out: the eigenbasis quotient W,
+    sampled by the test matrix Omega into (Q, (Q^H W)^T), lifted by the
+    eigenbases."""
     D = z - M.lam_hat[:, None] - M.lam_til[None, :]
     W = sylvester._real_matmul(M.Q_hat.T, F) @ sylvester._real_matmul(M.Q_til.T, G).T / D
-    Fd, Gd = sylvester._compress_dense(W, rng)
-    return sylvester._real_matmul(M.Q_hat, Fd), sylvester._real_matmul(M.Q_til, Gd)
+    Q = np.linalg.qr(W @ M.omega)[0]
+    return sylvester._real_matmul(M.Q_hat, Q), sylvester._real_matmul(M.Q_til, (Q.conj().T @ W).T)
 
 
 def test_eigenbasis_high_rank_takes_dense_path():
     # rank 20 at n = 190 leaves fADI four steps, short of tol: the output
-    # is the dense path's, past the break-even, so from the random range
-    # finder
+    # is the dense path's, sampled by the test matrix at its full width
     M, F, G = _eigenbasis_case(20, 200, 190)
     z = 2.5 + 6.0j
-    Fp, Gp = M.solve_pair(z, F, G, 1e-12, make_rng(72))
-    Fd, Gd = _dense_path(M, z, F, G, make_rng(72))
-    assert Fp.shape[1] == sylvester._SAMPLE_RANK + 8
+    Fp, Gp = M.solve_pair(z, F, G, 1e-12)
+    Fd, Gd = _dense_path(M, z, F, G)
+    assert M.omega.shape == (190, 98) and Fp.shape[1] == 98
     assert np.array_equal(Fp, Fd) and np.array_equal(Gp, Gd)
 
 
@@ -291,8 +281,8 @@ def test_eigenbasis_zero_budget_skips_fadi(monkeypatch):
         raise AssertionError("fADI run with a zero step budget")
 
     monkeypatch.setattr(sylvester, "_diagonal_fadi", fadi)
-    Fp, Gp = M.solve_pair(z, F, G, 1e-12, make_rng(74))
-    Fd, Gd = _dense_path(M, z, F, G, make_rng(74))
+    Fp, Gp = M.solve_pair(z, F, G, 1e-12)
+    Fd, Gd = _dense_path(M, z, F, G)
     assert np.array_equal(Fp, Fd) and np.array_equal(Gp, Gd)
 
 
@@ -302,24 +292,28 @@ def test_eigenbasis_node_next_to_spectrum():
     # dense path, and no overflow warning escapes
     M, F, G = _eigenbasis_case(1)
     z = M.lam_hat[20] + M.lam_til[30] + 1e-3j
-    Fp, Gp = M.solve_pair(z, F, G, 1e-12, make_rng(73))
+    Fp, Gp = M.solve_pair(z, F, G, 1e-12)
     assert np.all(np.isfinite(Fp)) and np.all(np.isfinite(Gp))
     assert Fp.shape[1] == Gp.shape[1] >= 1
 
 
-@pytest.mark.parametrize("shape", [(180, 180), (270, 135)])
-def test_compress_dense_break_even(shape):
-    # A pair of the sampling rank storing at least n1 * n2 entries: X
-    # itself, exactly. One row past the break-even: the range finder's
-    # uncut pair (Q, (Q^H X)^T), Q orthonormal with the oversampled width
-    rng = make_rng(65)
-    n1, n2 = shape
-    assert sylvester._SAMPLE_RANK * (n1 + n2) == n1 * n2
-    W = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    F, G = sylvester._compress_dense(W, rng)
-    assert np.array_equal(F @ G.T, W)
-    W = rng.standard_normal((n1 + 1, n2)) + 1j * rng.standard_normal((n1 + 1, n2))
-    Q, G = sylvester._compress_dense(W, rng)
-    assert Q.shape == (n1 + 1, sylvester._SAMPLE_RANK + 8)
-    assert np.allclose(Q.conj().T @ Q, np.eye(Q.shape[1]), atol=1e-13)
-    assert np.allclose(Q @ G.T, Q @ (Q.conj().T @ W), atol=1e-12)
+@pytest.mark.parametrize("shape", [(120, 98), (60, 80), (150, 99), (130, 180)])
+def test_eigenbasis_dense_path_samples_one_test_matrix(shape):
+    # A real node takes the dense path. Its test matrix Omega, n_til x
+    # min(n_til, 98), is drawn once with the solver, so two calls give the
+    # same bits. While Omega is square (n_til <= 98) the pair is the exact
+    # quotient; past that it has Omega's width, 98, and Q is orthonormal.
+    n_hat, n_til = shape
+    M, F, G = _eigenbasis_case(30, n_hat, n_til)
+    z = 2.0
+    Fp, Gp = M.solve_pair(z, F, G, 1e-12)
+    again = M.solve_pair(z, F, G, 1e-12)
+    assert np.array_equal(Fp, again[0]) and np.array_equal(Gp, again[1])
+    width = min(n_til, 98)
+    assert M.omega.shape == (n_til, width)
+    assert Fp.shape == (n_hat, min(n_hat, width)) and Gp.shape == (n_til, Fp.shape[1])
+    assert np.allclose(Fp.T @ Fp, np.eye(Fp.shape[1]), atol=1e-13)
+    if n_til <= 98:
+        D = z - M.lam_hat[:, None] - M.lam_til[None, :]
+        exact = M.Q_hat @ ((M.Q_hat.T @ F) @ (M.Q_til.T @ G).T / D) @ M.Q_til.T
+        assert np.linalg.norm(Fp @ Gp.T - exact) <= 1e-12 * np.linalg.norm(exact)

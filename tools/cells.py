@@ -6,10 +6,10 @@
         [--recompress-eps E] [--recompress-rmax R] [--tree DIR] [--out FILE]
 
 Runs kroneig's contour solver once per input and reports what its node
-cells reached. An input is one sketch seed (also the node solver's seed)
-and one circle. With --center/--radius every seed uses that circle. With
---eig-window LO HI the circle comes from the operator's eigenvalues LO..HI
-(0-based, ascending), computed by scipy's eigsh in shift-invert mode at
+cells reached. An input is one sketch seed and one circle. With
+--center/--radius every seed uses that circle. With --eig-window LO HI
+the circle comes from the operator's eigenvalues LO..HI (0-based,
+ascending), computed by scipy's eigsh in shift-invert mode at
 the lower Gershgorin bound of the assembled sparse operator, from a fixed
 start vector: it is centered at their midpoint with radius S (lam_HI -
 lam_LO) / 2 for each --radius-scale S, so S slightly above 1 puts the
@@ -53,11 +53,13 @@ def eigenvalue_window(A, lo, hi):
     import scipy.sparse
     import scipy.sparse.linalg
 
-    M = sum(scipy.sparse.kron(til.matrix, hat.matrix) for til, hat in A.terms).tocsr()
+    from kroneig.problems import assemble_sparse
+
+    M = assemble_sparse(A)
     off = abs(M - scipy.sparse.diags(M.diagonal())).sum(axis=1)
     sigma = float(np.min(M.diagonal() - np.asarray(off).ravel())) - 1.0
     v0 = np.ones(M.shape[0])
-    lam = scipy.sparse.linalg.eigsh(M.tocsc(), k=hi + 1, sigma=sigma, v0=v0,
+    lam = scipy.sparse.linalg.eigsh(M, k=hi + 1, sigma=sigma, v0=v0,
                                     return_eigenvectors=False)
     return np.sort(lam)[lo : hi + 1]
 
@@ -78,7 +80,7 @@ def check(A, center, radius, seed, args):
     t0 = time.perf_counter()
     res = contour_eigensolve(
         A, trapezoid_circle(center, radius, args.q), sk,
-        NodeSolverConfig(tol=args.tol, seed=seed),
+        NodeSolverConfig(tol=args.tol),
         RecompressConfig(eps=args.recompress_eps, r_max=args.recompress_rmax),
     )
     elapsed = time.perf_counter() - t0
