@@ -24,6 +24,14 @@ def test_sweep_one_input(tmp_path):
         # it passes every check
         assert report["failed_pairs"] == 0 and report["failed_node_solves"] == 0
         assert report["failing_inputs"] == []
+        # a LOBPCG workload reports every input's iteration count and their sum
+        if workload == "lobpcg-rank":
+            (row,) = report["lobpcg_iterations"]
+            assert (row["input"], row["seed"], row["round"]) == (11, 11, 0)
+            assert row["iterations"] >= 1
+            assert report["lobpcg_iterations_total"] == row["iterations"]
+        else:
+            assert "lobpcg_iterations" not in report
 
 
 def test_sweep_rejects_unknown_workload():

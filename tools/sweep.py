@@ -17,7 +17,10 @@ through the same sweep. BLAS is pinned to one thread, as in the benchmark.
 Prints one JSON object (and writes it to --out when given): the input
 count, the failed eigenpairs and failed node solves summed over inputs,
 and per failing input its seed, round, failed eigenpairs with their
-reasons, failed node solves and run-level errors.
+reasons, failed node solves and run-level errors. A LOBPCG workload adds
+every input's iteration count ("lobpcg_iterations": input, seed, round,
+iterations) and their sum ("lobpcg_iterations_total"), so two trees'
+iteration counts compare on the same inputs.
 """
 
 import argparse
@@ -40,7 +43,7 @@ def sweep(workload, seeds, rounds):
     w = WORKLOADS[workload]
     A = schrodinger_matrix(w["n"])
     ref = eigenvalues(workload, A)
-    failing = []
+    failing, iterations = [], []
     failed_pairs = failed_nodes = 0
     for seed in seeds:
         for i in range(rounds):
@@ -56,6 +59,11 @@ def sweep(workload, seeds, rounds):
             diag = _diagnostics(res)
             report = evaluate(w, A, ref, block, diag)
             nodes = diag.get("node_failures", 0)
+            if w["solver"] == "lobpcg":
+                iterations.append({
+                    "input": key, "seed": seed, "round": i,
+                    "iterations": int(res.diagnostics["iterations"]),
+                })
             failed_pairs += len(report["failed"])
             failed_nodes += nodes
             if report["failed"] or report["errors"] or nodes:
@@ -65,7 +73,7 @@ def sweep(workload, seeds, rounds):
                     "node_failures": nodes,
                     "errors": report["errors"],
                 })
-    return {
+    out = {
         "workload": workload,
         "seeds": list(seeds),
         "rounds": rounds,
@@ -74,6 +82,10 @@ def sweep(workload, seeds, rounds):
         "failed_node_solves": failed_nodes,
         "failing_inputs": failing,
     }
+    if w["solver"] == "lobpcg":
+        out["lobpcg_iterations"] = iterations
+        out["lobpcg_iterations_total"] = sum(r["iterations"] for r in iterations)
+    return out
 
 
 def main(argv=None):
