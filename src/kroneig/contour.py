@@ -174,11 +174,13 @@ def contour_eigensolve(A, filt, sk, solver_cfg=None, recompress=None, threads=1)
     every cell misses and the first round seeds it. A cell still above the
     tolerance is accumulated with its Galerkin solution, reported
     unconverged with its true residual, and its column flagged degraded. A
-    two-term solve that raises is recorded under ``failures`` and adds
-    nothing. The filter is accumulated exactly on the shared basis, one
-    core per column (the family's ``sigma``), truncated once at assembly,
-    orthonormalized from its cores with the column mode cut at the same
-    eps (``orthonormalize_svd``), and the projected standard eigenproblem
+    two-term solve that fails is recorded under ``failures`` and adds
+    nothing; ``diagnostics["basis"]["two_term_paths"]`` counts the two-term
+    solves by the path that answered them, fADI or dense. The filter is
+    accumulated exactly on the shared basis, one core per column (the
+    family's ``sigma``), truncated once at assembly, orthonormalized from
+    its cores with the column mode cut at the same eps
+    (``orthonormalize_svd``), and the projected standard eigenproblem
     (``rayleigh_ritz_3block``) yields the Ritz pairs.
     """
     cfg = solver_cfg if solver_cfg is not None else NodeSolverConfig()
@@ -229,7 +231,8 @@ def contour_eigensolve(A, filt, sk, solver_cfg=None, recompress=None, threads=1)
         "nodes_solved": node_ids,
         "conjugate_economy": real,
         "grid_size": len(node_ids) * ell,
-        "basis": {"cut": family.cut, "ranks": basis_ranks, "enrichment_rounds": rounds},
+        "basis": {"cut": family.cut, "ranks": basis_ranks, "enrichment_rounds": rounds,
+                  "two_term_paths": dict(family.eig2.paths)},
     }
 
     if min(family.ranks) == 0:

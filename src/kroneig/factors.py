@@ -5,9 +5,10 @@ band matrix, so a factor is held as ``Identity``, ``Banded`` (LAPACK band
 storage; a diagonal has bandwidth 0) or the ``Dense`` fallback. Each
 offers ``@`` on n x r blocks and on factors, ``+``, scalar ``*``, ``.T``,
 ``conj()``, ``shifted_solver(sigma)``, which factors M - sigma I once,
-``eigh()``, which diagonalizes a Hermitian factor, and ``dense()`` (also
-``np.asarray``) for oracles. Sums and products of
-structured factors stay structured; with a dense factor they are dense.
+``eigh()``, which diagonalizes a Hermitian factor, ``eigvalsh()``, its
+eigenvalues alone, and ``dense()`` (also ``np.asarray``) for oracles. Sums
+and products of structured factors stay structured; with a dense factor
+they are dense.
 """
 
 from __future__ import annotations
@@ -88,12 +89,20 @@ class Dense(Factor):
             raise SingularShiftedSolve("shifted matrix is exactly singular")
         return lambda B: scipy.linalg.lu_solve((lu, piv), B)
 
+    def _check_hermitian(self):
+        if not np.allclose(self.matrix, self.matrix.conj().T, rtol=1e-12, atol=1e-12):
+            raise StructureMismatch("factor is not Hermitian")
+
     def eigh(self):
         """(lam, Q) with M = Q diag(lam) Q^H, lam ascending, by dense eigh;
         StructureMismatch unless M is Hermitian."""
-        if not np.allclose(self.matrix, self.matrix.conj().T, rtol=1e-12, atol=1e-12):
-            raise StructureMismatch("factor is not Hermitian")
+        self._check_hermitian()
         return scipy.linalg.eigh(self.matrix)
+
+    def eigvalsh(self):
+        """The lam of ``eigh`` alone, without eigenvectors."""
+        self._check_hermitian()
+        return scipy.linalg.eigvalsh(self.matrix)
 
 
 class Banded(Factor):
@@ -143,13 +152,22 @@ class Banded(Factor):
 
         return solve
 
+    def _check_hermitian(self):
+        if not np.allclose(self.ab, self.T.conj().ab, rtol=1e-12, atol=1e-12):
+            raise StructureMismatch("factor is not Hermitian")
+
     def eigh(self):
         """(lam, Q) with M = Q diag(lam) Q^H, lam ascending, by the band
         eigensolver on the lower band; StructureMismatch unless the band is
         Hermitian."""
-        if not np.allclose(self.ab, self.T.conj().ab, rtol=1e-12, atol=1e-12):
-            raise StructureMismatch("factor is not Hermitian")
+        self._check_hermitian()
         return scipy.linalg.eig_banded(self.ab[self.bw :], lower=True)
+
+    def eigvalsh(self):
+        """The lam of ``eigh`` alone, by the band eigensolver without
+        eigenvectors: O(n) memory where ``eigh`` takes O(n^2)."""
+        self._check_hermitian()
+        return scipy.linalg.eigvals_banded(self.ab[self.bw :], lower=True)
 
 
 class Identity(Banded):

@@ -13,34 +13,39 @@ carried in factored pairs: a rank-r matrix is a pair (F, G) of n_hat x r
 and n_til x r blocks with X = F @ G.T. The transpose is PLAIN, also for
 complex data; wherever an adjoint is meant the conjugation is written out.
 
-The two-term solver is "eig2", which inverts the two-term part in the
-eigenbasis of the Hermitian K. It takes one eigendecomposition per
-coefficient matrix, shared across nodes and columns when the caller
-constructs it once. It is sound at every node of a contour, including
-nodes whose real part falls inside the sum-spectrum of the operator. At a
-nonreal node it solves a low-rank input to the requested tolerance by
-factored ADI (``fadi_steps``, the library's one fADI recurrence);
-otherwise it forms the dense eigenbasis quotient and samples its range
-with one Gaussian test matrix, drawn once per solver from a fixed key, so
-the solver's results depend on no seed. The two-term solutions come back
-uncut; their one consumer, ``TensorGalerkin``, keeps the directions
-above its basis cut.
+The two-term solver is "eig2", which inverts the two-term part on the
+spectra of the Hermitian K. It holds the eigenvalues of each coefficient
+matrix (a banded K's from its band, in O(n) memory), shared across nodes
+and columns when the caller constructs it once. It is sound at every node
+of a contour, including nodes whose real part falls inside the
+sum-spectrum of the operator. At a nonreal node it solves low-rank inputs
+to the requested tolerance by factored ADI (``fadi_steps``, the library's
+one fADI recurrence) on the band-LU factors of K, with shifts chosen
+greedily on the two spectra, one block of inputs at a time; an input that
+needs more steps than its budget, and every input at a real node, goes
+through the dense eigenbasis quotient, whose range is sampled with one
+Gaussian test matrix drawn from a fixed key, so the solver's results
+depend on no seed. The eigenbases and that matrix are formed on the first
+such solve, so a run whose solves all fit fADI holds no n x n array. The
+two-term solutions come back uncut; their one consumer,
+``TensorGalerkin``, keeps the directions above its basis cut.
 
 A family of node equations that differ only in the shift and in which
 right-hand side column they take is solved on one shared tensor basis by
 ``TensorGalerkin``: each cell is a small projected equation, its residual
 is a true full-space one, and a cell that misses its tolerance grows the
-basis by two-term solves (the eig2 solves of its right-hand side and of
-its solution's coupling image). The family owns the node-solve policy: it
-is built from the operator, the right-hand sides and the node tolerance,
-and derives the split, the eig2 solver and the basis cut itself. The
-contour and ``sylvester-bench`` build it that way and solve every node
-with it.
+basis by two-term solves (the eig2 solves of its right-hand side, one
+block per shift, and of its solution's coupling image). The family owns
+the node-solve policy: it is built from the operator, the right-hand
+sides and the node tolerance, and derives the split, the eig2 solver and
+the basis cut itself. The contour and ``sylvester-bench`` build it that
+way and solve every node with it.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 import scipy.linalg
@@ -120,44 +125,24 @@ def fadi_steps(F, G, shifts, solve_hat, solve_til):
         G = G - gap * Y
 
 
-def _diagonal_fadi(a, b, f, g, target, max_steps):
-    """fADI for diag(a) X + X diag(b) = f g^T with greedy shifts.
+def _greedy_shifts(a, b):
+    """fADI shifts for diag(a) X + X diag(b)^T, greedy on the spectra alone.
 
-    Step k takes alpha_k = a_i and beta_k = -b_j at the largest rows i of
-    F_k and j of G_k, which it zeroes; every other row is scaled, so the
-    row norms track ||F_k||_F ||G_k||_F >= ||F_k G_k^T||_F exactly at O(n)
-    a step, before any factor is touched. Returns the stacked pair (Z, Y),
-    X = Z Y^T, at the first step whose bound is at most target, or None
-    when that takes more than max_steps. The row norms are renormalized
-    every step and the bound kept as a logarithm, so amplifying steps
-    cannot overflow.
+    Step k takes alpha_k = a_i and beta_k = -b_j where the rational factors
+    the earlier steps left on the residual, phi_i = prod |a_i - alpha| /
+    |a_i - beta| and gam_j = prod |b_j + beta| / |b_j + alpha|, are
+    largest (uniform weights: a discrete minimax bound), and zeroes them.
+    The factors are renormalized every step, so amplifying steps cannot
+    overflow. Yields pairs (alpha, beta) without end.
     """
-    phi, gam = np.linalg.norm(f, axis=1), np.linalg.norm(g, axis=1)
-    log_target = math.log(target) if target > 0 else -math.inf
-    log_bound, shifts = 0.0, []
-    while phi.any() and gam.any():
-        s_phi, s_gam = np.linalg.norm(phi), np.linalg.norm(gam)
-        log_bound += math.log(s_phi) + math.log(s_gam)
-        if log_bound <= log_target:
-            break
-        if len(shifts) == max_steps:
-            return None
+    phi, gam = np.ones(a.size), np.ones(b.size)
+    while True:
         alpha, beta = a[np.argmax(phi)], -b[np.argmax(gam)]
+        yield alpha, beta
         # every denominator is some a_i + b_j, nonzero for disjoint spectra
-        phi = phi / s_phi * np.abs(a - alpha) / np.abs(a - beta)
-        gam = gam / s_gam * np.abs(b + beta) / np.abs(b + alpha)
-        shifts.append((alpha, beta))
-
-    def solve_hat(k, F):
-        return F / (a - shifts[k][1])[:, None]
-
-    def solve_til(k, G):
-        return G / (b + shifts[k][0])[:, None]
-
-    steps = list(fadi_steps(f, g, shifts, solve_hat, solve_til))
-    Zs = np.hstack([f[:, :0]] + [gap * Z for Z, _, gap in steps])
-    Ys = np.hstack([g[:, :0]] + [Y for _, Y, _ in steps])
-    return Zs, Ys
+        phi = phi * np.abs(a - alpha) / np.abs(a - beta)
+        gam = gam * np.abs(b + beta) / np.abs(b + alpha)
+        phi, gam = phi / (phi.max() or 1.0), gam / (gam.max() or 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -184,61 +169,150 @@ def _real_matmul(Q, X):
 
 
 class EigenbasisPreconditioner:
-    """Inverse of the two-term part via eigendecompositions of K.
+    """Inverse of the two-term part on the spectra of K, fADI first.
 
     For Acoef = (z/2) I - K_hat and Bcoef = (z/2) I - K_til the map
-    X -> Acoef X + X Bcoef^T is diagonal in the eigenbases: with Hermitian
-    K = Q L Q^H the inverse is Q_hat ((Q_hat^H C conj(Q_til)) / D) Q_til^T,
-    D_ij = z - lambda_hat_i - lambda_til_j. At a nonreal z, ``solve_pair``
-    runs fADI on the diagonal spectra z/2 - lambda until its residual is at
-    most tol ||F G^T||_F, if that fits its stack budget, and returns the
-    stacked steps; otherwise it forms the dense quotient X and returns the
-    range-finder pair (Q, (Q^H X)^T), Q from the QR of X Omega (Halko,
-    Martinsson & Tropp, SIAM Review 2011). The test matrix Omega (n_til x
-    min(n_til, _SAMPLE_WIDTH)) is drawn once, here, from a fixed Philox key,
-    so every solve reuses it and the pair is exact wherever Omega is
-    square. Nothing is truncated here: the caller keeps what it needs.
-    Build once per K pair and share across nodes and columns;
-    ``solve_pair`` is pure and thread-safe. K is diagonalized by its
-    factor's ``eigh``: a banded K in its band, a dense one densely. A
-    factor that is not Hermitian raises StructureMismatch.
+    X -> Acoef X + X Bcoef^T has the eigenvalues D_ij = z - lambda_hat_i -
+    lambda_til_j, lambda the spectra of the Hermitian K; they are all this
+    solver holds when it is built (the factor's ``eigvalsh``: a banded K in
+    its band, in O(n) memory). ``solve_pairs`` solves a block of low-rank
+    inputs F G^T at one shift z. At a nonreal z it runs one fADI
+    (``fadi_steps``) on the whole block: its shifts are greedy on the two
+    spectra (``_greedy_shifts``), so they depend on z alone, and step k
+    solves with K's band LU at z/2 - beta_k and at z/2 + alpha_k
+    (``shifted_solver``), factored once for the block. fADI acts column by
+    column, so an input's pair is its columns of every step up to its own
+    stop: the first step whose residual F_k G_k^T, of the input's rank, is
+    at most tol ||F G^T||_F. An input that needs more steps than its stack
+    budget, and every input at a real z, takes the dense path instead: the
+    eigenbasis quotient X = Q_hat ((Q_hat^H F)(Q_til^H G)^T / D) Q_til^T,
+    returned as the range-finder pair (Q, (Q^H X)^T), Q from the QR of
+    X Omega (Halko, Martinsson & Tropp, SIAM Review 2011). The eigenbases
+    (the factors' ``eigh``) and the test matrix Omega (n_til x min(n_til,
+    _SAMPLE_WIDTH), drawn from a fixed Philox key) are formed once, on the
+    first dense-path solve (``dense_basis``), so a solver whose inputs all
+    fit fADI holds no n x n array, and the dense pair is exact wherever
+    Omega is square. Nothing is truncated here: the caller keeps what it
+    needs. Build once per K pair and share across nodes and columns; the
+    solves are thread-safe, and ``paths`` counts them by the path that
+    answered. A factor that is not Hermitian raises StructureMismatch.
     """
 
     def __init__(self, K_hat, K_til=None):
-        K_hat = as_factor(K_hat)
-        K_til = K_hat if K_til is None else as_factor(K_til)
-        self.lam_hat, self.Q_hat = K_hat.eigh()
-        if K_til is K_hat or K_til.equals(K_hat):
-            self.lam_til, self.Q_til = self.lam_hat, self.Q_hat
+        self.K_hat = as_factor(K_hat)
+        self.K_til = self.K_hat if K_til is None else as_factor(K_til)
+        self.lam_hat = self.K_hat.eigvalsh()
+        if self.K_til.equals(self.K_hat):
+            self.K_til, self.lam_til = self.K_hat, self.lam_hat
         else:
-            self.lam_til, self.Q_til = K_til.eigh()
-        n_til = self.lam_til.size
-        self.omega = gaussian(n_til, min(n_til, _SAMPLE_WIDTH), seed=0)
-
-    def solve_pair(self, z, F, G, tol):
-        """Pair (Fp, Gp) with Fp Gp^T ~ the two-term solve of F G^T at shift z."""
-        f = _real_matmul(self.Q_hat.conj().T, F)
-        g = _real_matmul(self.Q_til.conj().T, G)
-        pair = None
+            self.lam_til = self.K_til.eigvalsh()
         # fADI stacks s = r_in * steps columns: at most half the smaller
         # side, and only while the O(n s^2) QR the caller takes of them
         # costs less than the dense path's O(n^2 w), w the width of Omega
-        n = min(f.shape[0], g.shape[0])
-        stack_max = min(n / 2, math.sqrt(n * self.omega.shape[1] / 2))
-        budget = int(stack_max // max(f.shape[1], 1))
-        if np.imag(z) != 0 and budget >= 1:
-            a, b = z / 2.0 - self.lam_hat, z / 2.0 - self.lam_til
-            pair = _diagonal_fadi(a, b, f, g, tol * pair_norm(f, g), budget)
-        if pair is None:
-            D = z - self.lam_hat[:, None] - self.lam_til[None, :]
-            # the eigenvalues are real, so only a real z can make D_ij vanish
-            if np.imag(z) == 0 and np.min(np.abs(D)) == 0.0:
-                raise SingularShiftedSolve("eigenbasis preconditioner: z hits the sum spectrum")
-            X = f @ g.T / D
-            Q = np.linalg.qr(X @ self.omega)[0]
-            pair = Q, (Q.conj().T @ X).T
-        Fp, Gp = pair
-        return _real_matmul(self.Q_hat, Fp), _real_matmul(self.Q_til, Gp)
+        n = min(self.lam_hat.size, self.lam_til.size)
+        self._stack_max = min(n / 2, math.sqrt(n * min(self.lam_til.size, _SAMPLE_WIDTH) / 2))
+        self.paths = {"fadi": 0, "dense": 0}
+        self._basis = None
+        self._lock = threading.Lock()
+
+    def dense_basis(self):
+        """(Q_hat, Q_til, Omega) of the dense path, formed on the first call."""
+        with self._lock:
+            if self._basis is None:
+                Q_hat = self.K_hat.eigh()[1]
+                Q_til = Q_hat if self.K_til is self.K_hat else self.K_til.eigh()[1]
+                n_til = self.lam_til.size
+                self._basis = Q_hat, Q_til, gaussian(n_til, min(n_til, _SAMPLE_WIDTH), seed=0)
+            return self._basis
+
+    def solve_pair(self, z, F, G, tol):
+        """Pair (Fp, Gp) with Fp Gp^T ~ the two-term solve of F G^T at shift z."""
+        (result,) = self.solve_pairs(z, [(F, G)], tol)
+        if isinstance(result, KroneigError):
+            raise result
+        return result
+
+    def solve_pairs(self, z, pairs, tol):
+        """The two-term solves of the inputs F G^T, given as pairs (F, G),
+        at shift z: per input the pair (Fp, Gp) with Fp Gp^T ~ its solve, or
+        the KroneigError that stopped it."""
+        # no step at a real z, which may lie on the sum spectrum
+        budgets = [int(self._stack_max // max(F.shape[1], 1)) if np.imag(z) else 0
+                   for F, _ in pairs]
+        try:
+            results = self._fadi(z, pairs, budgets, tol)
+        except KroneigError as exc:
+            results = [exc] * len(pairs)
+        dense = [k for k, result in enumerate(results) if result is None]
+        for k in dense:
+            try:
+                results[k] = self._dense_pair(z, *pairs[k])
+            except KroneigError as exc:
+                results[k] = exc
+        with self._lock:
+            self.paths["fadi"] += len(pairs) - len(dense)
+            self.paths["dense"] += len(dense)
+        return results
+
+    def _fadi(self, z, pairs, budgets, tol):
+        """One fADI on the stacked inputs: per input the stack of its steps
+        at its stop, or None when that takes more steps than its budget
+        (an input of budget 0 stops only if it is already solved)."""
+        F, G = np.hstack([F for F, _ in pairs]), np.hstack([G for _, G in pairs])
+        edges = np.cumsum([0] + [Fi.shape[1] for Fi, _ in pairs])
+        cols = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+        targets = [tol * pair_norm(Fi, Gi) for Fi, Gi in pairs]
+        stops = [None] * len(pairs)
+
+        def settled(k, F, G):
+            # pair_norm of every input at once, from the Gram diagonal blocks
+            P = ((F.conj().T @ F) * (G.conj().T @ G)).real
+            for i, c in enumerate(cols):
+                if stops[i] is None and k <= budgets[i]:
+                    if math.sqrt(max(P[c, c].sum(), 0.0)) <= targets[i]:
+                        stops[i] = k
+            return all(stop is not None or k >= budget for stop, budget in zip(stops, budgets))
+
+        solvers = [None, None]  # the band LUs of the current step only
+
+        def shifts():
+            for alpha, beta in _greedy_shifts(z / 2.0 - self.lam_hat, z / 2.0 - self.lam_til):
+                solvers[:] = (self.K_hat.shifted_solver(z / 2.0 - beta),
+                              self.K_til.shifted_solver(z / 2.0 + alpha))
+                yield alpha, beta
+
+        # each input's own columns of its steps, copied out so that a step
+        # is freed once taken and an input that stopped takes no more
+        Zs, Ys = [[Fi[:, :0]] for Fi, _ in pairs], [[Gi[:, :0]] for _, Gi in pairs]
+        if not settled(0, F, G):
+            # Acoef - beta I = -(K_hat - (z/2 - beta) I), Bcoef + alpha I likewise
+            steps = fadi_steps(F, G, shifts(), lambda k, X: -solvers[0](X),
+                               lambda k, X: -solvers[1](X))
+            for k, (Z, Y, gap) in enumerate(steps, 1):
+                for i, c in enumerate(cols):
+                    if stops[i] is None:
+                        Zs[i].append(gap * Z[:, c])
+                        Ys[i].append(Y[:, c].copy())
+                F, G = F + gap * Z, G - gap * Y
+                if settled(k, F, G):
+                    break
+        results = []
+        for i, stop in enumerate(stops):
+            Zi, Yi = Zs[i], Ys[i]
+            Zs[i] = Ys[i] = None  # one input's steps held twice at a time
+            results.append(None if stop is None else (np.hstack(Zi), np.hstack(Yi)))
+        return results
+
+    def _dense_pair(self, z, F, G):
+        """The range-finder pair of the eigenbasis quotient."""
+        D = z - self.lam_hat[:, None] - self.lam_til[None, :]
+        # the eigenvalues are real, so only a real z can make D_ij vanish
+        if np.imag(z) == 0 and np.min(np.abs(D)) == 0.0:
+            raise SingularShiftedSolve("eigenbasis preconditioner: z hits the sum spectrum")
+        Q_hat, Q_til, omega = self.dense_basis()
+        X = _real_matmul(Q_hat.conj().T, F) @ _real_matmul(Q_til.conj().T, G).T / D
+        Q = np.linalg.qr(X @ omega)[0]
+        return _real_matmul(Q_hat, Q), _real_matmul(Q_til, (Q.conj().T @ X).T)
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +363,8 @@ class TensorGalerkin:
     K_hat + K_til (x) I + til_c (x) hat_c. Everything else is derived here,
     once: the split is read from ``A.split`` (a side without identity terms
     is the zero diagonal; more than one coupling raises StructureMismatch),
-    the eig2 two-term solver is built, the basis cut is _CUT tol, and
+    the eig2 two-term solver is built (``eig2``, whose ``paths`` counts the
+    family's two-term solves by path), the basis cut is _CUT tol, and
     ``real`` is set when A's factors, F and G are all real. Its solutions
     lie close to one tensor space: X ~ U Y V^T with orthonormal U (n_hat x
     r_hat) and V (n_til x r_til) (Simoncini, SIAM Review 2016; Kressner &
@@ -418,12 +493,15 @@ class TensorGalerkin:
         preconditioned residual's new direction, a tensor-Krylov step
         (Kressner & Tobler, SIMAX 2011). On an empty basis every cell misses
         with Y = 0, so the first round solves the right-hand sides alone.
-        The pairs grow the basis in cell order. A two-term solve that raises
-        a KroneigError adds nothing, and the first such error of a cell is
-        recorded. When a round adds no direction or fails to halve the worst
-        residual, one last round runs that keeps every direction above cut /
-        100; a cell still above tol after it is accumulated with its
-        Galerkin solution. ``pmap(fn, items)`` maps the per-cell work of a
+        The fresh right-hand sides of a round that share a shift are solved
+        as one block (``solve_pairs``: one fADI, each shift factored once);
+        the coupling images are solved cell by cell. The pairs grow the
+        basis in cell order. A two-term solve that fails adds nothing, and
+        the first KroneigError of each cell is recorded on that cell. When
+        a round adds no direction or fails to halve the worst residual, one
+        last round runs that keeps every direction above cut / 100; a cell
+        still above tol after it is accumulated with its Galerkin solution.
+        ``pmap(fn, items)`` maps the per-block and per-cell work of a
         round.
 
         Returns (results, rounds): results[k] = (residual, steps, misses,
@@ -442,17 +520,27 @@ class TensorGalerkin:
             z, j, _ = cells[k]
             return self.solve(z, j)
 
+        def rhs_block(ks):
+            """The two-term solves of the right-hand sides of cells ks, one
+            shift, as one block: cell -> pair or error."""
+            js = [cells[k][1] for k in ks]
+            inputs = [(self.F[:, j : j + 1], self.G[:, j : j + 1]) for j in js]
+            return dict(zip(ks, self.eig2.solve_pairs(cells[ks[0]][0], inputs, _CUT * self.tol)))
+
         def directions(k):
-            z, j, _ = cells[k]
-            rhs = [] if k in solved_rhs else [(self.F[:, j : j + 1], self.G[:, j : j + 1])]
-            coupled = self.coupling is not None and misses[k].any()
-            image = [self._coupling_image(misses[k])] if coupled else []
-            pairs = []
-            for Fs, Gs in rhs + image:
+            found = [rhs[k]] if k in rhs else []
+            if self.coupling is not None and misses[k].any():
+                Fs, Gs = self._coupling_image(misses[k])
                 try:
-                    pairs.append(self.eig2.solve_pair(z, Fs, Gs, _CUT * self.tol))
+                    found.append(self.eig2.solve_pair(cells[k][0], Fs, Gs, _CUT * self.tol))
                 except KroneigError as exc:
-                    errors[k] = errors[k] or str(exc)
+                    found.append(exc)
+            pairs = []
+            for pair in found:
+                if isinstance(pair, KroneigError):
+                    errors[k] = errors[k] or str(pair)
+                else:
+                    pairs.append(pair)
             return pairs
 
         while True:
@@ -467,6 +555,12 @@ class TensorGalerkin:
                 break
             worst = max(results[k][0] for k in misses)
             last = not worst < 0.5 * worst_before
+            blocks = {}
+            for k in misses:
+                if k not in solved_rhs:
+                    blocks.setdefault(cells[k][0], []).append(k)
+            rhs = {k: pair for block in pmap(rhs_block, list(blocks.values()))
+                   for k, pair in block.items()}
             pairs = [pair for found in pmap(directions, list(misses)) for pair in found]
             solved_rhs.update(misses)
             before = self.ranks

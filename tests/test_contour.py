@@ -1,6 +1,8 @@
 """Rational filter, contour eigensolver, and subspace-angle diagnostics."""
 
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -284,21 +286,57 @@ def test_contour_ignores_node_seed(monkeypatch):
     # a run unchanged. At n=190 the coupling images take eig2's dense path,
     # sampled at the test matrix's width of 98 columns
     A = schrodinger_kron(make_spec("sum-of-squares", 190))
-    solve_pair = EigenbasisPreconditioner.solve_pair
+    solve_pairs = EigenbasisPreconditioner.solve_pairs
     widths = []
 
-    def recording(self, z, F, G, tol):
-        pair = solve_pair(self, z, F, G, tol)
-        widths.append(pair[0].shape[1])
-        return pair
+    def recording(self, z, pairs, tol):
+        found = solve_pairs(self, z, pairs, tol)
+        widths.extend(pair[0].shape[1] for pair in found)
+        return found
 
-    monkeypatch.setattr(EigenbasisPreconditioner, "solve_pair", recording)
+    monkeypatch.setattr(EigenbasisPreconditioner, "solve_pairs", recording)
     filt = trapezoid_circle(12.606, 9.0, 4)
     sk = draw_khatri_rao(190, 190, 2, seed=1)
     runs = [contour_eigensolve(A, filt, sk, NodeSolverConfig(tol=1e-10, seed=seed))
             for seed in (0, 1)]
     _assert_same_run(*runs)
     assert 98 in widths
+
+
+def test_contour_fadi_path_holds_no_n_by_n_array(monkeypatch):
+    # A contour whose two-term solves all fit fADI (n=700, q=8, ell=3, tol
+    # 1e-5) never forms eig2's eigenbasis, and allocates no n x n array:
+    # the largest growth of the traced memory over one executed line, an
+    # upper bound on what that line allocates at once, stays below n^2
+    # float entries.
+    n = 700
+    A = schrodinger_kron(make_spec("sum-of-squares", n))
+
+    def no_basis(self):
+        raise AssertionError("eig2 formed its eigenbasis")
+
+    monkeypatch.setattr(EigenbasisPreconditioner, "dense_basis", no_basis)
+    largest = [0]
+
+    def trace(frame, event, arg):
+        current, peak = tracemalloc.get_traced_memory()
+        largest[0] = max(largest[0], peak - trace.start)
+        tracemalloc.reset_peak()
+        trace.start = current
+        return trace
+
+    filt, sk = trapezoid_circle(12.606, 9.0, 8), draw_khatri_rao(n, n, 3, seed=0)
+    tracemalloc.start()
+    trace.start = tracemalloc.get_traced_memory()[0]
+    sys.settrace(trace)
+    try:
+        res = contour_eigensolve(A, filt, sk, NodeSolverConfig(tol=1e-5))
+    finally:
+        sys.settrace(None)
+        tracemalloc.stop()
+    assert res.diagnostics["basis"]["two_term_paths"] == {"fadi": 3, "dense": 0}
+    assert res.diagnostics["inside_count"] == 3
+    assert 0 < largest[0] < 8 * n**2
 
 
 def _trained_family(A, nodes, sk, tol):
@@ -502,15 +540,15 @@ def test_contour_keeps_weakly_filtered_pairs(seed):
 
 
 def _fail_when(monkeypatch, fails):
-    """Make the eig2 solves picked by ``fails(z, F)`` raise a solver error."""
-    solve_pair = EigenbasisPreconditioner.solve_pair
+    """Make the eig2 solves picked by ``fails(z, F)`` fail with a solver error."""
+    solve_pairs = EigenbasisPreconditioner.solve_pairs
 
-    def failing(self, z, F, G, tol):
-        if fails(z, F):
-            raise SingularShiftedSolve("injected failure")
-        return solve_pair(self, z, F, G, tol)
+    def failing(self, z, pairs, tol):
+        found = solve_pairs(self, z, pairs, tol)
+        return [SingularShiftedSolve("injected failure") if fails(z, F) else pair
+                for (F, _), pair in zip(pairs, found)]
 
-    monkeypatch.setattr(EigenbasisPreconditioner, "solve_pair", failing)
+    monkeypatch.setattr(EigenbasisPreconditioner, "solve_pairs", failing)
 
 
 def test_contour_failed_cell_is_degraded_not_fatal(monkeypatch):
@@ -582,16 +620,18 @@ def test_training_cells_are_enriched_only_when_coupled():
 
 def _stall_after_seeds(monkeypatch, seeds):
     """Make the eig2 solves after the first ``seeds`` return zeros."""
-    solve_pair = EigenbasisPreconditioner.solve_pair
+    solve_pairs = EigenbasisPreconditioner.solve_pairs
     calls = []
 
-    def stalling(self, z, F, G, tol):
-        calls.append(z)
-        if len(calls) > seeds:
-            return np.zeros_like(F), np.zeros_like(G)
-        return solve_pair(self, z, F, G, tol)
+    def stalling(self, z, pairs, tol):
+        found = solve_pairs(self, z, pairs, tol)
+        for k, (F, G) in enumerate(pairs):
+            calls.append(z)
+            if len(calls) > seeds:
+                found[k] = np.zeros_like(F), np.zeros_like(G)
+        return found
 
-    monkeypatch.setattr(EigenbasisPreconditioner, "solve_pair", stalling)
+    monkeypatch.setattr(EigenbasisPreconditioner, "solve_pairs", stalling)
 
 
 def test_stalled_enrichment_reports_true_residuals(monkeypatch):

@@ -58,16 +58,19 @@ def test_factor_matches_its_dense_matrix(name):
         Y = solve(B)
         assert np.linalg.norm((M - sigma * np.eye(N)) @ Y - B) <= 1e-12 * np.linalg.norm(B)
     # eigh diagonalizes the Hermitian part, a banded one in its band, and
-    # refuses the factor itself unless it is Hermitian
+    # eigvalsh gives its eigenvalues alone; both refuse the factor itself
+    # unless it is Hermitian
     h = f + f.conj().T
     assert type(h) is (Dense if isinstance(f, Dense) else Banded)
     lam, Q = h.eigh()
     assert np.allclose(lam, np.linalg.eigvalsh(h.dense()), rtol=0.0, atol=1e-12)
+    assert np.allclose(h.eigvalsh(), lam, rtol=0.0, atol=1e-12)
     assert np.linalg.norm(Q.conj().T @ Q - np.eye(N)) <= 1e-13
     assert np.linalg.norm(h.dense() @ Q - Q * lam) <= 1e-12 * np.linalg.norm(h.dense())
     if not np.array_equal(h.dense(), 2 * M):
-        with pytest.raises(StructureMismatch):
-            f.eigh()
+        for decompose in (f.eigh, f.eigvalsh):
+            with pytest.raises(StructureMismatch):
+                decompose()
 
 
 def test_factor_algebra_stays_structured():

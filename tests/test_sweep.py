@@ -30,8 +30,16 @@ def test_sweep_one_input(tmp_path):
             assert (row["input"], row["seed"], row["round"]) == (11, 11, 0)
             assert row["iterations"] >= 1
             assert report["lobpcg_iterations_total"] == row["iterations"]
+            assert "two_term_paths" not in report
         else:
             assert "lobpcg_iterations" not in report
+            # a contour workload reports its two-term solves by path: at
+            # n=100 the six right-hand sides fit fADI, and the six coupling
+            # images, too wide for its stack budget, take the dense path
+            (row,) = report["two_term_paths"]
+            assert (row["input"], row["seed"], row["round"]) == (11, 11, 0)
+            assert (row["fadi"], row["dense"]) == (6, 6)
+            assert report["two_term_paths_total"] == {"fadi": 6, "dense": 6}
 
 
 def test_sweep_rejects_unknown_workload():

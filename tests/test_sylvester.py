@@ -1,5 +1,7 @@
 """Factored pairs and the eig2 two-term solver against dense desk-scale oracles."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -162,13 +164,14 @@ def test_eigenbasis_preconditioner_hermitian_factor():
     K_til = _tridiag_spd(n, scale=0.8)
     A = _two_term(K_hat, K_til)
     M = EigenbasisPreconditioner(K_hat, K_til)
-    assert np.iscomplexobj(M.Q_hat) and not np.iscomplexobj(M.Q_til)
     F = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
     G = rng.standard_normal((n, 2))
     for z, fadi in ((5.0 + 10.0j, True), (-2.0, False)):
         Fp, Gp = M.solve_pair(z, F, G, tol=1e-14)
         assert (Fp.shape[1] < n) == fadi
         assert node_residual(A, z, Fp @ Gp.T, F @ G.T) <= 1e-12
+    Q_hat, Q_til, _ = M.dense_basis()
+    assert np.iscomplexobj(Q_hat) and not np.iscomplexobj(Q_til)
 
 
 def test_eigenbasis_preconditioner_pole():
@@ -187,7 +190,8 @@ def test_eigenbasis_preconditioner_compares_factors_without_densifying(monkeypat
     dense = Banded.dense
     monkeypatch.setattr(Banded, "dense", lambda self: densified.append(self) or dense(self))
     M = EigenbasisPreconditioner(K_hat, K_til)
-    assert M.Q_til is M.Q_hat
+    Q_hat, Q_til, _ = M.dense_basis()
+    assert M.lam_til is M.lam_hat and Q_til is Q_hat
     assert densified == []
 
 
@@ -204,7 +208,7 @@ def test_eigenbasis_preconditioner_real_products_any_layout():
     F = np.asfortranarray(rng.standard_normal((12, 6)) + 1j * rng.standard_normal((12, 6)))
     assert not (G.flags.c_contiguous or G.flags.f_contiguous)
     Fp, Gp = M.solve_pair(z, F, G, tol=0.0)
-    Qh, Qt = M.Q_hat.astype(complex), M.Q_til.astype(complex)
+    Qh, Qt = (Q.astype(complex) for Q in M.dense_basis()[:2])
     D = z - M.lam_hat[:, None] - M.lam_til[None, :]
     ref = Qh @ (((Qh.T @ F) @ (Qt.T @ G).T) / D) @ Qt.T
     assert np.linalg.norm(Fp @ Gp.T - ref) <= 1e-13 * np.linalg.norm(ref)
@@ -225,39 +229,151 @@ def _eigenbasis_case(rank, n_hat=60, n_til=57):
     return M, F, G
 
 
+def _quotient(M, z, F, G):
+    """The exact two-term solve, the eigenbasis quotient, densely."""
+    Q_hat, Q_til, _ = M.dense_basis()
+    D = z - M.lam_hat[:, None] - M.lam_til[None, :]
+    return Q_hat @ ((Q_hat.conj().T @ F) @ (Q_til.conj().T @ G).T / D) @ Q_til.T
+
+
+def _two_term_residual(M, z, X, F, G):
+    """||((z/2) I - K_hat) X + X ((z/2) I - K_til)^T - F G^T||_F, densely."""
+    K_hat, K_til = M.K_hat.dense(), M.K_til.dense()
+    return np.linalg.norm(z * X - K_hat @ X - X @ K_til.T - F @ G.T)
+
+
 @pytest.mark.parametrize("rank", [1, 3])
 def test_eigenbasis_fadi_branch(rank):
-    # A low-rank input at a nonreal node takes the fADI branch: it matches
-    # the exact eigenbasis quotient and returns the stack of its steps.
+    # A low-rank input at a nonreal node takes the fADI branch, without
+    # forming the eigenbasis: it matches the exact eigenbasis quotient and
+    # returns the stack of its steps.
     M, F, G = _eigenbasis_case(rank)
     z = 2.5 + 6.0j
     tol = 1e-12
     Fp, Gp = M.solve_pair(z, F, G, tol)
-    D = z - M.lam_hat[:, None] - M.lam_til[None, :]
-    f, g = M.Q_hat.T @ F, M.Q_til.T @ G
-    ref = M.Q_hat @ ((f @ g.T) / D) @ M.Q_til.T
+    assert M._basis is None and M.paths == {"fadi": 1, "dense": 0}
+    ref = _quotient(M, z, F, G)
     assert np.linalg.norm(Fp @ Gp.T - ref) <= 1e-10 * np.linalg.norm(ref)
-    # the recurrence itself stops on its residual, in the eigenbasis
-    a = z / 2.0 - M.lam_hat
-    b = z / 2.0 - M.lam_til
-    target = tol * np.linalg.norm(f @ g.T)
-    Z, Y = sylvester._diagonal_fadi(a, b, f, g, target, max_steps=60)
-    X = Z @ Y.T
-    R = a[:, None] * X + X * b[None, :] - f @ g.T
-    assert np.linalg.norm(R) <= target
-    # and comes back uncut: the pair is the lifted stack of its steps,
-    # narrower than the dense path's pair
-    assert Fp.shape[1] == Gp.shape[1] == Z.shape[1] < M.omega.shape[1]
+    # the recurrence stops on its residual: at its first step whose
+    # two-term residual is at most tol ||F G^T||, one step of `rank`
+    # columns after the last step above it
+    target = tol * np.linalg.norm(F @ G.T)
+    steps = Fp.shape[1] // rank
+    assert Fp.shape[1] == Gp.shape[1] == steps * rank
+    assert _two_term_residual(M, z, Fp @ Gp.T, F, G) <= 1.01 * target
+    short = Fp[:, : -rank] @ Gp[:, : -rank].T
+    assert _two_term_residual(M, z, short, F, G) > target
+    # and comes back uncut, narrower than the dense path's pair
+    assert Fp.shape[1] < M.dense_basis()[2].shape[1]
+
+
+def _banded_pair(complex_):
+    """Banded K_hat (n=40) and K_til (n=36) with spectra in about [0.4,
+    4.6]; K_hat is complex Hermitian when asked."""
+    rng = make_rng(76)
+
+    def K(n, scale):
+        T = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+        return scale * T + np.diag(rng.uniform(0.0, 1.0, n))
+
+    K_hat = K(40, 1.0)
+    if complex_:
+        twist = np.diag(rng.standard_normal(39), 1)
+        K_hat = K_hat + 0.5j * (twist - twist.T)
+    return as_factor(K_hat), as_factor(K(36, 0.8))
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_eigenbasis_block_matches_single_solves(complex_):
+    # A node's right-hand sides are solved as one block: one fADI, each
+    # shift factored once, no eigenbasis formed. fADI acts column by
+    # column, so the pair cut from the block for each column equals that
+    # column's own solve, and meets tol against the exact quotient:
+    # ||X - X*|| <= ||R|| / min |D| <= tol ||F G^T|| / min |D|.
+    K_hat, K_til = _banded_pair(complex_)
+    assert isinstance(K_hat, Banded) and np.iscomplexobj(K_hat.ab) == complex_
+    rng = make_rng(77)
+    F = rng.standard_normal((40, 4)) + 1j * rng.standard_normal((40, 4))
+    G = rng.standard_normal((36, 4))
+    z, tol = 2.5 + 3.0j, 1e-10
+    M = EigenbasisPreconditioner(K_hat, K_til)
+    cols = [(F[:, [j]], G[:, [j]]) for j in range(4)]
+    block = M.solve_pairs(z, cols, tol)
+    assert M._basis is None and M.paths == {"fadi": 4, "dense": 0}
+    d_min = np.min(np.abs(z - M.lam_hat[:, None] - M.lam_til[None, :]))
+    for (Fj, Gj), (Fp, Gp) in zip(cols, block):
+        Fs, Gs = M.solve_pair(z, Fj, Gj, tol)
+        assert Fp.shape == Fs.shape and Gp.shape == Gs.shape
+        assert np.linalg.norm(Fp - Fs) <= 1e-13 * np.linalg.norm(Fs)
+        assert np.linalg.norm(Gp - Gs) <= 1e-13 * np.linalg.norm(Gs)
+        error = np.linalg.norm(Fp @ Gp.T - _quotient(M, z, Fj, Gj))
+        assert error <= 1.01 * tol * np.linalg.norm(Fj @ Gj.T) / d_min
+
+
+def test_eigenbasis_block_falls_back_column_by_column():
+    # An input of the block that needs more steps than its budget takes
+    # the dense path on its own. Next to the spectrum (Im z = 0.02) a
+    # generic column needs more than the 10 steps n = 20 allows; a column
+    # along the eigenvector that the first greedy shift annihilates is
+    # solved in one step.
+    K = _tridiag_spd(20)
+    M = EigenbasisPreconditioner(K)
+    rng = make_rng(78)
+    z = M.lam_hat[3] + M.lam_hat[9] + 0.02j
+    q0 = np.linalg.eigh(K)[1][:, :1]
+    cols = [(q0, rng.standard_normal((20, 1))),
+            (rng.standard_normal((20, 1)), rng.standard_normal((20, 1)))]
+    (F0, G0), (F1, G1) = M.solve_pairs(z, cols, 1e-12)
+    assert F0.shape[1] == 1 and F1.shape[1] == 20
+    assert M.paths == {"fadi": 1, "dense": 1}
+    for (F, G), (Fp, Gp) in zip(cols, ((F0, G0), (F1, G1))):
+        exact = _quotient(M, z, F, G)
+        assert np.linalg.norm(Fp @ Gp.T - exact) <= 1e-8 * np.linalg.norm(exact)
+
+
+def test_enrich_solves_each_shift_as_one_block(monkeypatch):
+    # enrich solves the fresh right-hand sides of a round that share a
+    # shift as one block, one call per shift, and each cell keeps its own
+    # error: at the real shift 2 = 1 + 1 on the sum spectrum of K =
+    # diag(1, ..., 8) the dense path fails for both columns there, while
+    # the nonreal shift's cells reach tol. threads=2 gives threads=1's bits.
+    K = np.diag(np.arange(1.0, 9.0))
+    rng = make_rng(79)
+    F, G = rng.standard_normal((8, 2)), rng.standard_normal((8, 2))
+    cells = [(4.0 + 1.0j, 0, 1.0), (4.0 + 1.0j, 1, 1.0), (2.0, 0, 1.0), (2.0, 1, 1.0)]
+    solve_pairs = EigenbasisPreconditioner.solve_pairs
+    calls = []
+
+    def counting(self, z, pairs, tol):
+        calls.append((z, len(pairs)))
+        return solve_pairs(self, z, pairs, tol)
+
+    monkeypatch.setattr(EigenbasisPreconditioner, "solve_pairs", counting)
+    runs = []
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        for pmap in (map, lambda fn, items: list(pool.map(fn, items))):
+            family = TensorGalerkin(_two_term(K, K), F, G, 1e-10)
+            runs.append((family, family.enrich(cells, pmap)))
+    assert sorted(calls, key=str) == sorted([(4.0 + 1.0j, 2), (2.0, 2)] * 2, key=str)
+    (one, first), (two, second) = runs
+    assert first == second
+    for name in ("U", "V", "sigma"):
+        assert np.array_equal(getattr(one, name), getattr(two, name))
+    results = first[0]
+    assert [r[3] is None for r in results] == [True, True, False, False]
+    assert all("sum spectrum" in r[3] for r in results[2:])
+    assert all(r[0] <= 1e-10 for r in results[:2])
 
 
 def _dense_path(M, z, F, G):
     """solve_pair's dense path, written out: the eigenbasis quotient W,
     sampled by the test matrix Omega into (Q, (Q^H W)^T), lifted by the
     eigenbases."""
+    Q_hat, Q_til, omega = M.dense_basis()
     D = z - M.lam_hat[:, None] - M.lam_til[None, :]
-    W = sylvester._real_matmul(M.Q_hat.T, F) @ sylvester._real_matmul(M.Q_til.T, G).T / D
-    Q = np.linalg.qr(W @ M.omega)[0]
-    return sylvester._real_matmul(M.Q_hat, Q), sylvester._real_matmul(M.Q_til, (Q.conj().T @ W).T)
+    W = sylvester._real_matmul(Q_hat.T, F) @ sylvester._real_matmul(Q_til.T, G).T / D
+    Q = np.linalg.qr(W @ omega)[0]
+    return sylvester._real_matmul(Q_hat, Q), sylvester._real_matmul(Q_til, (Q.conj().T @ W).T)
 
 
 def test_eigenbasis_high_rank_takes_dense_path():
@@ -266,8 +382,9 @@ def test_eigenbasis_high_rank_takes_dense_path():
     M, F, G = _eigenbasis_case(20, 200, 190)
     z = 2.5 + 6.0j
     Fp, Gp = M.solve_pair(z, F, G, 1e-12)
+    assert M.paths == {"fadi": 0, "dense": 1}
     Fd, Gd = _dense_path(M, z, F, G)
-    assert M.omega.shape == (190, 98) and Fp.shape[1] == 98
+    assert M.dense_basis()[2].shape == (190, 98) and Fp.shape[1] == 98
     assert np.array_equal(Fp, Fd) and np.array_equal(Gp, Gd)
 
 
@@ -280,7 +397,7 @@ def test_eigenbasis_zero_budget_skips_fadi(monkeypatch):
     def fadi(*args):
         raise AssertionError("fADI run with a zero step budget")
 
-    monkeypatch.setattr(sylvester, "_diagonal_fadi", fadi)
+    monkeypatch.setattr(sylvester, "fadi_steps", fadi)
     Fp, Gp = M.solve_pair(z, F, G, 1e-12)
     Fd, Gd = _dense_path(M, z, F, G)
     assert np.array_equal(Fp, Fd) and np.array_equal(Gp, Gd)
@@ -310,10 +427,9 @@ def test_eigenbasis_dense_path_samples_one_test_matrix(shape):
     again = M.solve_pair(z, F, G, 1e-12)
     assert np.array_equal(Fp, again[0]) and np.array_equal(Gp, again[1])
     width = min(n_til, 98)
-    assert M.omega.shape == (n_til, width)
+    assert M.dense_basis()[2].shape == (n_til, width)
     assert Fp.shape == (n_hat, min(n_hat, width)) and Gp.shape == (n_til, Fp.shape[1])
     assert np.allclose(Fp.T @ Fp, np.eye(Fp.shape[1]), atol=1e-13)
     if n_til <= 98:
-        D = z - M.lam_hat[:, None] - M.lam_til[None, :]
-        exact = M.Q_hat @ ((M.Q_hat.T @ F) @ (M.Q_til.T @ G).T / D) @ M.Q_til.T
+        exact = _quotient(M, z, F, G)
         assert np.linalg.norm(Fp @ Gp.T - exact) <= 1e-12 * np.linalg.norm(exact)

@@ -20,9 +20,11 @@ runs the same check. BLAS is pinned to one thread.
 Prints one JSON object (and writes it to --out when given) with, per
 input: its seed, center and radius, the solve time in seconds, the peak
 resident memory of the process so far (VmHWM, MiB; run one input per call
-to attribute it), the shared basis ranks, the number of node cells
-reported above the node tolerance and the worst reported cell residual,
-and the Ritz values inside the circle with their worst residual.
+to attribute it), the shared basis ranks, the two-term solves by the path
+that answered them (fADI or dense; null for a tree that does not count
+them), the number of node cells reported above the node tolerance and the
+worst reported cell residual, and the Ritz values inside the circle with
+their worst residual.
 """
 
 import argparse
@@ -94,6 +96,7 @@ def check(A, center, radius, seed, args):
         "time_s": elapsed,
         "peak_rss_mb": peak_rss_mb(),
         "basis": [int(r) for r in d.get("assembled_rank_pre", (0, 0))],
+        "two_term_paths": d["basis"].get("two_term_paths"),
         "cells": len(residuals),
         "cells_above_tol": int(sum(r > args.tol for r in residuals)),
         "worst_cell_residual": float(max(residuals, default=0.0)),

@@ -20,7 +20,10 @@ and per failing input its seed, round, failed eigenpairs with their
 reasons, failed node solves and run-level errors. A LOBPCG workload adds
 every input's iteration count ("lobpcg_iterations": input, seed, round,
 iterations) and their sum ("lobpcg_iterations_total"), so two trees'
-iteration counts compare on the same inputs.
+iteration counts compare on the same inputs. A contour workload adds every
+input's two-term solves by the path that answered them ("two_term_paths":
+input, seed, round, fadi, dense; null counts for a tree that does not
+count them) and their sums ("two_term_paths_total").
 """
 
 import argparse
@@ -43,7 +46,7 @@ def sweep(workload, seeds, rounds):
     w = WORKLOADS[workload]
     A = schrodinger_matrix(w["n"])
     ref = eigenvalues(workload, A)
-    failing, iterations = [], []
+    failing, iterations, paths = [], [], []
     failed_pairs = failed_nodes = 0
     for seed in seeds:
         for i in range(rounds):
@@ -64,6 +67,10 @@ def sweep(workload, seeds, rounds):
                     "input": key, "seed": seed, "round": i,
                     "iterations": int(res.diagnostics["iterations"]),
                 })
+            else:
+                counts = res.diagnostics["basis"].get("two_term_paths", {})
+                paths.append({"input": key, "seed": seed, "round": i,
+                              "fadi": counts.get("fadi"), "dense": counts.get("dense")})
             failed_pairs += len(report["failed"])
             failed_nodes += nodes
             if report["failed"] or report["errors"] or nodes:
@@ -85,6 +92,10 @@ def sweep(workload, seeds, rounds):
     if w["solver"] == "lobpcg":
         out["lobpcg_iterations"] = iterations
         out["lobpcg_iterations_total"] = sum(r["iterations"] for r in iterations)
+    else:
+        out["two_term_paths"] = paths
+        out["two_term_paths_total"] = {
+            path: sum(r[path] or 0 for r in paths) for path in ("fadi", "dense")}
     return out
 
 
